@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -355,3 +356,98 @@ class TestCliContract:
         ]) == 0
         assert (out / "preferences.csv").read_bytes() == before
         assert CATALOG_PATH.read_bytes().startswith(b"item_id,name,category")
+
+
+# One seeded survey through every factorization-route command.  Each stage
+# command must write the same bytes as ``pipeline`` for the files they share,
+# and every file is pinned across versions: by SHA-256, except the singular
+# values, whose last digits depend on the BLAS build (compared within 1e-9 of
+# the largest, as the benchmark's check does).
+PINNED_RUNS = {
+    "svd": ["svd"],
+    "cluster-signs": ["cluster-signs", "--rank", "4"],
+    "design-kits": ["design-kits", "--rank", "4"],
+    "design-kits-constrained": ["design-kits", "--rank", "4", "--constrained-kits"],
+    "reassign": ["reassign", "--rank", "4"],
+    "pipeline": ["pipeline", "--rank", "4"],
+    "pipeline-constrained": ["pipeline", "--rank", "4", "--constrained-kits"],
+}
+
+PINNED_DIGESTS = {
+    "cluster-signs/item_cluster_counts.csv": "c4e9b2bf7b1e9cd618bfa5f07b2e73ec050ed8d7cbda7c87b8e3cc9ba888bf33",
+    "cluster-signs/item_membership.csv": "ddf2ede2f416babeb27f84e3e2f43d1c07cf571d06dc81f0507fc84e83d9fd27",
+    "cluster-signs/user_cluster_counts.csv": "c4e9b2bf7b1e9cd618bfa5f07b2e73ec050ed8d7cbda7c87b8e3cc9ba888bf33",
+    "cluster-signs/user_membership.csv": "b221f0072f47f95225e1ebb5ef176d8fcb9e943118ff7a962efd7fbbd828deb9",
+    "design-kits/kits.csv": "b4c80c8db3ebd3d58dab749fd5d9cc937a6abd684c40bcd2fd0019f1d1ca2001",
+    "design-kits/kits.json": "93e62b81ffe6deb2a796570d03c77434d67eb1c8dd27af64c7ea5787364526ee",
+    "design-kits-constrained/kits.csv": "c86fb303e984a3f83513015a15f9dbba139c5b34d769254249aab909f051608c",
+    "design-kits-constrained/kits.json": "88480b637185d28f77497bce3393a3f68fb1ffca288c876db82749cb52e00887",
+    "reassign/loss_clusters.csv": "dc023de716e77be67abbc8d928094e696efb1969dfa84f3143b3f8a437968729",
+    "reassign/loss_users.csv": "bac1b2bc7ccfb537012f80a9a5d847245bb7e8aa7a44f301c41d49eb3b7df45e",
+    "pipeline/kits.csv": "b4c80c8db3ebd3d58dab749fd5d9cc937a6abd684c40bcd2fd0019f1d1ca2001",
+    "pipeline/kits.json": "93e62b81ffe6deb2a796570d03c77434d67eb1c8dd27af64c7ea5787364526ee",
+    "pipeline/loss_clusters.csv": "dc023de716e77be67abbc8d928094e696efb1969dfa84f3143b3f8a437968729",
+    "pipeline/loss_users.csv": "bac1b2bc7ccfb537012f80a9a5d847245bb7e8aa7a44f301c41d49eb3b7df45e",
+    "pipeline/user_cluster_counts.csv": "c4e9b2bf7b1e9cd618bfa5f07b2e73ec050ed8d7cbda7c87b8e3cc9ba888bf33",
+    "pipeline/user_membership.csv": "b221f0072f47f95225e1ebb5ef176d8fcb9e943118ff7a962efd7fbbd828deb9",
+    "pipeline-constrained/kits.csv": "c86fb303e984a3f83513015a15f9dbba139c5b34d769254249aab909f051608c",
+    "pipeline-constrained/kits.json": "88480b637185d28f77497bce3393a3f68fb1ffca288c876db82749cb52e00887",
+    "pipeline-constrained/loss_clusters.csv": "b990ad95787b1356f03b1a44aa290f5f9ce9271e7027ec14fe601f3989cf1e71",
+    "pipeline-constrained/loss_users.csv": "e6c69a5eaf01200334e5633b59bd2b8bf540037f666e35b85cefff42d76b3813",
+    "pipeline-constrained/user_cluster_counts.csv": "c4e9b2bf7b1e9cd618bfa5f07b2e73ec050ed8d7cbda7c87b8e3cc9ba888bf33",
+    "pipeline-constrained/user_membership.csv": "b221f0072f47f95225e1ebb5ef176d8fcb9e943118ff7a962efd7fbbd828deb9",
+}
+
+PINNED_SCREE = [
+    40.39938169808617,
+    13.219398260921736,
+    11.798641715151714,
+    11.057487383549933,
+    10.313863186121878,
+    9.947370516463735,
+    9.256853836413333,
+    8.424413775767981,
+    8.090842992781528,
+    7.796709268822533,
+    7.763048136309847,
+    7.623967262309785,
+    7.470595473756002,
+    7.350847879247592,
+    7.16351652280627,
+    6.82008293434391,
+    6.590982846615342,
+    6.197335364022278,
+    5.9592750502997385,
+    3.161589352672707e-15,
+]
+
+
+def run_pinned(tmp_path):
+    """Run every command of PINNED_RUNS on one seeded survey; name -> output dir."""
+    survey = run_synth(tmp_path, **{"--n-users": 300, "--n-kits": 8, "--seed": 11})
+    outs = {}
+    for name, argv in PINNED_RUNS.items():
+        outs[name] = tmp_path / name
+        assert main([
+            *argv, "--catalog", str(CATALOG_PATH),
+            "--prefs", str(survey / "preferences.csv"), "--out", str(outs[name]),
+        ]) == 0
+    return outs
+
+
+class TestPinnedOutputs:
+    def test_stage_commands_match_pipeline_and_recorded_digests(self, tmp_path):
+        outs = run_pinned(tmp_path)
+        digests = {}
+        for name, out in outs.items():
+            pipe = outs["pipeline-constrained" if "constrained" in name else "pipeline"]
+            for path in sorted(out.iterdir()):
+                if (pipe / path.name).exists():
+                    assert path.read_bytes() == (pipe / path.name).read_bytes(), f"{name}/{path.name}"
+                if path.name != "scree.csv":
+                    digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == PINNED_DIGESTS
+        scree = read_csv(outs["svd"] / "scree.csv")
+        assert [row[0] for row in scree] == ["rank", *(str(r) for r in range(1, 21))]
+        sigmas = np.array([float(row[1]) for row in scree[1:]])
+        assert np.abs(sigmas - PINNED_SCREE).max() <= 1e-9 * PINNED_SCREE[0]
