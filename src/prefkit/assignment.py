@@ -60,11 +60,6 @@ class ClusterLosses(NamedTuple):
     populations: np.ndarray
 
 
-def kit_indicator_matrix(kits: Sequence[Kit], m: int) -> np.ndarray:
-    """K x m 0/1 matrix, one row per kit."""
-    return np.stack([kit.indicator(m) for kit in kits])
-
-
 def user_loss(row: np.ndarray, kit: Kit) -> int:
     """Hamming distance between one selection row and a kit."""
     row = np.asarray(row)
@@ -92,16 +87,20 @@ def cluster_losses(
     return ClusterLosses(normal, exponential, populations)
 
 
-def loss_report(prefs: PreferenceMatrix, kits: Sequence[Kit], assignment: Assignment) -> LossReport:
-    """Losses of each user against its assigned kit, with per-kit averages."""
+def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
+    """n x K losses of every user against every kit."""
     if not kits:
         raise ValueError("at least one kit is required")
-    if int(assignment.kit_index.max()) >= len(kits):
+    indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
+    return (prefs.data[:, None, :] != indicators[None, :, :]).sum(axis=2)
+
+
+def _report(mismatches: np.ndarray, assignment: Assignment) -> LossReport:
+    n, k = mismatches.shape
+    if int(assignment.kit_index.max()) >= k:
         raise ValueError("assignment refers to a kit index out of range")
-    indicators = kit_indicator_matrix(kits, prefs.m)
-    mismatches = (prefs.data[:, None, :] != indicators[None, :, :]).sum(axis=2)
-    per_user = mismatches[np.arange(prefs.n), assignment.kit_index].astype(np.int64)
-    normal, exponential, populations = cluster_losses(per_user, assignment, len(kits))
+    per_user = mismatches[np.arange(n), assignment.kit_index].astype(np.int64)
+    normal, exponential, populations = cluster_losses(per_user, assignment, k)
     per_user.flags.writeable = False
     return LossReport(
         per_user_loss=per_user,
@@ -110,6 +109,11 @@ def loss_report(prefs: PreferenceMatrix, kits: Sequence[Kit], assignment: Assign
         populations=populations,
         total_loss=int(per_user.sum()),
     )
+
+
+def loss_report(prefs: PreferenceMatrix, kits: Sequence[Kit], assignment: Assignment) -> LossReport:
+    """Losses of each user against its assigned kit, with per-kit averages."""
+    return _report(_mismatches(prefs, kits), assignment)
 
 
 def reassign(
@@ -122,15 +126,9 @@ def reassign(
     Returns the new assignment plus before/after loss reports.  Per-user loss
     never increases, and reassigning again is a no-op.
     """
-    if not kits:
-        raise ValueError("at least one kit is required")
-    before = loss_report(prefs, kits, initial)
-    indicators = kit_indicator_matrix(kits, prefs.m)
-    mismatches = (prefs.data[:, None, :] != indicators[None, :, :]).sum(axis=2)
-    best = np.argmin(mismatches, axis=1)
-    reassigned = Assignment(kit_index=best, provenance=REASSIGNED)
-    after = loss_report(prefs, kits, reassigned)
-    return reassigned, before, after
+    mismatches = _mismatches(prefs, kits)
+    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1), provenance=REASSIGNED)
+    return reassigned, _report(mismatches, initial), _report(mismatches, reassigned)
 
 
 def assignment_from_clusters(

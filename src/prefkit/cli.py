@@ -18,20 +18,21 @@ import argparse
 import csv
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .assignment import assignment_from_clusters, reassign
+from .assignment import Assignment, LossReport, assignment_from_clusters, reassign
 from .errors import PrefkitError
 from .io import load_catalog, load_preferences, write_ground_truth, write_preferences
 from .kits import Kit, design_all
 from .kmeans import KMeansConfig, sweep
-from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint, validate_constraint
+from .model import ItemCatalog, PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
 from .seeding import derive_seed
-from .signs import ITEMS, USERS, cluster_count_table, item_sign_clusters, user_sign_clusters
-from .svd import scree, svd, truncate
+from .signs import ITEMS, USERS, SignClustering, cluster_count_table, item_sign_clusters, user_sign_clusters
+from .svd import SvdFactors, scree, svd, truncate
 from .synthetic import SyntheticSpec, generate_synthetic, random_kits
 
 
@@ -45,7 +46,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -53,7 +54,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _prepare_out(args: argparse.Namespace, filenames: list[str]) -> dict[str, Path]:
+def _write_kits_json(path: Path, kits: Iterable[Kit]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({str(kit.kit_id): kit.sorted_items() for kit in kits}, fh, indent=2)
+        fh.write("\n")
+
+
+def _prepare_out(args: argparse.Namespace, filenames: Sequence[str]) -> dict[str, Path]:
     """Create the output directory and guard against silent overwrites."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -73,30 +80,12 @@ def _load_inputs(args: argparse.Namespace) -> tuple[ItemCatalog, PreferenceMatri
     return catalog, prefs
 
 
-def _write_kits(kits: list[Kit], paths: dict[str, Path]) -> None:
-    _write_csv(
-        paths["kits.csv"],
-        ["kit_id", "item_id"],
-        [[kit.kit_id, q] for kit in kits for q in kit.sorted_items()],
-    )
-    payload = {str(kit.kit_id): kit.sorted_items() for kit in kits}
-    with open(paths["kits.json"], "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _check_rank(args: argparse.Namespace, prefs: PreferenceMatrix) -> None:
-    p = min(prefs.n, prefs.m)
-    if not 1 <= args.rank <= p:
-        raise UsageError(f"--rank must lie in 1..{p} for this matrix")
-
-
-def _sign_pipeline(args: argparse.Namespace, catalog: ItemCatalog, prefs: PreferenceMatrix):
-    """Shared upstream of the factorization route: svd -> user sign clusters."""
-    _check_rank(args, prefs)
-    factors = svd(prefs.data)
-    clustering = user_sign_clusters(truncate(factors, args.rank))
-    return factors, clustering
+def _strict_failure(args: argparse.Namespace, violations: list[RowViolation]) -> int:
+    """Exit code 1, with a message, when --strict is set and rows violate the quotas."""
+    if violations and args.strict:
+        print(f"{len(violations)} rows violate the selection constraint", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -108,10 +97,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ["row", "user_id", "expensive_count", "cheap_count"],
         [[v.row_index, v.user_id, v.expensive_count, v.cheap_count] for v in violations],
     )
-    if violations and args.strict:
-        print(f"{len(violations)} rows violate the selection constraint", file=sys.stderr)
-        return 1
-    return 0
+    return _strict_failure(args, violations)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -128,9 +114,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     prefs, planted = generate_synthetic(spec, catalog, constraint)
     write_preferences(prefs, paths["preferences.csv"])
     write_ground_truth(prefs.user_ids, planted, paths["ground_truth.csv"])
-    with open(paths["planted_kits.json"], "w", encoding="utf-8") as fh:
-        json.dump({str(kit.kit_id): kit.sorted_items() for kit in kits}, fh, indent=2)
-        fh.write("\n")
+    _write_kits_json(paths["planted_kits.json"], kits)
     return 0
 
 
@@ -144,12 +128,13 @@ def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--k-max {args.k_max} exceeds the {prefs.n} survey rows")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
+    if (prefs.data == prefs.data[0]).all():
+        raise UsageError(f"all {prefs.n} survey rows are equal (1 distinct row); silhouette needs 2")
     paths = _prepare_out(args, ["sweep_table.csv", "sweep_points.csv"])
     config = KMeansConfig(
         k=args.k_min,
         damping=args.damping,
         max_iters=args.max_iters,
-        k_limit=args.k_max,
         seed=derive_seed(args.seed, "kmeans-sweep"),
     )
     table = sweep(prefs, config, k_min=args.k_min, k_max=args.k_max, trials=args.trials)
@@ -170,162 +155,142 @@ def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_svd(args: argparse.Namespace) -> int:
-    _, prefs = _load_inputs(args)
-    paths = _prepare_out(args, ["scree.csv"])
-    factors = svd(prefs.data)
-    _write_csv(paths["scree.csv"], ["rank", "sigma"], [list(pair) for pair in scree(factors)])
-    return 0
+class Route:
+    """The factorization route on one survey; each stage runs once, on first use.
 
+    svd -> truncate -> user (and item) sign clusters -> one kit per user
+    cluster -> initial assignment -> reassignment with before/after reports.
+    """
 
-def cmd_cluster_signs(args: argparse.Namespace) -> int:
-    catalog, prefs = _load_inputs(args)
-    _check_rank(args, prefs)
-    paths = _prepare_out(
-        args,
-        [
-            "user_cluster_counts.csv",
-            "item_cluster_counts.csv",
-            "user_membership.csv",
-            "item_membership.csv",
-        ],
-    )
-    factors, users = _sign_pipeline(args, catalog, prefs)
-    items = item_sign_clusters(truncate(factors, args.rank))
-    for axis, name in ((USERS, "user_cluster_counts.csv"), (ITEMS, "item_cluster_counts.csv")):
-        _write_csv(
-            paths[name],
-            ["r", "count"],
-            [list(pair) for pair in cluster_count_table(factors, axis, 1, args.rank)],
+    def __init__(self, args: argparse.Namespace, catalog: ItemCatalog, prefs: PreferenceMatrix):
+        self.args = args
+        self.catalog = catalog
+        self.prefs = prefs
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        return svd(self.prefs.data)
+
+    @cached_property
+    def truncated(self) -> SvdFactors:
+        return truncate(self.factors, self.args.rank)
+
+    @cached_property
+    def users(self) -> SignClustering:
+        return user_sign_clusters(self.truncated)
+
+    @cached_property
+    def items(self) -> SignClustering:
+        return item_sign_clusters(self.truncated)
+
+    @cached_property
+    def kits(self) -> list[Kit]:
+        return design_all(
+            self.prefs, self.users.membership, self.catalog, SelectionConstraint(),
+            self.args.constrained_kits,
         )
-    user_ids = users.cluster_ids()
-    _write_csv(
-        paths["user_membership.csv"],
-        ["element_id", "cluster_id", "pattern_bits"],
-        [[prefs.user_ids[i], user_ids[i], users.patterns[i]] for i in range(prefs.n)],
-    )
-    item_ids = items.cluster_ids()
-    _write_csv(
-        paths["item_membership.csv"],
-        ["element_id", "cluster_id", "pattern_bits"],
-        [[q, item_ids[q], items.patterns[q]] for q in range(catalog.m)],
-    )
-    return 0
+
+    @cached_property
+    def initial(self) -> Assignment:
+        return assignment_from_clusters(self.users.membership, self.prefs.n)
+
+    @cached_property
+    def reassigned(self) -> tuple[Assignment, LossReport, LossReport]:
+        return reassign(self.prefs, self.kits, self.initial)
 
 
-def cmd_design_kits(args: argparse.Namespace) -> int:
-    catalog, prefs = _load_inputs(args)
-    _check_rank(args, prefs)
-    paths = _prepare_out(args, ["kits.csv", "kits.json"])
-    _, clustering = _sign_pipeline(args, catalog, prefs)
-    kits = design_all(
-        prefs, clustering.membership, catalog, SelectionConstraint(), args.constrained_kits
-    )
-    _write_kits(kits, paths)
-    return 0
+def _membership_rows(element_ids: Iterable[object], clustering: SignClustering):
+    return zip(element_ids, clustering.cluster_ids(), clustering.patterns)
 
 
-def _loss_rows(report, phase: str) -> list[list[object]]:
-    return [
-        [
-            j,
-            int(report.populations[j]),
-            report.per_cluster_normal[j],
-            report.per_cluster_exponential[j],
-            phase,
-        ]
+def _loss_cluster_rows(route: Route):
+    _, before, after = route.reassigned
+    return (
+        [j, int(report.populations[j]), report.per_cluster_normal[j],
+         report.per_cluster_exponential[j], phase]
+        for phase, report in (("before", before), ("after", after))
         for j in range(len(report.populations))
-    ]
+    )
 
 
-def cmd_reassign(args: argparse.Namespace) -> int:
+def _loss_user_rows(route: Route):
+    final, before, after = route.reassigned
+    return zip(
+        route.prefs.user_ids,
+        route.initial.kit_index.tolist(),
+        final.kit_index.tolist(),
+        before.per_user_loss.tolist(),
+        after.per_user_loss.tolist(),
+    )
+
+
+MEMBERSHIP = ["element_id", "cluster_id", "pattern_bits"]
+
+# Output file -> (CSV header, or None for the kits JSON; its rows from a route).
+# A rows function runs every stage the file needs and returns a lazy iterable.
+ARTIFACTS: dict[str, tuple[list[str] | None, Callable[[Route], Iterable]]] = {
+    "scree.csv": (["rank", "sigma"], lambda r: scree(r.factors)),
+    "user_cluster_counts.csv": (
+        ["r", "count"], lambda r: cluster_count_table(r.factors, USERS, 1, r.args.rank)
+    ),
+    "item_cluster_counts.csv": (
+        ["r", "count"], lambda r: cluster_count_table(r.factors, ITEMS, 1, r.args.rank)
+    ),
+    "user_membership.csv": (MEMBERSHIP, lambda r: _membership_rows(r.prefs.user_ids, r.users)),
+    "item_membership.csv": (MEMBERSHIP, lambda r: _membership_rows(range(r.catalog.m), r.items)),
+    "kits.csv": (
+        ["kit_id", "item_id"], lambda r: [[kit.kit_id, q] for kit in r.kits for q in kit.sorted_items()]
+    ),
+    "kits.json": (None, lambda r: r.kits),
+    "loss_clusters.csv": (
+        ["kit_id", "population", "normal_loss", "exponential_loss", "phase"], _loss_cluster_rows
+    ),
+    "loss_users.csv": (
+        ["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], _loss_user_rows
+    ),
+}
+
+# The factorization subcommands' flags beyond the I/O ones, each command taking a prefix.
+ROUTE_FLAGS = (
+    ("--rank", {"type": int, "default": 4, "help": "truncation rank r"}),
+    ("--constrained-kits", {"action": "store_true",
+                            "help": "fill each category quota instead of a flat top-N"}),
+    ("--strict", {"action": "store_true", "help": "abort with exit 1 when rows violate the quotas"}),
+)
+
+# Subcommand -> (help, how many ROUTE_FLAGS it takes, files it writes in order).
+ROUTE_COMMANDS = {
+    "svd": ("emit singular values as scree data", 0, ("scree.csv",)),
+    "cluster-signs": ("sign-pattern clusters for users and items", 1, (
+        "user_cluster_counts.csv", "item_cluster_counts.csv", "user_membership.csv",
+        "item_membership.csv",
+    )),
+    "design-kits": ("one kit per user sign cluster", 2, ("kits.csv", "kits.json")),
+    "reassign": ("move users to their lowest-loss kit", 2, ("loss_clusters.csv", "loss_users.csv")),
+    "pipeline": ("svd route end to end, all artifacts", 3, (
+        "scree.csv", "user_cluster_counts.csv", "user_membership.csv", "kits.csv", "kits.json",
+        "loss_clusters.csv", "loss_users.csv",
+    )),
+}
+
+
+def cmd_route(args: argparse.Namespace) -> int:
+    """Run every stage the subcommand's files need, then write them: a failure writes none."""
     catalog, prefs = _load_inputs(args)
-    _check_rank(args, prefs)
-    paths = _prepare_out(args, ["loss_clusters.csv", "loss_users.csv"])
-    _, clustering = _sign_pipeline(args, catalog, prefs)
-    kits = design_all(
-        prefs, clustering.membership, catalog, SelectionConstraint(), args.constrained_kits
-    )
-    initial = assignment_from_clusters(clustering.membership, prefs.n)
-    final, before, after = reassign(prefs, kits, initial)
-    _write_csv(
-        paths["loss_clusters.csv"],
-        ["kit_id", "population", "normal_loss", "exponential_loss", "phase"],
-        _loss_rows(before, "before") + _loss_rows(after, "after"),
-    )
-    _write_csv(
-        paths["loss_users.csv"],
-        ["user_id", "kit_before", "kit_after", "loss_before", "loss_after"],
-        [
-            [
-                prefs.user_ids[i],
-                int(initial.kit_index[i]),
-                int(final.kit_index[i]),
-                int(before.per_user_loss[i]),
-                int(after.per_user_loss[i]),
-            ]
-            for i in range(prefs.n)
-        ],
-    )
-    return 0
-
-
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    catalog, prefs = _load_inputs(args)
-    constraint = SelectionConstraint()
-    violations = validate_constraint(prefs, catalog, constraint)
-    if violations and args.strict:
-        print(f"{len(violations)} rows violate the selection constraint", file=sys.stderr)
-        return 1
-    _check_rank(args, prefs)
-    paths = _prepare_out(
-        args,
-        [
-            "scree.csv",
-            "user_cluster_counts.csv",
-            "user_membership.csv",
-            "kits.csv",
-            "kits.json",
-            "loss_clusters.csv",
-            "loss_users.csv",
-        ],
-    )
-    factors, clustering = _sign_pipeline(args, catalog, prefs)
-    kits = design_all(prefs, clustering.membership, catalog, constraint, args.constrained_kits)
-    initial = assignment_from_clusters(clustering.membership, prefs.n)
-    final, before, after = reassign(prefs, kits, initial)
-    _write_csv(paths["scree.csv"], ["rank", "sigma"], [list(pair) for pair in scree(factors)])
-    _write_csv(
-        paths["user_cluster_counts.csv"],
-        ["r", "count"],
-        [list(pair) for pair in cluster_count_table(factors, USERS, 1, args.rank)],
-    )
-    cluster_ids = clustering.cluster_ids()
-    _write_csv(
-        paths["user_membership.csv"],
-        ["element_id", "cluster_id", "pattern_bits"],
-        [[prefs.user_ids[i], cluster_ids[i], clustering.patterns[i]] for i in range(prefs.n)],
-    )
-    _write_kits(kits, paths)
-    _write_csv(
-        paths["loss_clusters.csv"],
-        ["kit_id", "population", "normal_loss", "exponential_loss", "phase"],
-        _loss_rows(before, "before") + _loss_rows(after, "after"),
-    )
-    _write_csv(
-        paths["loss_users.csv"],
-        ["user_id", "kit_before", "kit_after", "loss_before", "loss_after"],
-        [
-            [
-                prefs.user_ids[i],
-                int(initial.kit_index[i]),
-                int(final.kit_index[i]),
-                int(before.per_user_loss[i]),
-                int(after.per_user_loss[i]),
-            ]
-            for i in range(prefs.n)
-        ],
-    )
+    if "strict" in args:  # pipeline validates every run; --strict makes violations fatal
+        if _strict_failure(args, validate_constraint(prefs, catalog, SelectionConstraint())):
+            return 1
+    if "rank" in args and not 1 <= args.rank <= min(prefs.n, prefs.m):
+        raise UsageError(f"--rank must lie in 1..{min(prefs.n, prefs.m)} for this matrix")
+    paths = _prepare_out(args, args.files)
+    route = Route(args, catalog, prefs)
+    rows = {name: ARTIFACTS[name][1](route) for name in args.files}
+    for name in args.files:
+        header = ARTIFACTS[name][0]
+        if header is None:
+            _write_kits_json(paths[name], rows[name])
+        else:
+            _write_csv(paths[name], header, rows[name])
     return 0
 
 
@@ -336,10 +301,6 @@ def _add_io_flags(sub: argparse.ArgumentParser, prefs: bool = True) -> None:
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
     sub.add_argument("--force", action="store_true", help="overwrite existing output files")
-
-
-def _add_rank_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rank", type=int, default=4, help="truncation rank r")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,35 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="permit --k-min below the default floor of 4")
     sub.set_defaults(func=cmd_kmeans_sweep)
 
-    sub = commands.add_parser("svd", help="emit singular values as scree data")
-    _add_io_flags(sub)
-    sub.set_defaults(func=cmd_svd)
-
-    sub = commands.add_parser("cluster-signs", help="sign-pattern clusters for users and items")
-    _add_io_flags(sub)
-    _add_rank_flags(sub)
-    sub.set_defaults(func=cmd_cluster_signs)
-
-    sub = commands.add_parser("design-kits", help="one kit per user sign cluster")
-    _add_io_flags(sub)
-    _add_rank_flags(sub)
-    sub.add_argument("--constrained-kits", action="store_true",
-                     help="fill each category quota instead of a flat top-N")
-    sub.set_defaults(func=cmd_design_kits)
-
-    sub = commands.add_parser("reassign", help="move users to their lowest-loss kit")
-    _add_io_flags(sub)
-    _add_rank_flags(sub)
-    sub.add_argument("--constrained-kits", action="store_true")
-    sub.set_defaults(func=cmd_reassign)
-
-    sub = commands.add_parser("pipeline", help="svd route end to end, all artifacts")
-    _add_io_flags(sub)
-    _add_rank_flags(sub)
-    sub.add_argument("--constrained-kits", action="store_true")
-    sub.add_argument("--strict", action="store_true",
-                     help="abort with exit 1 when rows violate the quotas")
-    sub.set_defaults(func=cmd_pipeline)
+    for name, (help_text, n_flags, files) in ROUTE_COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        _add_io_flags(sub)
+        for flag, options in ROUTE_FLAGS[:n_flags]:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=cmd_route, files=files)
 
     return parser
 

@@ -1,6 +1,8 @@
 """CSV ingestion and emission for catalogs, preference matrices, and ground truth.
 
-Formats (UTF-8, comma-separated, LF line endings):
+Formats (UTF-8, comma-separated, LF line endings).  Loaders accept a UTF-8
+byte-order mark and ignore blank lines at the end of a file; a blank line
+before the last row is a malformed row.
 
 * catalog:      ``item_id,name,category`` with category in {expensive, cheap}
 * preferences:  ``user_id,<one label per item>`` with data cells strictly 0 or 1
@@ -29,8 +31,11 @@ CATALOG_HEADER = ["item_id", "name", "category"]
 
 
 def _read_rows(path: str | Path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh)]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
 
 def load_catalog(path: str | Path) -> ItemCatalog:
@@ -119,6 +124,15 @@ def load_ground_truth(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     rows = _read_rows(path)
     if not rows or rows[0] != ["user_id", "planted_kit"]:
         raise MalformedRowError(f"{path}: expected header user_id,planted_kit")
-    user_ids = tuple(row[0] for row in rows[1:])
-    planted = np.array([int(row[1]) for row in rows[1:]], dtype=np.int64)
-    return user_ids, planted
+    planted: dict[str, int] = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise MalformedRowError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        uid, raw_kit = row
+        if uid in planted:
+            raise DuplicateUserIdError(f"{path}:{lineno}: duplicate user_id {uid!r}")
+        try:
+            planted[uid] = int(raw_kit)
+        except ValueError:
+            raise MalformedRowError(f"{path}:{lineno}: planted_kit {raw_kit!r} is not an integer") from None
+    return tuple(planted), np.array(list(planted.values()), dtype=np.int64)

@@ -29,7 +29,6 @@ class KMeansConfig:
     k: int
     damping: float = 0.3
     max_iters: int = 100
-    k_limit: int = 15
     seed: int = 0
     tol: float = 1e-6
 
@@ -247,7 +246,7 @@ def sweep(
     prefs: PreferenceMatrix,
     config: KMeansConfig,
     k_min: int = 4,
-    k_max: int | None = None,
+    k_max: int = 15,
     trials: int = 3,
 ) -> SweepTable:
     """Run independent seeded trials for every k in [k_min, k_max].
@@ -255,8 +254,6 @@ def sweep(
     Cell (k, t) uses the seed ``derive_seed(config.seed, "sweep", k, t)`` so
     the whole table is a pure function of the config seed.
     """
-    if k_max is None:
-        k_max = config.k_limit
     if not 1 <= k_min <= k_max <= prefs.n:
         raise ValueError(f"need 1 <= k_min <= k_max <= n, got {k_min}..{k_max} with n={prefs.n}")
     if trials < 1:

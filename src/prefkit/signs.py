@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .svd import SvdFactors, TruncatedSvd, truncate
+from .svd import SvdFactors, truncate
 
 USERS = "users"
 ITEMS = "items"
@@ -60,14 +60,14 @@ def _cluster_codes(coords: np.ndarray, axis: str, rank: int) -> SignClustering:
     )
 
 
-def user_sign_clusters(t: TruncatedSvd) -> SignClustering:
+def user_sign_clusters(t: SvdFactors) -> SignClustering:
     """Group users by the signs of their leading left-singular coordinates."""
-    return _cluster_codes(t.u, USERS, t.rank)
+    return _cluster_codes(t.u, USERS, t.p)
 
 
-def item_sign_clusters(t: TruncatedSvd) -> SignClustering:
+def item_sign_clusters(t: SvdFactors) -> SignClustering:
     """Group items by the signs of their leading right-singular coordinates."""
-    return _cluster_codes(t.vt.T, ITEMS, t.rank)
+    return _cluster_codes(t.vt.T, ITEMS, t.p)
 
 
 def cluster_count_table(
@@ -79,11 +79,13 @@ def cluster_count_table(
     """(rank, cluster count) for each rank in [r_min, r_max].
 
     The count sequence is non-decreasing because each added bit refines the
-    partition.
+    partition.  Truncation keeps prefix slices, so each rank-r code is the
+    r-bit prefix of a rank-``r_max`` code: one coding serves every rank.
     """
     if axis not in (USERS, ITEMS):
         raise ValueError(f"axis must be {USERS!r} or {ITEMS!r}")
     if not 1 <= r_min <= r_max <= factors.p:
         raise ValueError(f"need 1 <= r_min <= r_max <= {factors.p}")
     build = user_sign_clusters if axis == USERS else item_sign_clusters
-    return [(r, build(truncate(factors, r)).n_clusters) for r in range(r_min, r_max + 1)]
+    codes = build(truncate(factors, r_max)).clusters
+    return [(r, len({code[:r] for code in codes})) for r in range(r_min, r_max + 1)]

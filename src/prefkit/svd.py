@@ -19,7 +19,7 @@ from .errors import RankOutOfRangeError
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Thin SVD a = u @ diag(sigma) @ vt with p = min(n, m) columns kept.
+    """Thin SVD a = u @ diag(sigma) @ vt with p columns: min(n, m), or a truncation's rank.
 
     u is n x p with orthonormal columns, sigma is non-increasing and
     non-negative, vt is p x m with orthonormal rows.
@@ -32,19 +32,6 @@ class SvdFactors:
     @property
     def p(self) -> int:
         return self.sigma.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vt
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedSvd:
-    """The leading ``rank`` singular triplets of a parent factorization."""
-
-    rank: int
-    u: np.ndarray
-    sigma: np.ndarray
-    vt: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.vt
@@ -78,12 +65,11 @@ def svd(a: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, vt=vt)
 
 
-def truncate(factors: SvdFactors, rank: int) -> TruncatedSvd:
-    """Keep the leading ``rank`` triplets (exact prefix slices)."""
+def truncate(factors: SvdFactors, rank: int) -> SvdFactors:
+    """Keep the leading ``rank`` triplets (exact prefix slices); ``p`` is the rank."""
     if not 1 <= rank <= factors.p:
         raise RankOutOfRangeError(f"rank must lie in 1..{factors.p}, got {rank}")
-    return TruncatedSvd(
-        rank=rank,
+    return SvdFactors(
         u=factors.u[:, :rank],
         sigma=factors.sigma[:rank],
         vt=factors.vt[:rank, :],

@@ -157,6 +157,17 @@ class TestKmeansSweep:
         table = read_csv(sweep_dir / "sweep_table.csv")
         assert [row[0] for row in table[1:]] == [str(k) for k in range(4, 51)]
 
+    def test_single_distinct_row_is_usage_error(self, tmp_path, capsys):
+        out = run_synth(tmp_path, **{"--n-users": 30, "--n-kits": 1, "--noise-swaps": 0})
+        sweep_dir = tmp_path / "sweep"
+        code = main([
+            "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(sweep_dir),
+        ])
+        assert code == 2
+        assert "1 distinct row" in capsys.readouterr().err
+        assert not sweep_dir.exists()
+
     def test_k_max_above_population_is_usage_error(self, tmp_path):
         out = run_synth(tmp_path, **{"--n-users": 10})
         code = main([
@@ -340,6 +351,20 @@ class TestCliContract:
         ]
         assert main(again) == 3
         assert main(again + ["--force"]) == 0
+
+    def test_failing_stage_writes_no_file(self, tmp_path, monkeypatch):
+        out = run_synth(tmp_path)
+
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("prefkit.cli.reassign", fail)
+        pipe_dir = tmp_path / "pipe"
+        assert main([
+            "pipeline", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(pipe_dir),
+        ]) == 3
+        assert list(pipe_dir.iterdir()) == []
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

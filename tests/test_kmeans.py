@@ -269,7 +269,7 @@ class TestSweep:
         assert table.scores.shape == (1, 1)
 
     def test_default_layout_matches_twelve_by_three(self, survey):
-        # k_max defaults to the config's k_limit (15), k_min to 4.
+        # k_max defaults to 15, k_min to 4.
         prefs, _, _ = survey
         table = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=1))
         assert table.k_values == tuple(range(4, 16))

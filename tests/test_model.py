@@ -74,6 +74,11 @@ class TestLoadCatalog:
         with pytest.raises(pk.MalformedRowError):
             pk.load_catalog(path)
 
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = write(tmp_path / "cat.csv", "\ufeff" + CLEAN_CATALOG)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfitem_id")
+        assert pk.load_catalog(path) == pk.load_catalog(write(tmp_path / "plain.csv", CLEAN_CATALOG))
+
 
 @pytest.fixture
 def small_catalog(tmp_path):
@@ -122,6 +127,22 @@ class TestLoadPreferences:
             "user_id,Rice,Oil,Salt,Sugar\nu1,1,0,1,0\nu1,0,1,0,1\n",
         )
         with pytest.raises(pk.DuplicateUserIdError):
+            pk.load_preferences(path, small_catalog)
+
+    def test_trailing_blank_lines_ignored(self, tmp_path, small_catalog):
+        path = write(
+            tmp_path / "prefs.csv",
+            "user_id,Rice,Oil,Salt,Sugar\nu1,1,0,1,0\nu2,0,1,0,1\n\n\n",
+        )
+        prefs = pk.load_preferences(path, small_catalog)
+        assert prefs.user_ids == ("u1", "u2")
+
+    def test_blank_line_before_last_row_rejected_with_line_number(self, tmp_path, small_catalog):
+        path = write(
+            tmp_path / "prefs.csv",
+            "user_id,Rice,Oil,Salt,Sugar\nu1,1,0,1,0\n\nu2,0,1,0,1\n",
+        )
+        with pytest.raises(pk.WidthMismatchError, match="prefs.csv:3: row has 0 fields"):
             pk.load_preferences(path, small_catalog)
 
     def test_round_trip_is_byte_identical(self, tmp_path, small_catalog):

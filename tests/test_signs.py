@@ -11,7 +11,7 @@ def fake_truncated(u=None, vt=None, rank=None):
     if vt is None:
         vt = np.zeros((rank or u.shape[1], 1))
     rank = rank or u.shape[1]
-    return pk.TruncatedSvd(rank=rank, u=np.asarray(u, float), sigma=np.ones(rank), vt=np.asarray(vt, float))
+    return pk.SvdFactors(u=np.asarray(u, float), sigma=np.ones(rank), vt=np.asarray(vt, float))
 
 
 class TestUserSignClusters:
@@ -102,6 +102,21 @@ class TestClusterCountTable:
             for axis in (pk.USERS, pk.ITEMS):
                 counts = [c for _, c in pk.cluster_count_table(f, axis, 1, f.p)]
                 assert all(x <= y for x, y in zip(counts, counts[1:]))
+
+    def test_counts_match_coding_at_each_rank(self, survey):
+        # Reference: code the elements afresh at every rank.
+        rng = np.random.default_rng(43)
+        matrices = [survey[0].data.astype(float)] + [
+            rng.integers(0, 2, size=(40, 10)).astype(float) for _ in range(5)
+        ]
+        for a in matrices:
+            f = pk.svd(a)
+            for axis, build in ((pk.USERS, pk.user_sign_clusters), (pk.ITEMS, pk.item_sign_clusters)):
+                for r_min in (1, 3):
+                    expected = [
+                        (r, build(pk.truncate(f, r)).n_clusters) for r in range(r_min, f.p + 1)
+                    ]
+                    assert pk.cluster_count_table(f, axis, r_min, f.p) == expected
 
     def test_refinement_each_added_bit_only_splits(self):
         rng = np.random.default_rng(37)

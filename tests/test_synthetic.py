@@ -94,3 +94,18 @@ class TestGroundTruthIo:
         user_ids, loaded = pk.load_ground_truth(path)
         assert user_ids == prefs.user_ids
         assert (loaded == planted).all()
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("u1,0\nu2\n", pk.MalformedRowError),
+            ("u1,0\nu2,first\n", pk.MalformedRowError),
+            ("u1,0\nu1,1\n", pk.DuplicateUserIdError),
+        ],
+        ids=["short-row", "non-integer-kit", "duplicate-user"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, body, error):
+        path = tmp_path / "truth.csv"
+        path.write_text("user_id,planted_kit\n" + body, encoding="utf-8")
+        with pytest.raises(error, match="truth.csv:3: "):
+            pk.load_ground_truth(path)
