@@ -9,7 +9,7 @@ missing-item counting rank kits identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,27 +131,13 @@ def reassign(
     return reassigned, _report(mismatches, initial), _report(mismatches, reassigned)
 
 
-def assignment_from_clusters(
-    clustering: Mapping[int, Sequence[int]],
-    n_users: int,
-) -> Assignment:
+def assignment_from_clusters(labels: np.ndarray) -> Assignment:
     """Initial assignment: each user gets its cluster's kit.
 
-    Kit positions follow ascending cluster id with empty clusters skipped,
-    mirroring how ``design_all`` numbers the kits it emits.
+    ``labels[i]`` is user i's cluster id.  Kit positions number the ids in
+    use in ascending order, as ``design_all`` numbers the kits it emits.
     """
-    kit_index = np.full(n_users, -1, dtype=np.int64)
-    position = 0
-    for cluster_id in sorted(clustering):
-        members = clustering[cluster_id]
-        if not len(members):
-            continue
-        for i in members:
-            if kit_index[i] != -1:
-                raise ValueError(f"user {i} appears in more than one cluster")
-            kit_index[i] = position
-        position += 1
-    if (kit_index == -1).any():
-        missing = int(np.flatnonzero(kit_index == -1)[0])
-        raise ValueError(f"user {missing} is not covered by the clustering")
-    return Assignment(kit_index=kit_index, provenance=INITIAL)
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.dtype.kind not in "iu" or (labels < 0).any():
+        raise ValueError("labels must be a 1-d array of non-negative integer cluster ids")
+    return Assignment(kit_index=np.unique(labels, return_inverse=True)[1], provenance=INITIAL)

@@ -40,18 +40,11 @@ class UsageError(Exception):
     """Bad flag combination or a flag value the data cannot satisfy."""
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
 
 
 def _write_kits_json(path: Path, kits: Iterable[Kit]) -> None:
@@ -122,8 +115,8 @@ def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
     catalog, prefs = _load_inputs(args)
     if args.k_min < 4 and not args.allow_small_k:
         raise UsageError("--k-min below 4 requires --allow-small-k")
-    if not 1 <= args.k_min <= args.k_max:
-        raise UsageError("need 1 <= --k-min <= --k-max")
+    if not 2 <= args.k_min <= args.k_max:
+        raise UsageError("need 2 <= --k-min <= --k-max: a silhouette needs 2 clusters")
     if args.k_max > prefs.n:
         raise UsageError(f"--k-max {args.k_max} exceeds the {prefs.n} survey rows")
     if args.trials < 1:
@@ -141,15 +134,15 @@ def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
     _write_csv(
         paths["sweep_table.csv"],
         ["k"] + [f"trial_{t + 1}" for t in range(table.trials)],
-        [[k, *table.scores[row]] for row, k in enumerate(table.k_values)],
+        [[k, *scores] for k, scores in zip(table.k_values, table.scores.tolist())],
     )
     _write_csv(
         paths["sweep_points.csv"],
         ["k", "trial", "silhouette"],
         [
-            [k, t + 1, table.scores[row, t]]
-            for row, k in enumerate(table.k_values)
-            for t in range(table.trials)
+            [k, t + 1, score]
+            for k, scores in zip(table.k_values, table.scores.tolist())
+            for t, score in enumerate(scores)
         ],
     )
     return 0
@@ -186,13 +179,13 @@ class Route:
     @cached_property
     def kits(self) -> list[Kit]:
         return design_all(
-            self.prefs, self.users.membership, self.catalog, SelectionConstraint(),
+            self.prefs, self.users.labels, self.catalog, SelectionConstraint(),
             self.args.constrained_kits,
         )
 
     @cached_property
     def initial(self) -> Assignment:
-        return assignment_from_clusters(self.users.membership, self.prefs.n)
+        return assignment_from_clusters(self.users.labels)
 
     @cached_property
     def reassigned(self) -> tuple[Assignment, LossReport, LossReport]:
@@ -200,16 +193,18 @@ class Route:
 
 
 def _membership_rows(element_ids: Iterable[object], clustering: SignClustering):
-    return zip(element_ids, clustering.cluster_ids(), clustering.patterns)
+    return zip(element_ids, clustering.labels.tolist(), clustering.patterns)
 
 
 def _loss_cluster_rows(route: Route):
     _, before, after = route.reassigned
     return (
-        [j, int(report.populations[j]), report.per_cluster_normal[j],
-         report.per_cluster_exponential[j], phase]
+        [j, *cells, phase]
         for phase, report in (("before", before), ("after", after))
-        for j in range(len(report.populations))
+        for j, cells in enumerate(zip(
+            report.populations.tolist(), report.per_cluster_normal.tolist(),
+            report.per_cluster_exponential.tolist(),
+        ))
     )
 
 

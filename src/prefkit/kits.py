@@ -9,7 +9,7 @@ item id so kit design is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,12 +71,12 @@ def frequency_profile(
     cluster_id: int = 0,
 ) -> FrequencyProfile:
     """Count how often each item was selected by the given cluster members."""
-    members = list(member_indices)
-    if not members:
+    members = np.asarray(member_indices, dtype=np.intp)
+    if not members.size:
         raise ValueError("cluster has no members")
     counts = prefs.data[members].sum(axis=0, dtype=np.int64)
     counts.flags.writeable = False
-    return FrequencyProfile(cluster_id=cluster_id, counts=counts, cluster_size=len(members))
+    return FrequencyProfile(cluster_id=cluster_id, counts=counts, cluster_size=members.size)
 
 
 def top_items(values: np.ndarray, count: int) -> list[int]:
@@ -85,9 +85,15 @@ def top_items(values: np.ndarray, count: int) -> list[int]:
     return sorted(int(q) for q in order[:count])
 
 
-def _top_items_constrained(
-    values: np.ndarray, catalog: ItemCatalog, constraint: SelectionConstraint
+def select_items(
+    values: np.ndarray,
+    catalog: ItemCatalog,
+    constraint: SelectionConstraint,
+    constrained: bool = False,
 ) -> list[int]:
+    """A flat top ``constraint.total`` of ``values``, or each category's quota when constrained."""
+    if not constrained:
+        return top_items(values, constraint.total)
     chosen: list[int] = []
     for category, quota in (
         (Category.EXPENSIVE, constraint.expensive_quota),
@@ -110,31 +116,28 @@ def design_kit(
         raise ValueError("catalog smaller than kit size")
     if constrained:
         constraint.check_catalog(catalog)
-        items = _top_items_constrained(profile.counts, catalog, constraint)
-    else:
-        items = top_items(profile.counts, constraint.total)
+    items = select_items(profile.counts, catalog, constraint, constrained)
     return Kit(kit_id=profile.cluster_id, items=frozenset(items))
 
 
 def design_all(
     prefs: PreferenceMatrix,
-    clustering: Mapping[int, Sequence[int]],
+    labels: np.ndarray,
     catalog: ItemCatalog,
     constraint: SelectionConstraint,
     constrained: bool = False,
 ) -> list[Kit]:
-    """One kit per non-empty cluster, ordered by cluster id.
+    """One kit per cluster, where ``labels[i]`` is user i's cluster id.
 
-    Kit ids are sequential in that order (equal to cluster ids when no
-    cluster is empty).  Empty clusters yield no kit.
+    Kits are numbered 0, 1, ... in ascending cluster id; ids no user carries
+    yield no kit.
     """
-    if not any(len(members) for members in clustering.values()):
-        raise ValueError("clustering has no members")
-    kits: list[Kit] = []
-    for cluster_id in sorted(clustering):
-        members = clustering[cluster_id]
-        if not len(members):
-            continue
-        profile = frequency_profile(prefs, members, cluster_id=len(kits))
-        kits.append(design_kit(profile, catalog, constraint, constrained))
-    return kits
+    labels = np.asarray(labels)
+    if labels.shape != (prefs.n,) or not labels.size or labels.dtype.kind not in "iu" or labels.min() < 0:
+        raise ValueError(f"labels must be {prefs.n} non-negative integer cluster ids")
+    order = np.argsort(labels, kind="stable")
+    clusters = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return [
+        design_kit(frequency_profile(prefs, members, cluster_id=j), catalog, constraint, constrained)
+        for j, members in enumerate(clusters)
+    ]

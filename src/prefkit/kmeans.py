@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kits import Kit, _top_items_constrained, top_items
+from .kits import Kit, select_items
 from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
 from .seeding import derive_seed, generator
 
@@ -57,9 +57,6 @@ class KMeansRun:
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
-
-    def members_by_cluster(self) -> dict[int, list[int]]:
-        return {j: np.flatnonzero(self.idx == j).tolist() for j in range(self.k)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,15 +174,10 @@ def kits_from_centroids(
     constrained: bool = False,
 ) -> list[Kit]:
     """Extract one kit per centroid from its largest coordinates."""
-    kits = []
-    for j in range(run.k):
-        coords = run.centroids[j]
-        if constrained:
-            items = _top_items_constrained(coords, catalog, constraint)
-        else:
-            items = top_items(coords, constraint.total)
-        kits.append(Kit(kit_id=j, items=frozenset(items)))
-    return kits
+    return [
+        Kit(kit_id=j, items=frozenset(select_items(run.centroids[j], catalog, constraint, constrained)))
+        for j in range(run.k)
+    ]
 
 
 def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
@@ -254,8 +246,8 @@ def sweep(
     Cell (k, t) uses the seed ``derive_seed(config.seed, "sweep", k, t)`` so
     the whole table is a pure function of the config seed.
     """
-    if not 1 <= k_min <= k_max <= prefs.n:
-        raise ValueError(f"need 1 <= k_min <= k_max <= n, got {k_min}..{k_max} with n={prefs.n}")
+    if not 2 <= k_min <= k_max <= prefs.n:
+        raise ValueError(f"need 2 <= k_min <= k_max <= n, got {k_min}..{k_max} with n={prefs.n}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     k_values = tuple(range(k_min, k_max + 1))

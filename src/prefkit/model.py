@@ -140,10 +140,10 @@ def validate_constraint(
     """
     if prefs.m != catalog.m:
         raise ValueError(f"matrix has {prefs.m} columns but catalog has {catalog.m} items")
-    exp_counts = prefs.data @ catalog.category_mask(Category.EXPENSIVE).astype(np.int64)
-    cheap_counts = prefs.data @ catalog.category_mask(Category.CHEAP).astype(np.int64)
-    violations = []
-    for i, (e, c) in enumerate(zip(exp_counts, cheap_counts)):
-        if e != constraint.expensive_quota or c != constraint.cheap_quota:
-            violations.append(RowViolation(i, prefs.user_ids[i], int(e), int(c)))
-    return violations
+    exp_counts = prefs.data[:, catalog.category_mask(Category.EXPENSIVE)].sum(axis=1, dtype=np.int64)
+    cheap_counts = prefs.data[:, catalog.category_mask(Category.CHEAP)].sum(axis=1, dtype=np.int64)
+    bad = (exp_counts != constraint.expensive_quota) | (cheap_counts != constraint.cheap_quota)
+    return [
+        RowViolation(i, prefs.user_ids[i], int(exp_counts[i]), int(cheap_counts[i]))
+        for i in np.flatnonzero(bad).tolist()
+    ]

@@ -22,42 +22,42 @@ ITEMS = "items"
 class SignClustering:
     """Partition of one axis by r-bit sign codes.
 
-    ``clusters`` maps each distinct code to its member indices; iteration
-    order is first occurrence in element order, which also defines the
-    numeric cluster ids.
+    ``codes[i]`` is element i's code as an integer whose most significant bit
+    is the first direction.  ``labels[i]`` is its cluster id: the distinct
+    codes numbered in order of first occurrence.
     """
 
     axis: str
     rank: int
-    patterns: tuple[str, ...]
-    clusters: dict[str, tuple[int, ...]]
+    codes: np.ndarray
+    labels: np.ndarray
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return int(self.labels.max()) + 1
 
     @property
-    def membership(self) -> dict[int, tuple[int, ...]]:
-        """cluster_id -> member indices, ids in first-occurrence order."""
-        return {cid: members for cid, members in enumerate(self.clusters.values())}
-
-    def cluster_ids(self) -> tuple[int, ...]:
-        """Per-element cluster id."""
-        by_pattern = {pattern: cid for cid, pattern in enumerate(self.clusters)}
-        return tuple(by_pattern[p] for p in self.patterns)
+    def patterns(self) -> tuple[str, ...]:
+        """Per-element code as a string of r bits, first direction first."""
+        code_of = np.empty(self.n_clusters, dtype=self.codes.dtype)
+        code_of[self.labels] = self.codes
+        bits = [format(code, f"0{self.rank}b") for code in code_of.tolist()]
+        return tuple(bits[label] for label in self.labels.tolist())
 
 
 def _cluster_codes(coords: np.ndarray, axis: str, rank: int) -> SignClustering:
-    patterns = tuple("".join("1" if v >= 0 else "0" for v in row) for row in coords)
-    clusters: dict[str, list[int]] = {}
-    for index, pattern in enumerate(patterns):
-        clusters.setdefault(pattern, []).append(index)
-    return SignClustering(
-        axis=axis,
-        rank=rank,
-        patterns=patterns,
-        clusters={p: tuple(members) for p, members in clusters.items()},
-    )
+    # Codes wider than 63 bits stay exact as Python integers.
+    dtype = np.int64 if rank < 64 else object
+    weights = np.array([1 << (rank - 1 - j) for j in range(rank)], dtype=dtype)
+    codes = (coords >= 0).astype(dtype) @ weights
+    # np.unique numbers the distinct codes in ascending order; renumber them by first occurrence.
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.empty(first.size, dtype=np.int64)
+    by_first[np.argsort(first)] = np.arange(first.size)
+    labels = by_first[inverse]
+    for arr in (codes, labels):
+        arr.flags.writeable = False
+    return SignClustering(axis=axis, rank=rank, codes=codes, labels=labels)
 
 
 def user_sign_clusters(t: SvdFactors) -> SignClustering:
@@ -87,5 +87,5 @@ def cluster_count_table(
     if not 1 <= r_min <= r_max <= factors.p:
         raise ValueError(f"need 1 <= r_min <= r_max <= {factors.p}")
     build = user_sign_clusters if axis == USERS else item_sign_clusters
-    codes = build(truncate(factors, r_max)).clusters
-    return [(r, len({code[:r] for code in codes})) for r in range(r_min, r_max + 1)]
+    codes = build(truncate(factors, r_max)).codes
+    return [(r, len(np.unique(codes >> (r_max - r)))) for r in range(r_min, r_max + 1)]

@@ -73,14 +73,9 @@ def test_criterion_2_svd_reconstruction_and_eigen_oracle():
 
 
 def _refines(fine, coarse):
-    coarse_of = {}
-    for cid, members in coarse.membership.items():
-        for i in members:
-            coarse_of[i] = cid
-    return all(
-        len({coarse_of[i] for i in members}) == 1
-        for members in fine.membership.values()
-    )
+    # Each fine cluster lies inside one coarse cluster: one coarse label per fine label.
+    pairs = set(zip(fine.labels.tolist(), coarse.labels.tolist()))
+    return len(pairs) == len(set(fine.labels.tolist()))
 
 
 def test_criterion_3_sign_cluster_count_law(catalog20, constraint, survey):
@@ -164,7 +159,7 @@ def test_criterion_5_planted_recovery(catalog20, constraint):
             if ari > best_ari:
                 best_ari, best_run = ari, run
         assert best_ari >= 0.9
-        designed = pk.design_all(prefs, best_run.members_by_cluster(), catalog20, constraint)
+        designed = pk.design_all(prefs, best_run.idx, catalog20, constraint)
         matched = sum(
             1
             for planted_kit in kits
@@ -185,8 +180,8 @@ def reassignment_corpus(catalog20, constraint, survey):
 
     prefs, truth, planted = survey
     clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
-    kits = pk.design_all(prefs, clustering.membership, catalog20, constraint)
-    initial = pk.assignment_from_clusters(clustering.membership, prefs.n)
+    kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
+    initial = pk.assignment_from_clusters(clustering.labels)
     corpus.append((prefs, kits) + pk.reassign(prefs, kits, initial) + (initial,))
 
     clean_kits = pk.random_kits(catalog20, constraint, 6, seed=pk.derive_seed(BASE_SEED, "corpus", 0))

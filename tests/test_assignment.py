@@ -103,8 +103,8 @@ class TestReassign:
     def test_losses_never_increase_and_idempotent(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
-        kits = pk.design_all(prefs, clustering.membership, catalog20, constraint)
-        initial = pk.assignment_from_clusters(clustering.membership, prefs.n)
+        kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
+        initial = pk.assignment_from_clusters(clustering.labels)
         final, before, after = pk.reassign(prefs, kits, initial)
         assert (after.per_user_loss <= before.per_user_loss).all()
         assert after.total_loss <= before.total_loss
@@ -115,8 +115,8 @@ class TestReassign:
     def test_no_improving_move_exists(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
-        kits = pk.design_all(prefs, clustering.membership, catalog20, constraint)
-        initial = pk.assignment_from_clusters(clustering.membership, prefs.n)
+        kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
+        initial = pk.assignment_from_clusters(clustering.labels)
         final, _, after = pk.reassign(prefs, kits, initial)
         for i in range(prefs.n):
             for kit in kits:
@@ -152,21 +152,17 @@ class TestLossReport:
 
 class TestAssignmentFromClusters:
     def test_kit_positions_follow_sorted_cluster_ids(self):
-        assignment = pk.assignment_from_clusters({2: [0], 0: [1, 2]}, 3)
+        assignment = pk.assignment_from_clusters(np.array([2, 0, 0]))
         assert assignment.kit_index.tolist() == [1, 0, 0]
         assert assignment.provenance == pk.INITIAL
 
     def test_empty_clusters_skipped_in_numbering(self):
-        assignment = pk.assignment_from_clusters({0: [0], 1: [], 2: [1]}, 2)
+        assignment = pk.assignment_from_clusters(np.array([0, 2]))
         assert assignment.kit_index.tolist() == [0, 1]
 
-    def test_uncovered_user_rejected(self):
+    def test_negative_label_rejected(self):
         with pytest.raises(ValueError):
-            pk.assignment_from_clusters({0: [0]}, 2)
-
-    def test_double_covered_user_rejected(self):
-        with pytest.raises(ValueError):
-            pk.assignment_from_clusters({0: [0], 1: [0, 1]}, 2)
+            pk.assignment_from_clusters(np.array([0, -1, 1]))
 
     def test_negative_kit_index_rejected(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,18 @@ class TestKmeansSweep:
         assert "1 distinct row" in capsys.readouterr().err
         assert not sweep_dir.exists()
 
+    def test_k_min_below_two_is_usage_error(self, tmp_path, capsys):
+        out = run_synth(tmp_path)
+        sweep_dir = tmp_path / "sweep"
+        code = main([
+            "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(sweep_dir),
+            "--k-min", "1", "--k-max", "3", "--allow-small-k",
+        ])
+        assert code == 2
+        assert "2 clusters" in capsys.readouterr().err
+        assert not sweep_dir.exists()
+
     def test_k_max_above_population_is_usage_error(self, tmp_path):
         out = run_synth(tmp_path, **{"--n-users": 10})
         code = main([

@@ -100,7 +100,7 @@ class TestDesignAll:
         prefs, _, _ = survey
         t = pk.truncate(pk.svd(prefs.data.astype(float)), 4)
         clustering = pk.user_sign_clusters(t)
-        kits = pk.design_all(prefs, clustering.membership, catalog20, constraint)
+        kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
         assert len(kits) == clustering.n_clusters
         assert [kit.kit_id for kit in kits] == list(range(len(kits)))
         for kit in kits:
@@ -108,7 +108,7 @@ class TestDesignAll:
 
     def test_single_cluster_gives_global_top_ten(self, survey, catalog20, constraint):
         prefs, _, _ = survey
-        kits = pk.design_all(prefs, {0: list(range(prefs.n))}, catalog20, constraint)
+        kits = pk.design_all(prefs, np.zeros(prefs.n, dtype=np.int64), catalog20, constraint)
         expected = pk.top_items(prefs.data.sum(axis=0), constraint.total)
         assert len(kits) == 1
         assert kits[0].items == frozenset(expected)
@@ -117,20 +117,26 @@ class TestDesignAll:
         planted = pk.random_kits(catalog20, constraint, 4, seed=61)
         spec = pk.SyntheticSpec(n_users=40, planted_kits=planted, noise_swaps=0, seed=61)
         prefs, truth = pk.generate_synthetic(spec, catalog20, constraint)
-        clusters = {g: np.flatnonzero(truth == g).tolist() for g in range(4)}
-        kits = pk.design_all(prefs, clusters, catalog20, constraint)
+        kits = pk.design_all(prefs, truth, catalog20, constraint)
         for g in range(4):
             assert kits[g].items == planted[g].items
 
     def test_empty_clusters_are_skipped_and_renumbered(self, catalog20, constraint):
         prefs = prefs_from([toy_selection(20, range(6)) ] * 3)
-        kits = pk.design_all(prefs, {0: [0, 1], 1: [], 2: [2]}, catalog20, constraint)
+        kits = pk.design_all(prefs, np.array([0, 0, 2]), catalog20, constraint)
         assert [kit.kit_id for kit in kits] == [0, 1]
 
     def test_empty_partition_rejected(self, survey, catalog20, constraint):
+        # An empty label array is the wrong length for a non-empty survey.
         prefs, _, _ = survey
+        for labels in (np.array([], dtype=np.int64), np.zeros(prefs.n - 1, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                pk.design_all(prefs, labels, catalog20, constraint)
+
+    def test_negative_label_rejected(self, catalog20, constraint):
+        prefs = prefs_from([toy_selection(20, range(6))] * 3)
         with pytest.raises(ValueError):
-            pk.design_all(prefs, {0: []}, catalog20, constraint)
+            pk.design_all(prefs, np.array([0, -1, 1]), catalog20, constraint)
 
 
 class TestValidateKit:

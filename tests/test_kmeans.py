@@ -187,6 +187,29 @@ class TestKitsFromCentroids:
         assert quota.items == frozenset([0, 1, 2, 3, 4, 5, 10, 11, 12, 13])
 
 
+class TestKmeansPartition:
+    def test_kits_and_assignment_follow_the_label_array(self, survey, catalog20, constraint):
+        # Planted kit g goes to centroid 2g, so every odd centroid is left empty.
+        prefs, planted, kits = survey
+        run = pk.KMeansRun(
+            centroids=np.zeros((2 * len(kits), 20)),
+            idx=2 * planted,
+            iterations_used=1,
+            converged=True,
+            wcss_trace=(0.0,),
+            config=pk.KMeansConfig(k=2 * len(kits)),
+        )
+        used = np.unique(run.idx).tolist()
+        designed = pk.design_all(prefs, run.idx, catalog20, constraint)
+        assert len(designed) == len(used) < run.k
+        assignment = pk.assignment_from_clusters(run.idx)
+        for i, kit in enumerate(designed):
+            members = np.flatnonzero(assignment.kit_index == i)
+            assert np.unique(run.idx[members]).tolist() == [used[i]]
+            profile = pk.frequency_profile(prefs, members, cluster_id=i)
+            assert kit == pk.design_kit(profile, catalog20, constraint)
+
+
 def _run_with_centroids(centroids):
     n, m = centroids.shape[0], centroids.shape[1]
     return pk.KMeansRun(

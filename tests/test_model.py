@@ -205,6 +205,17 @@ class TestValidateConstraint:
         assert len(violations) == 1
         assert (violations[0].expensive_count, violations[0].cheap_count) == (6, 5)
 
+    def test_matches_row_by_row_counting(self, catalog20, constraint):
+        rng = np.random.default_rng(59)
+        prefs = self.make_prefs(rng.integers(0, 2, size=(300, 20)).tolist())
+        expected = []
+        for i, row in enumerate(prefs.data.tolist()):
+            e, c = sum(row[:10]), sum(row[10:])
+            if (e, c) != (constraint.expensive_quota, constraint.cheap_quota):
+                expected.append(pk.RowViolation(i, f"u{i}", e, c))
+        assert 0 < len(expected) < prefs.n
+        assert pk.validate_constraint(prefs, catalog20, constraint) == expected
+
     def test_width_mismatch_raises(self, catalog20, constraint):
         with pytest.raises(ValueError):
             pk.validate_constraint(self.make_prefs([[1, 0]]), catalog20, constraint)

@@ -19,7 +19,7 @@ class TestUserSignClusters:
         u = np.array([[0.5, 0.5], [0.5, -0.5], [0.4, -0.1]])
         clustering = pk.user_sign_clusters(fake_truncated(u=u))
         assert clustering.patterns == ("11", "10", "10")
-        assert clustering.membership == {0: (0,), 1: (1, 2)}
+        assert clustering.labels.tolist() == [0, 1, 1]
 
     def test_zero_maps_to_bit_one(self):
         u = np.array([[0.5, 0.0], [0.5, -0.0]])
@@ -41,8 +41,25 @@ class TestUserSignClusters:
     def test_cluster_ids_by_first_occurrence(self):
         u = np.array([[0.1, -0.2], [0.3, 0.4], [0.2, -0.9], [0.5, 0.5]])
         clustering = pk.user_sign_clusters(fake_truncated(u=u))
-        assert clustering.cluster_ids() == (0, 1, 0, 1)
-        assert list(clustering.clusters) == ["10", "11"]
+        assert clustering.labels.tolist() == [0, 1, 0, 1]
+        assert clustering.codes.tolist() == [0b10, 0b11, 0b10, 0b11]
+
+
+    def test_matches_per_element_string_coding(self):
+        # Reference: one bit string per element, clusters numbered by first occurrence.
+        rng = np.random.default_rng(47)
+        for rank in (1, 3, 63, 64, 70):
+            u = rng.normal(size=(40, rank))
+            u[rng.random(u.shape) < 0.1] = 0.0
+            clustering = pk.user_sign_clusters(fake_truncated(u=u))
+            patterns = ["".join("1" if v >= 0 else "0" for v in row) for row in u]
+            first = {}
+            for p in patterns:
+                first.setdefault(p, len(first))
+            assert clustering.patterns == tuple(patterns)
+            assert clustering.codes.tolist() == [int(p, 2) for p in patterns]
+            assert clustering.labels.tolist() == [first[p] for p in patterns]
+            assert clustering.n_clusters == len(first)
 
 
 class TestItemSignClusters:
@@ -67,14 +84,9 @@ class TestItemSignClusters:
 
 
 def refines(fine: pk.SignClustering, coarse: pk.SignClustering) -> bool:
-    coarse_of = {}
-    for cid, members in coarse.membership.items():
-        for i in members:
-            coarse_of[i] = cid
-    for members in fine.membership.values():
-        if len({coarse_of[i] for i in members}) != 1:
-            return False
-    return True
+    # Each fine cluster lies inside one coarse cluster: one coarse label per fine label.
+    pairs = set(zip(fine.labels.tolist(), coarse.labels.tolist()))
+    return len(pairs) == len(set(fine.labels.tolist()))
 
 
 class TestClusterCountTable:
@@ -162,5 +174,5 @@ class TestClusterCountTable:
         prefs, _, _ = survey
         t = pk.truncate(pk.svd(prefs.data.astype(float)), 4)
         clustering = pk.user_sign_clusters(t)
-        all_members = sorted(i for members in clustering.clusters.values() for i in members)
-        assert all_members == list(range(prefs.n))
+        assert clustering.labels.shape == (prefs.n,)
+        assert sorted(set(clustering.labels.tolist())) == list(range(clustering.n_clusters))
