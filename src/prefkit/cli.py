@@ -123,7 +123,7 @@ def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--trials must be at least 1")
     if (prefs.data == prefs.data[0]).all():
         raise UsageError(f"all {prefs.n} survey rows are equal (1 distinct row); silhouette needs 2")
-    paths = _prepare_out(args, ["sweep_table.csv", "sweep_points.csv"])
+    paths = _prepare_out(args, ["sweep_table.csv", "sweep_points.csv", "sweep_runs.csv"])
     config = KMeansConfig(
         k=args.k_min,
         damping=args.damping,
@@ -143,6 +143,15 @@ def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
             [k, t + 1, score]
             for k, scores in zip(table.k_values, table.scores.tolist())
             for t, score in enumerate(scores)
+        ],
+    )
+    _write_csv(
+        paths["sweep_runs.csv"],
+        ["k", "trial", "iterations", "converged", "wcss"],
+        [
+            [k, t + 1, int(table.iterations[row, t]), int(table.converged[row, t]), float(table.wcss[row, t])]
+            for row, k in enumerate(table.k_values)
+            for t in range(table.trials)
         ],
     )
     return 0

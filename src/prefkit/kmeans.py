@@ -11,6 +11,9 @@ reseeding within the same iteration, so k never shrinks.
 
 All ties break toward the lowest index: assignment prefers the lowest
 centroid, kit extraction the lowest item id, reseeding the lowest row.
+
+Silhouette reads an n x n distance matrix built in row blocks, so its memory
+is O(n^2), not O(n^2 * m); a sweep builds it once for all its cells.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 from .kits import Kit, select_items
 from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
 from .seeding import derive_seed, generator
+
+_BLOCK_FLOATS = 2**20  # row differences per block (8 MB), never all n x n x m
 
 
 @dataclass(frozen=True)
@@ -107,16 +112,14 @@ def compute_centroids(
     """One damped update; empty clusters are reseeded from the farthest rows."""
     k = centroids_prev.shape[0]
     rows = prefs.data.astype(np.float64)
+    counts = np.bincount(idx, minlength=k)
+    filled = counts > 0
+    # 0/1 rows sum exactly, so this is bit for bit each cluster's mean row.
+    means = ((idx == np.arange(k)[:, None]) @ rows)[filled] / counts[filled, None]
     centroids = np.array(centroids_prev, dtype=np.float64, copy=True)
-    empties = []
-    for j in range(k):
-        members = idx == j
-        if members.any():
-            mean = rows[members].mean(axis=0)
-            centroids[j] = (1.0 - damping) * centroids[j] + damping * mean
-        else:
-            empties.append(j)
-    if empties:
+    centroids[filled] = (1.0 - damping) * centroids[filled] + damping * means
+    empties = np.flatnonzero(~filled)
+    if empties.size:
         dist_own = np.linalg.norm(rows - centroids[idx], axis=1)
         donated = np.zeros(prefs.n, dtype=bool)
         for j in empties:
@@ -180,6 +183,34 @@ def kits_from_centroids(
     ]
 
 
+def _pairwise_distances(data: np.ndarray) -> np.ndarray:
+    data = np.asarray(data, dtype=np.float64)
+    dist = np.empty((len(data), len(data)))
+    step = max(1, _BLOCK_FLOATS // max(1, data.size))
+    for lo in range(0, len(data), step):
+        dist[lo : lo + step] = np.sqrt(_sq_distances(data[lo : lo + step], data))
+    return dist
+
+
+def _silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels, minlength=k)
+    if int((sizes > 0).sum()) < 2:
+        raise ValueError("silhouette needs at least 2 non-empty clusters")
+    onehot = labels[:, None] == np.arange(k)
+    sums = dist @ onehot  # sums[i, j]: total distance from user i to cluster j
+    own = sizes[labels]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[onehot] / np.maximum(own - 1, 1)
+        b = np.where(onehot | (sizes == 0), np.inf, sums / sizes).min(axis=1)
+        denom = np.maximum(a, b)
+        per_user = np.where((own == 1) | (denom == 0.0), 0.0, (b - a) / denom)
+        per_cluster = np.bincount(labels, weights=per_user, minlength=k) / sizes
+    for arr in (per_user, per_cluster):
+        arr.flags.writeable = False
+    return SilhouetteReport(per_user, per_cluster, float(per_cluster[sizes > 0].mean()))
+
+
 def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
     """Silhouette widths for an arbitrary labeling of ``data`` rows.
 
@@ -187,35 +218,7 @@ def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> Silh
     cluster and b the smallest mean distance to another non-empty cluster.
     Singletons score 0, as does the 0/0 case of coincident points.
     """
-    data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels)
-    n = data.shape[0]
-    sizes = np.bincount(labels, minlength=k)
-    if int((sizes > 0).sum()) < 2:
-        raise ValueError("silhouette needs at least 2 non-empty clusters")
-    diff = data[:, None, :] - data[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    per_user = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        own = labels[i]
-        if sizes[own] == 1:
-            continue
-        a = dist[i, labels == own].sum() / (sizes[own] - 1)
-        b = min(
-            dist[i, labels == j].mean()
-            for j in range(k)
-            if j != own and sizes[j] > 0
-        )
-        denom = max(a, b)
-        per_user[i] = 0.0 if denom == 0.0 else (b - a) / denom
-    per_cluster = np.full(k, np.nan)
-    for j in range(k):
-        if sizes[j] > 0:
-            per_cluster[j] = per_user[labels == j].mean()
-    macro = float(per_cluster[sizes > 0].mean())
-    for arr in (per_user, per_cluster):
-        arr.flags.writeable = False
-    return SilhouetteReport(per_user=per_user, per_cluster=per_cluster, macro_average=macro)
+    return _silhouette(_pairwise_distances(data), labels, k)
 
 
 def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
@@ -224,10 +227,13 @@ def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
 
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Macro-averaged silhouette per (k, trial); one row per k."""
+    """Per (k, trial) cell, one row per k: macro silhouette and k-means diagnostics."""
 
     k_values: tuple[int, ...]
     scores: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    wcss: np.ndarray
 
     @property
     def trials(self) -> int:
@@ -251,11 +257,14 @@ def sweep(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     k_values = tuple(range(k_min, k_max + 1))
-    scores = np.zeros((len(k_values), trials))
-    for row, k in enumerate(k_values):
+    dist = _pairwise_distances(prefs.data)
+    cells = []
+    for k in k_values:
         for t in range(trials):
-            cell = replace(config, k=k, seed=derive_seed(config.seed, "sweep", k, t))
-            run = run_kmeans(prefs, cell)
-            scores[row, t] = silhouette(prefs, run).macro_average
-    scores.flags.writeable = False
-    return SweepTable(k_values=k_values, scores=scores)
+            run = run_kmeans(prefs, replace(config, k=k, seed=derive_seed(config.seed, "sweep", k, t)))
+            score = _silhouette(dist, run.idx, k).macro_average
+            cells.append((score, run.iterations_used, run.converged, run.wcss_trace[-1]))
+    columns = [np.array(column).reshape(len(k_values), trials) for column in zip(*cells)]
+    for arr in columns:
+        arr.flags.writeable = False
+    return SweepTable(k_values, *columns)

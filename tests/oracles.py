@@ -3,13 +3,19 @@
 Everything here deliberately avoids the code paths under test: silhouette is
 recomputed from raw pairwise distances in pure Python, eigenvalues come from
 characteristic-polynomial root finding rather than LAPACK, and the adjusted
-Rand index is the plain contingency-table formula.
+Rand index is the plain contingency-table formula.  The per-user silhouette
+loop and the masked-mean k-means update that vectorized code replaced are
+kept here too, so the replacements are checked against what they replaced.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+import numpy as np
+
+from prefkit.kmeans import init_centroids
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +53,83 @@ def silhouette_bruteforce(points, labels, k):
     filled = [v for v in per_cluster if v is not None]
     macro = sum(filled) / len(filled)
     return per_user, per_cluster, macro
+
+
+# ---------------------------------------------------------------------------
+# per-user loop silhouette and masked-mean k-means (the replaced library code)
+
+
+def silhouette_loop(data, labels, k):
+    """Returns (per_user, per_cluster, macro); NaN marks empty clusters."""
+    data = np.asarray(data, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = data.shape[0]
+    sizes = np.bincount(labels, minlength=k)
+    diff = data[:, None, :] - data[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    per_user = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        own = labels[i]
+        if sizes[own] == 1:
+            continue
+        a = dist[i, labels == own].sum() / (sizes[own] - 1)
+        b = min(
+            dist[i, labels == j].mean()
+            for j in range(k)
+            if j != own and sizes[j] > 0
+        )
+        denom = max(a, b)
+        per_user[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    per_cluster = np.full(k, np.nan)
+    for j in range(k):
+        if sizes[j] > 0:
+            per_cluster[j] = per_user[labels == j].mean()
+    return per_user, per_cluster, float(per_cluster[sizes > 0].mean())
+
+
+def compute_centroids_loop(prefs, idx, centroids_prev, damping):
+    k = centroids_prev.shape[0]
+    rows = prefs.data.astype(np.float64)
+    centroids = np.array(centroids_prev, dtype=np.float64, copy=True)
+    empties = []
+    for j in range(k):
+        members = idx == j
+        if members.any():
+            mean = rows[members].mean(axis=0)
+            centroids[j] = (1.0 - damping) * centroids[j] + damping * mean
+        else:
+            empties.append(j)
+    if empties:
+        dist_own = np.linalg.norm(rows - centroids[idx], axis=1)
+        donated = np.zeros(prefs.n, dtype=bool)
+        for j in empties:
+            masked = np.where(donated, -np.inf, dist_own)
+            donor = int(np.argmax(masked))
+            centroids[j] = rows[donor]
+            donated[donor] = True
+    return centroids
+
+
+def _sq_distances_loop(rows, centroids):
+    diff = rows[:, None, :] - centroids[None, :, :]
+    return np.einsum("ikj,ikj->ik", diff, diff)
+
+
+def run_kmeans_loop(prefs, config):
+    """Returns (idx, centroids, wcss_trace) of damped Lloyd on the loop update."""
+    rows = prefs.data.astype(np.float64)
+    centroids = init_centroids(prefs, config.k, config.seed)
+    trace = []
+    for _ in range(config.max_iters):
+        d2 = _sq_distances_loop(rows, centroids)
+        idx = np.argmin(d2, axis=1)
+        trace.append(float(d2[np.arange(prefs.n), idx].sum()))
+        new_centroids = compute_centroids_loop(prefs, idx, centroids, config.damping)
+        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        centroids = new_centroids
+        if shift < config.tol:
+            break
+    return np.argmin(_sq_distances_loop(rows, centroids), axis=1), centroids, tuple(trace)
 
 
 # ---------------------------------------------------------------------------

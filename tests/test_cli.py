@@ -127,6 +127,14 @@ class TestKmeansSweep:
         assert len(points) == 1 + 12 * 3
         for row in points[1:]:
             assert -1.0 <= float(row[2]) <= 1.0
+        runs = read_csv(sweep_dir / "sweep_runs.csv")
+        assert runs[0] == ["k", "trial", "iterations", "converged", "wcss"]
+        assert [row[:2] for row in runs[1:]] == [row[:2] for row in points[1:]]
+        for _, _, iterations, converged, wcss in runs[1:]:
+            assert converged in ("0", "1")
+            assert 1 <= int(iterations) <= 100
+            assert converged == "1" or int(iterations) == 100
+            assert float(wcss) >= 0.0
 
     def test_small_k_needs_explicit_override(self, tmp_path):
         out = run_synth(tmp_path)
@@ -167,6 +175,20 @@ class TestKmeansSweep:
         assert code == 2
         assert "1 distinct row" in capsys.readouterr().err
         assert not sweep_dir.exists()
+
+    def test_two_distinct_rows_give_a_defined_table(self, tmp_path):
+        out = run_synth(tmp_path, **{"--n-users": 30, "--n-kits": 2, "--noise-swaps": 0})
+        assert len({tuple(row[1:]) for row in read_csv(out / "preferences.csv")[1:]}) == 2
+        sweep_dir = tmp_path / "sweep"
+        code = main([
+            "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(sweep_dir),
+        ])
+        assert code == 0
+        table = read_csv(sweep_dir / "sweep_table.csv")
+        assert [row[0] for row in table[1:]] == [str(k) for k in range(4, 16)]
+        # Each cluster holds copies of one row, so every width is exactly 1.
+        assert all(cell == "1.0" for row in table[1:] for cell in row[1:])
 
     def test_k_min_below_two_is_usage_error(self, tmp_path, capsys):
         out = run_synth(tmp_path)

@@ -1,8 +1,11 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import silhouette_bruteforce
+from oracles import compute_centroids_loop, run_kmeans_loop, silhouette_bruteforce, silhouette_loop
 
 
 def prefs_from(rows):
@@ -108,6 +111,21 @@ class TestComputeCentroids:
         assert len(donors) == 2
         assert donors <= {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
 
+    def test_matches_masked_mean_loop_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        most_empties = 0
+        for trial in range(30):
+            n, k = int(rng.integers(5, 60)), int(rng.integers(2, 12))
+            prefs = prefs_from(rng.integers(0, 2, size=(n, 10)))
+            # Odd trials use only the first third of the clusters, leaving the rest to reseed.
+            idx = rng.integers(0, max(1, k // 3) if trial % 2 else k, size=n)
+            prev = rng.random((k, 10))
+            damping = float(rng.uniform(0.05, 1.0))
+            out = pk.compute_centroids(prefs, idx, prev, damping)
+            assert np.array_equal(out, compute_centroids_loop(prefs, idx, prev, damping))
+            most_empties = max(most_empties, k - len(np.unique(idx)))
+        assert most_empties >= 5
+
 
 class TestRunKmeans:
     def test_recovers_two_planted_clouds(self):
@@ -145,6 +163,15 @@ class TestRunKmeans:
             run = pk.run_kmeans(prefs, pk.KMeansConfig(k=int(rng.integers(2, 7)), damping=1.0, seed=trial))
             trace = run.wcss_trace
             assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+
+    def test_bit_identical_to_masked_mean_loop(self, survey):
+        prefs, _, _ = survey
+        for k, damping, seed in [(4, 0.3, 0), (8, 0.3, 1), (15, 0.3, 2), (8, 1.0, 3), (60, 0.5, 4)]:
+            run = pk.run_kmeans(prefs, pk.KMeansConfig(k=k, damping=damping, seed=seed))
+            idx, centroids, trace = run_kmeans_loop(prefs, run.config)
+            assert np.array_equal(run.idx, idx)
+            assert np.array_equal(run.centroids, centroids)
+            assert run.wcss_trace == trace
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -269,6 +296,45 @@ class TestSilhouette:
             _, _, macro = silhouette_bruteforce(data, labels, k)
             assert abs(report.macro_average - macro) <= 1e-9
 
+    def test_matches_loop_reference_on_seeded_cases(self):
+        rng = np.random.default_rng(31)
+        seen_empty = seen_singleton = False
+        for trial in range(40):
+            n, m, k = int(rng.integers(4, 60)), int(rng.integers(1, 12)), int(rng.integers(2, 9))
+            if trial % 2:
+                data = rng.normal(size=(n, m))
+            else:
+                data = rng.integers(0, 2, size=(n, m)).astype(float)
+            data[: n // 4] = data[-1]  # coincident rows
+            used = rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False)
+            labels = used[rng.integers(0, len(used), size=n)]
+            labels[0], labels[1] = used[0], used[1]
+            if len(used) < k and trial % 3 == 0:
+                labels[-1] = np.setdiff1d(np.arange(k), used)[0]
+            sizes = np.bincount(labels, minlength=k)
+            seen_empty |= bool((sizes == 0).any())
+            seen_singleton |= bool((sizes == 1).any())
+            report = pk.silhouette_from_labels(data, labels, k)
+            per_user, per_cluster, macro = silhouette_loop(data, labels, k)
+            np.testing.assert_allclose(report.per_user, per_user, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(report.per_cluster, per_cluster, rtol=0, atol=1e-12)
+            assert abs(report.macro_average - macro) <= 1e-12
+        assert seen_empty and seen_singleton
+
+    def test_peak_memory_is_quadratic_not_cubic(self):
+        # The n x n distances take 32 MB; an n x n x m difference tensor would take 640 MB.
+        n = 2000
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 2, size=(n, 20)).astype(float)
+        labels = rng.integers(0, 8, size=n)
+        tracemalloc.start()
+        try:
+            pk.silhouette_from_labels(data, labels, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
+
     def test_fewer_than_two_nonempty_clusters_rejected(self):
         data = np.zeros((3, 2))
         with pytest.raises(ValueError):
@@ -304,6 +370,19 @@ class TestSweep:
         a = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=9), k_min=4, k_max=6, trials=2)
         b = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=9), k_min=4, k_max=6, trials=2)
         assert (a.scores == b.scores).all()
+
+    def test_shared_distances_match_per_cell_silhouette(self, survey):
+        prefs, _, _ = survey
+        config = pk.KMeansConfig(k=4, seed=5)
+        table = pk.sweep(prefs, config, k_min=4, k_max=7, trials=2)
+        for row, k in enumerate(table.k_values):
+            for t in range(table.trials):
+                run = pk.run_kmeans(prefs, replace(config, k=k, seed=pk.derive_seed(config.seed, "sweep", k, t)))
+                assert table.scores[row, t] == pk.silhouette(prefs, run).macro_average
+                assert abs(table.scores[row, t] - silhouette_loop(prefs.data, run.idx, k)[2]) <= 1e-12
+                assert table.iterations[row, t] == run.iterations_used
+                assert table.converged[row, t] == run.converged
+                assert table.wcss[row, t] == run.wcss_trace[-1]
 
     def test_bounds_validation(self, survey):
         prefs, _, _ = survey
