@@ -6,6 +6,8 @@ per cluster; users are then reassigned to their lowest-loss kit and the
 dissatisfaction is reported per kit under normal and exponential averaging.
 """
 
+from types import ModuleType as _ModuleType
+
 from .assignment import (
     INITIAL,
     REASSIGNED,
@@ -81,77 +83,12 @@ from .signs import (
     user_sign_clusters,
 )
 from .svd import SvdFactors, scree, svd, truncate
-from .synthetic import SyntheticSpec, generate_synthetic, random_kits
+from .synthetic import SyntheticSpec, generate_synthetic, kit_count, random_kits
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "Category",
-    "CatalogError",
-    "ClusterLosses",
-    "DuplicateItemIdError",
-    "DuplicateUserIdError",
-    "EmptyCategoryError",
-    "EmptyMatrixError",
-    "FrequencyProfile",
-    "INITIAL",
-    "ITEMS",
-    "Item",
-    "ItemCatalog",
-    "KMeansConfig",
-    "KMeansRun",
-    "Kit",
-    "LossReport",
-    "MalformedRowError",
-    "NonBinaryEntryError",
-    "PreferenceFormatError",
-    "PreferenceMatrix",
-    "PrefkitError",
-    "REASSIGNED",
-    "RankOutOfRangeError",
-    "RowViolation",
-    "SelectionConstraint",
-    "SignClustering",
-    "SilhouetteReport",
-    "SvdFactors",
-    "SweepTable",
-    "SyntheticSpec",
-    "USERS",
-    "UnknownCategoryError",
-    "WidthMismatchError",
-    "assignment_from_clusters",
-    "cluster_count_table",
-    "cluster_losses",
-    "compute_centroids",
-    "derive_seed",
-    "design_all",
-    "design_kit",
-    "find_closest_centroids",
-    "frequency_profile",
-    "generate_synthetic",
-    "generator",
-    "init_centroids",
-    "item_sign_clusters",
-    "kits_from_centroids",
-    "load_catalog",
-    "load_ground_truth",
-    "load_preferences",
-    "loss_report",
-    "random_kits",
-    "reassign",
-    "run_kmeans",
-    "scree",
-    "silhouette",
-    "silhouette_from_labels",
-    "svd",
-    "sweep",
-    "top_items",
-    "truncate",
-    "user_loss",
-    "user_sign_clusters",
-    "validate_constraint",
-    "validate_kit",
-    "write_ground_truth",
-    "write_preferences",
-]
+# The public names are the ones imported above (the submodules are not).
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

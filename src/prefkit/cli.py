@@ -6,6 +6,10 @@ selection quotas, ``synth`` emits a seeded planted-kit population,
 ``cluster-signs`` / ``design-kits`` / ``reassign`` / ``pipeline`` run the
 factorization route through kit design and loss reporting.
 
+Every subcommand runs :func:`run_command`: load the inputs, check the flags
+against them, refuse existing outputs, run every stage its files need, and
+only then create ``--out`` and write, so a command that fails writes nothing.
+
 Exit codes: 0 success, 1 strict-mode validation failure, 2 usage error,
 3 I/O or numeric failure.  Existing output files are only overwritten under
 ``--force``.  All commands are deterministic given their flags; randomness
@@ -15,159 +19,71 @@ derives from ``--seed`` via :func:`prefkit.seeding.derive_seed`.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .assignment import Assignment, LossReport, assignment_from_clusters, reassign
 from .errors import PrefkitError
-from .io import load_catalog, load_preferences, write_ground_truth, write_preferences
+from .io import load_catalog, load_preferences, write_csv, write_ground_truth, write_preferences
 from .kits import Kit, design_all
-from .kmeans import KMeansConfig, sweep
-from .model import ItemCatalog, PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
+from .kmeans import KMeansConfig, SweepTable, sweep
+from .model import PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
 from .seeding import derive_seed
 from .signs import ITEMS, USERS, SignClustering, cluster_count_table, item_sign_clusters, user_sign_clusters
 from .svd import SvdFactors, scree, svd, truncate
-from .synthetic import SyntheticSpec, generate_synthetic, random_kits
+from .synthetic import SyntheticSpec, generate_synthetic, kit_count, random_kits
+
+QUOTAS = SelectionConstraint()
 
 
 class UsageError(Exception):
     """Bad flag combination or a flag value the data cannot satisfy."""
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[object]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+class Stages:
+    """One command's inputs and stages; each stage runs once, on first use.
 
-
-def _write_kits_json(path: Path, kits: Iterable[Kit]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({str(kit.kit_id): kit.sorted_items() for kit in kits}, fh, indent=2)
-        fh.write("\n")
-
-
-def _prepare_out(args: argparse.Namespace, filenames: Sequence[str]) -> dict[str, Path]:
-    """Create the output directory and guard against silent overwrites."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / name for name in filenames}
-    if not args.force:
-        existing = [str(p) for p in paths.values() if p.exists()]
-        if existing:
-            raise FileExistsError(
-                f"output exists (use --force to overwrite): {', '.join(existing)}"
-            )
-    return paths
-
-
-def _load_inputs(args: argparse.Namespace) -> tuple[ItemCatalog, PreferenceMatrix]:
-    catalog = load_catalog(args.catalog)
-    prefs = load_preferences(args.prefs, catalog)
-    return catalog, prefs
-
-
-def _strict_failure(args: argparse.Namespace, violations: list[RowViolation]) -> int:
-    """Exit code 1, with a message, when --strict is set and rows violate the quotas."""
-    if violations and args.strict:
-        print(f"{len(violations)} rows violate the selection constraint", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    catalog, prefs = _load_inputs(args)
-    paths = _prepare_out(args, ["violations.csv"])
-    violations = validate_constraint(prefs, catalog, SelectionConstraint())
-    _write_csv(
-        paths["violations.csv"],
-        ["row", "user_id", "expensive_count", "cheap_count"],
-        [[v.row_index, v.user_id, v.expensive_count, v.cheap_count] for v in violations],
-    )
-    return _strict_failure(args, violations)
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    catalog = load_catalog(args.catalog)
-    constraint = SelectionConstraint()
-    paths = _prepare_out(args, ["preferences.csv", "ground_truth.csv", "planted_kits.json"])
-    kits = random_kits(catalog, constraint, args.n_kits, derive_seed(args.seed, "synth", "kits"))
-    spec = SyntheticSpec(
-        n_users=args.n_users,
-        planted_kits=kits,
-        noise_swaps=args.noise_swaps,
-        seed=derive_seed(args.seed, "synth", "population"),
-    )
-    prefs, planted = generate_synthetic(spec, catalog, constraint)
-    write_preferences(prefs, paths["preferences.csv"])
-    write_ground_truth(prefs.user_ids, planted, paths["ground_truth.csv"])
-    _write_kits_json(paths["planted_kits.json"], kits)
-    return 0
-
-
-def cmd_kmeans_sweep(args: argparse.Namespace) -> int:
-    catalog, prefs = _load_inputs(args)
-    if args.k_min < 4 and not args.allow_small_k:
-        raise UsageError("--k-min below 4 requires --allow-small-k")
-    if not 2 <= args.k_min <= args.k_max:
-        raise UsageError("need 2 <= --k-min <= --k-max: a silhouette needs 2 clusters")
-    if args.k_max > prefs.n:
-        raise UsageError(f"--k-max {args.k_max} exceeds the {prefs.n} survey rows")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
-    if (prefs.data == prefs.data[0]).all():
-        raise UsageError(f"all {prefs.n} survey rows are equal (1 distinct row); silhouette needs 2")
-    paths = _prepare_out(args, ["sweep_table.csv", "sweep_points.csv", "sweep_runs.csv"])
-    config = KMeansConfig(
-        k=args.k_min,
-        damping=args.damping,
-        max_iters=args.max_iters,
-        seed=derive_seed(args.seed, "kmeans-sweep"),
-    )
-    table = sweep(prefs, config, k_min=args.k_min, k_max=args.k_max, trials=args.trials)
-    _write_csv(
-        paths["sweep_table.csv"],
-        ["k"] + [f"trial_{t + 1}" for t in range(table.trials)],
-        [[k, *scores] for k, scores in zip(table.k_values, table.scores.tolist())],
-    )
-    _write_csv(
-        paths["sweep_points.csv"],
-        ["k", "trial", "silhouette"],
-        [
-            [k, t + 1, score]
-            for k, scores in zip(table.k_values, table.scores.tolist())
-            for t, score in enumerate(scores)
-        ],
-    )
-    _write_csv(
-        paths["sweep_runs.csv"],
-        ["k", "trial", "iterations", "converged", "wcss"],
-        [
-            [k, t + 1, int(table.iterations[row, t]), int(table.converged[row, t]), float(table.wcss[row, t])]
-            for row, k in enumerate(table.k_values)
-            for t in range(table.trials)
-        ],
-    )
-    return 0
-
-
-class Route:
-    """The factorization route on one survey; each stage runs once, on first use.
-
-    svd -> truncate -> user (and item) sign clusters -> one kit per user
-    cluster -> initial assignment -> reassignment with before/after reports.
+    The factorization route is svd -> truncate -> user (and item) sign
+    clusters -> one kit per user cluster -> initial assignment ->
+    reassignment with before/after reports.
     """
 
-    def __init__(self, args: argparse.Namespace, catalog: ItemCatalog, prefs: PreferenceMatrix):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.catalog = catalog
-        self.prefs = prefs
+        self.catalog = load_catalog(args.catalog)
+        self.prefs = load_preferences(args.prefs, self.catalog) if "prefs" in args else None
+
+    @cached_property
+    def violations(self) -> list[RowViolation]:
+        return validate_constraint(self.prefs, self.catalog, QUOTAS)
+
+    @cached_property
+    def planted_kits(self) -> tuple[Kit, ...]:
+        seed = derive_seed(self.args.seed, "synth", "kits")
+        return random_kits(self.catalog, QUOTAS, self.args.n_kits, seed)
+
+    @cached_property
+    def population(self) -> tuple[PreferenceMatrix, np.ndarray]:
+        spec = SyntheticSpec(
+            n_users=self.args.n_users,
+            planted_kits=self.planted_kits,
+            noise_swaps=self.args.noise_swaps,
+            seed=derive_seed(self.args.seed, "synth", "population"),
+        )
+        return generate_synthetic(spec, self.catalog, QUOTAS)
+
+    @cached_property
+    def sweep_table(self) -> SweepTable:
+        a = self.args
+        config = KMeansConfig(
+            k=a.k_min, damping=a.damping, max_iters=a.max_iters, seed=derive_seed(a.seed, "kmeans-sweep")
+        )
+        return sweep(self.prefs, config, k_min=a.k_min, k_max=a.k_max, trials=a.trials)
 
     @cached_property
     def factors(self) -> SvdFactors:
@@ -188,8 +104,7 @@ class Route:
     @cached_property
     def kits(self) -> list[Kit]:
         return design_all(
-            self.prefs, self.users.labels, self.catalog, SelectionConstraint(),
-            self.args.constrained_kits,
+            self.prefs, self.users.labels, self.catalog, QUOTAS, self.args.constrained_kits
         )
 
     @cached_property
@@ -201,110 +116,201 @@ class Route:
         return reassign(self.prefs, self.kits, self.initial)
 
 
-def _membership_rows(element_ids: Iterable[object], clustering: SignClustering):
-    return zip(element_ids, clustering.labels.tolist(), clustering.patterns)
+def _write_kits_json(kits: Iterable[Kit], path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({str(kit.kit_id): kit.sorted_items() for kit in kits}, fh, indent=2)
+        fh.write("\n")
 
 
-def _loss_cluster_rows(route: Route):
-    _, before, after = route.reassigned
+def _csv(header: list[str], rows: Iterable[Sequence[object]]) -> Callable[[Path], None]:
+    return partial(write_csv, header=header, rows=rows)
+
+
+def _sweep_cells(table: SweepTable, *columns: np.ndarray):
+    """One row per sweep cell: k, trial (from 1), then the cell of each column."""
     return (
+        [k, t + 1, *cells]
+        for k, *per_trial in zip(table.k_values, *(column.tolist() for column in columns))
+        for t, cells in enumerate(zip(*per_trial))
+    )
+
+
+MEMBERSHIP = ["element_id", "cluster_id", "pattern_bits"]
+
+
+def _membership(element_ids: Iterable[object], clustering: SignClustering):
+    return _csv(MEMBERSHIP, zip(element_ids, clustering.labels.tolist(), clustering.patterns))
+
+
+def _loss_clusters(s: Stages):
+    _, before, after = s.reassigned
+    return _csv(["kit_id", "population", "normal_loss", "exponential_loss", "phase"], (
         [j, *cells, phase]
         for phase, report in (("before", before), ("after", after))
         for j, cells in enumerate(zip(
             report.populations.tolist(), report.per_cluster_normal.tolist(),
             report.per_cluster_exponential.tolist(),
         ))
-    )
+    ))
 
 
-def _loss_user_rows(route: Route):
-    final, before, after = route.reassigned
-    return zip(
-        route.prefs.user_ids,
-        route.initial.kit_index.tolist(),
-        final.kit_index.tolist(),
-        before.per_user_loss.tolist(),
-        after.per_user_loss.tolist(),
-    )
+def _loss_users(s: Stages):
+    final, before, after = s.reassigned
+    return _csv(["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], zip(
+        s.prefs.user_ids, s.initial.kit_index.tolist(), final.kit_index.tolist(),
+        before.per_user_loss.tolist(), after.per_user_loss.tolist(),
+    ))
 
 
-MEMBERSHIP = ["element_id", "cluster_id", "pattern_bits"]
-
-# Output file -> (CSV header, or None for the kits JSON; its rows from a route).
-# A rows function runs every stage the file needs and returns a lazy iterable.
-ARTIFACTS: dict[str, tuple[list[str] | None, Callable[[Route], Iterable]]] = {
-    "scree.csv": (["rank", "sigma"], lambda r: scree(r.factors)),
-    "user_cluster_counts.csv": (
-        ["r", "count"], lambda r: cluster_count_table(r.factors, USERS, 1, r.args.rank)
+# Output file -> what writes it: a function of the stages that runs every
+# stage the file needs and returns the writer, which takes the file's path.
+# Library functions are looked up by name when a stage runs, never bound here,
+# so rebinding a name of this module (as tests and bench/tracer.py do) takes effect.
+ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
+    "violations.csv": lambda s: _csv(
+        ["row", "user_id", "expensive_count", "cheap_count"],
+        ([v.row_index, v.user_id, v.expensive_count, v.cheap_count] for v in s.violations),
     ),
-    "item_cluster_counts.csv": (
-        ["r", "count"], lambda r: cluster_count_table(r.factors, ITEMS, 1, r.args.rank)
+    "preferences.csv": lambda s: partial(write_preferences, s.population[0]),
+    "ground_truth.csv": lambda s: partial(write_ground_truth, s.population[0].user_ids, s.population[1]),
+    "planted_kits.json": lambda s: partial(_write_kits_json, s.planted_kits),
+    "sweep_table.csv": lambda s: _csv(
+        ["k", *(f"trial_{t + 1}" for t in range(s.sweep_table.trials))],
+        ([k, *scores] for k, scores in zip(s.sweep_table.k_values, s.sweep_table.scores.tolist())),
     ),
-    "user_membership.csv": (MEMBERSHIP, lambda r: _membership_rows(r.prefs.user_ids, r.users)),
-    "item_membership.csv": (MEMBERSHIP, lambda r: _membership_rows(range(r.catalog.m), r.items)),
-    "kits.csv": (
-        ["kit_id", "item_id"], lambda r: [[kit.kit_id, q] for kit in r.kits for q in kit.sorted_items()]
+    "sweep_points.csv": lambda s: _csv(
+        ["k", "trial", "silhouette"], _sweep_cells(s.sweep_table, s.sweep_table.scores)
     ),
-    "kits.json": (None, lambda r: r.kits),
-    "loss_clusters.csv": (
-        ["kit_id", "population", "normal_loss", "exponential_loss", "phase"], _loss_cluster_rows
+    "sweep_runs.csv": lambda s: _csv(["k", "trial", "iterations", "converged", "wcss"], _sweep_cells(
+        s.sweep_table, s.sweep_table.iterations, s.sweep_table.converged.astype(int), s.sweep_table.wcss,
+    )),
+    "scree.csv": lambda s: _csv(["rank", "sigma"], scree(s.factors)),
+    "user_cluster_counts.csv": lambda s: _csv(
+        ["r", "count"], cluster_count_table(s.factors, USERS, 1, s.args.rank)
     ),
-    "loss_users.csv": (
-        ["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], _loss_user_rows
+    "item_cluster_counts.csv": lambda s: _csv(
+        ["r", "count"], cluster_count_table(s.factors, ITEMS, 1, s.args.rank)
     ),
+    "user_membership.csv": lambda s: _membership(s.prefs.user_ids, s.users),
+    "item_membership.csv": lambda s: _membership(range(s.catalog.m), s.items),
+    "kits.csv": lambda s: _csv(
+        ["kit_id", "item_id"], [[kit.kit_id, q] for kit in s.kits for q in kit.sorted_items()]
+    ),
+    "kits.json": lambda s: partial(_write_kits_json, s.kits),
+    "loss_clusters.csv": _loss_clusters,
+    "loss_users.csv": _loss_users,
 }
 
-# The factorization subcommands' flags beyond the I/O ones, each command taking a prefix.
-ROUTE_FLAGS = (
-    ("--rank", {"type": int, "default": 4, "help": "truncation rank r"}),
-    ("--constrained-kits", {"action": "store_true",
-                            "help": "fill each category quota instead of a flat top-N"}),
-    ("--strict", {"action": "store_true", "help": "abort with exit 1 when rows violate the quotas"}),
-)
+# Every flag; a command's help lists its flags in this order.
+FLAGS = {
+    "--catalog": {"required": True, "help": "item catalog CSV"},
+    "--prefs": {"required": True, "help": "preference matrix CSV"},
+    "--out": {"required": True, "help": "output directory"},
+    "--seed": {"type": int, "default": 0, "help": "base seed for all randomness"},
+    "--force": {"action": "store_true", "help": "overwrite existing output files"},
+    "--n-users": {"type": int, "default": 200},
+    "--n-kits": {"type": int, "default": 8},
+    "--noise-swaps": {"type": int, "default": 1},
+    "--k-min": {"type": int, "default": 4},
+    "--k-max": {"type": int, "default": 15},
+    "--trials": {"type": int, "default": 3},
+    "--lambda": {"dest": "damping", "type": float, "default": 0.3,
+                 "help": "centroid update damping factor in (0, 1]"},
+    "--max-iters": {"type": int, "default": 100},
+    "--allow-small-k": {"action": "store_true", "help": "permit --k-min below the default floor of 4"},
+    "--rank": {"type": int, "default": 4, "help": "truncation rank r"},
+    "--constrained-kits": {"action": "store_true",
+                           "help": "fill each category quota instead of a flat top-N"},
+    "--strict": {"action": "store_true", "help": "exit 1 when rows violate the quotas"},
+}
+SHARED_FLAGS = ("--catalog", "--out", "--seed", "--force")
 
-# Subcommand -> (help, how many ROUTE_FLAGS it takes, files it writes in order).
-ROUTE_COMMANDS = {
-    "svd": ("emit singular values as scree data", 0, ("scree.csv",)),
-    "cluster-signs": ("sign-pattern clusters for users and items", 1, (
+# Subcommand -> (help, its flags beyond the shared ones, the files it writes in order).
+COMMANDS = {
+    "validate": ("check rows against the 6/4 selection quotas", "--prefs --strict", ("violations.csv",)),
+    "synth": ("generate a seeded planted-kit population", "--n-users --n-kits --noise-swaps", (
+        "preferences.csv", "ground_truth.csv", "planted_kits.json",
+    )),
+    "kmeans-sweep": (
+        "silhouette table over a range of k",
+        "--prefs --k-min --k-max --trials --lambda --max-iters --allow-small-k",
+        ("sweep_table.csv", "sweep_points.csv", "sweep_runs.csv"),
+    ),
+    "svd": ("emit singular values as scree data", "--prefs", ("scree.csv",)),
+    "cluster-signs": ("sign-pattern clusters for users and items", "--prefs --rank", (
         "user_cluster_counts.csv", "item_cluster_counts.csv", "user_membership.csv",
         "item_membership.csv",
     )),
-    "design-kits": ("one kit per user sign cluster", 2, ("kits.csv", "kits.json")),
-    "reassign": ("move users to their lowest-loss kit", 2, ("loss_clusters.csv", "loss_users.csv")),
-    "pipeline": ("svd route end to end, all artifacts", 3, (
+    "design-kits": ("one kit per user sign cluster", "--prefs --rank --constrained-kits", (
+        "kits.csv", "kits.json",
+    )),
+    "reassign": ("move users to their lowest-loss kit", "--prefs --rank --constrained-kits", (
+        "loss_clusters.csv", "loss_users.csv",
+    )),
+    "pipeline": ("svd route end to end, all artifacts", "--prefs --rank --constrained-kits --strict", (
         "scree.csv", "user_cluster_counts.csv", "user_membership.csv", "kits.csv", "kits.json",
         "loss_clusters.csv", "loss_users.csv",
     )),
 }
 
 
-def cmd_route(args: argparse.Namespace) -> int:
-    """Run every stage the subcommand's files need, then write them: a failure writes none."""
-    catalog, prefs = _load_inputs(args)
-    if "strict" in args:  # pipeline validates every run; --strict makes violations fatal
-        if _strict_failure(args, validate_constraint(prefs, catalog, SelectionConstraint())):
+def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
+    """What is wrong with the command's flag values, given its inputs, in the order checked."""
+    if "k_min" in a:  # kmeans-sweep
+        if a.k_min < 4 and not a.allow_small_k:
+            yield "--k-min below 4 requires --allow-small-k"
+        if not 2 <= a.k_min <= a.k_max:
+            yield "need 2 <= --k-min <= --k-max: a silhouette needs 2 clusters"
+        if a.k_max > s.prefs.n:
+            yield f"--k-max {a.k_max} exceeds the {s.prefs.n} survey rows"
+        if a.trials < 1:
+            yield "--trials must be at least 1"
+        if not 0 < a.damping <= 1:
+            yield "--lambda must lie in (0, 1]"
+        if a.max_iters < 1:
+            yield "--max-iters must be at least 1"
+        if (s.prefs.data == s.prefs.data[0]).all():
+            yield f"all {s.prefs.n} survey rows are equal (1 distinct row); silhouette needs 2"
+    if "rank" in a and not 1 <= a.rank <= min(s.prefs.n, s.prefs.m):
+        yield f"--rank must lie in 1..{min(s.prefs.n, s.prefs.m)} for this matrix"
+    if "n_users" in a:  # synth
+        kits, swaps = kit_count(s.catalog, QUOTAS), min(QUOTAS.expensive_quota, QUOTAS.cheap_quota)
+        if a.n_users < 1:
+            yield "--n-users must be at least 1"
+        if not 1 <= a.n_kits <= kits:
+            yield f"--n-kits must lie in 1..{kits}, the distinct kits of this catalog"
+        if not 0 <= a.noise_swaps <= swaps:
+            yield f"--noise-swaps must lie in 0..{swaps}, the smaller category quota"
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Load inputs, check flags and data, refuse existing outputs, run every stage, then write.
+
+    Nothing is written before every stage the files need has run, so a
+    command that fails leaves no ``--out``.  Under ``--strict``, rows that
+    violate the quotas exit 1: ``validate`` still writes its report, and a
+    command that does not report them writes nothing.
+    """
+    files = COMMANDS[args.command][2]
+    stages = Stages(args)
+    code = 0
+    if getattr(args, "strict", False) and stages.violations:
+        print(f"{len(stages.violations)} rows violate the selection constraint", file=sys.stderr)
+        if "violations.csv" not in files:
             return 1
-    if "rank" in args and not 1 <= args.rank <= min(prefs.n, prefs.m):
-        raise UsageError(f"--rank must lie in 1..{min(prefs.n, prefs.m)} for this matrix")
-    paths = _prepare_out(args, args.files)
-    route = Route(args, catalog, prefs)
-    rows = {name: ARTIFACTS[name][1](route) for name in args.files}
-    for name in args.files:
-        header = ARTIFACTS[name][0]
-        if header is None:
-            _write_kits_json(paths[name], rows[name])
-        else:
-            _write_csv(paths[name], header, rows[name])
-    return 0
-
-
-def _add_io_flags(sub: argparse.ArgumentParser, prefs: bool = True) -> None:
-    sub.add_argument("--catalog", required=True, help="item catalog CSV")
-    if prefs:
-        sub.add_argument("--prefs", required=True, help="preference matrix CSV")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
-    sub.add_argument("--force", action="store_true", help="overwrite existing output files")
+        code = 1
+    problem = next(_flag_problems(args, stages), None)
+    if problem:
+        raise UsageError(problem)
+    out = Path(args.out)
+    existing = [str(out / name) for name in files if (out / name).exists()]
+    if existing and not args.force:
+        raise FileExistsError(f"output exists (use --force to overwrite): {', '.join(existing)}")
+    writers = [(out / name, ARTIFACTS[name](stages)) for name in files]
+    out.mkdir(parents=True, exist_ok=True)
+    for path, write in writers:
+        write(path)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,51 +319,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cluster binary preference surveys into fixed-size kits.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("validate", help="check rows against the 6/4 selection quotas")
-    _add_io_flags(sub)
-    sub.add_argument("--strict", action="store_true", help="exit 1 when violations exist")
-    sub.set_defaults(func=cmd_validate)
-
-    sub = commands.add_parser("synth", help="generate a seeded planted-kit population")
-    _add_io_flags(sub, prefs=False)
-    sub.add_argument("--n-users", type=int, default=200)
-    sub.add_argument("--n-kits", type=int, default=8)
-    sub.add_argument("--noise-swaps", type=int, default=1)
-    sub.set_defaults(func=cmd_synth)
-
-    sub = commands.add_parser("kmeans-sweep", help="silhouette table over a range of k")
-    _add_io_flags(sub)
-    sub.add_argument("--k-min", type=int, default=4)
-    sub.add_argument("--k-max", type=int, default=15)
-    sub.add_argument("--trials", type=int, default=3)
-    sub.add_argument("--lambda", dest="damping", type=float, default=0.3,
-                     help="centroid update damping factor in (0, 1]")
-    sub.add_argument("--max-iters", type=int, default=100)
-    sub.add_argument("--allow-small-k", action="store_true",
-                     help="permit --k-min below the default floor of 4")
-    sub.set_defaults(func=cmd_kmeans_sweep)
-
-    for name, (help_text, n_flags, files) in ROUTE_COMMANDS.items():
+    for name, (help_text, flags, _) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
-        _add_io_flags(sub)
-        for flag, options in ROUTE_FLAGS[:n_flags]:
-            sub.add_argument(flag, **options)
-        sub.set_defaults(func=cmd_route, files=files)
-
+        for flag, options in FLAGS.items():
+            if flag in SHARED_FLAGS or flag in flags.split():
+                sub.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return run_command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, PrefkitError, ValueError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, PrefkitError, ValueError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

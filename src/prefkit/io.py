@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -104,20 +105,21 @@ def load_preferences(path: str | Path, catalog: ItemCatalog) -> PreferenceMatrix
     return PreferenceMatrix(tuple(user_ids), data, tuple(header[1:]))
 
 
-def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
+def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header and then ``rows``; each cell is written as ``str(cell)``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", *prefs.column_labels])
-        for uid, row in zip(prefs.user_ids, prefs.data):
-            writer.writerow([uid, *(str(int(v)) for v in row)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
+    rows = ([uid, *row] for uid, row in zip(prefs.user_ids, prefs.data.tolist()))
+    write_csv(path, ["user_id", *prefs.column_labels], rows)
 
 
 def write_ground_truth(user_ids: tuple[str, ...], planted: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_id", "planted_kit"])
-        for uid, kit in zip(user_ids, planted):
-            writer.writerow([uid, str(int(kit))])
+    write_csv(path, ["user_id", "planted_kit"], zip(user_ids, planted.tolist()))
 
 
 def load_ground_truth(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

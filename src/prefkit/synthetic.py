@@ -17,6 +17,7 @@ Every generated row satisfies the selection constraint by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -43,6 +44,14 @@ class SyntheticSpec:
             raise ValueError("noise_swaps must be non-negative")
 
 
+def kit_count(catalog: ItemCatalog, constraint: SelectionConstraint) -> int:
+    """How many distinct constraint-valid kits the catalog holds."""
+    constraint.check_catalog(catalog)
+    return comb(len(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota) * comb(
+        len(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota
+    )
+
+
 def random_kits(
     catalog: ItemCatalog,
     constraint: SelectionConstraint,
@@ -60,7 +69,9 @@ def random_kits(
     beyond the noise radius, e.g. ``min_separation = 10`` against
     single-swap noise, whose rows sit at distance 4 from their kit.
     """
-    constraint.check_catalog(catalog)
+    limit = kit_count(catalog, constraint)
+    if count > limit:
+        raise ValueError(f"cannot draw {count} distinct kits: the catalog holds only {limit}")
     if min_separation < 1:
         raise ValueError("min_separation must be at least 1")
     rng = generator(seed)

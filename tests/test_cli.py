@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +256,7 @@ class TestSvdAndSigns:
             "--prefs", str(out / "preferences.csv"), "--out", str(tmp_path / "x"),
             "--rank", "21",
         ]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestDesignAndReassign:
@@ -368,6 +371,19 @@ class TestPipeline:
             "pipeline", "--catalog", str(CATALOG_PATH), "--prefs", str(path),
             "--out", str(tmp_path / "pipe"), "--strict",
         ]) == 1
+        assert not (tmp_path / "pipe").exists()
+
+    def test_pipeline_validates_only_under_strict(self, tmp_path, monkeypatch):
+        out = run_synth(tmp_path)
+
+        def fail(*args):
+            raise AssertionError("validated without --strict")
+
+        monkeypatch.setattr("prefkit.cli.validate_constraint", fail)
+        assert main([
+            "pipeline", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(tmp_path / "pipe"),
+        ]) == 0
 
 
 class TestCliContract:
@@ -398,7 +414,42 @@ class TestCliContract:
             "pipeline", "--catalog", str(CATALOG_PATH),
             "--prefs", str(out / "preferences.csv"), "--out", str(pipe_dir),
         ]) == 3
-        assert list(pipe_dir.iterdir()) == []
+        assert not pipe_dir.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("kmeans-sweep", "--lambda", "1.5"),
+        ("kmeans-sweep", "--max-iters", "0"),
+        ("synth", "--n-users", "0"),
+        ("synth", "--n-kits", "0"),
+        ("synth", "--n-kits", "44101"),
+        ("synth", "--noise-swaps", "7"),
+    ])
+    def test_out_of_range_value_exits_two_naming_flag(self, tmp_path, capsys, command, flag, value):
+        argv = [command, "--catalog", str(CATALOG_PATH), "--out", str(tmp_path / "o"), flag, value]
+        if command == "kmeans-sweep":
+            argv += ["--prefs", str(run_synth(tmp_path) / "preferences.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "error: MemoryError"),
+        (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB"),
+    ])
+    def test_memory_error_exits_three_with_error_line(self, tmp_path, monkeypatch, capsys, error, line):
+        out = run_synth(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("prefkit.cli.sweep", fail)
+        sweep_dir = tmp_path / "sweep"
+        assert main([
+            "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(sweep_dir),
+        ]) == 3
+        assert capsys.readouterr().err == line + "\n"
+        assert not sweep_dir.exists()
 
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -510,3 +561,124 @@ class TestPinnedOutputs:
         assert [row[0] for row in scree] == ["rank", *(str(r) for r in range(1, 21))]
         sigmas = np.array([float(row[1]) for row in scree[1:]])
         assert np.abs(sigmas - PINNED_SCREE).max() <= 1e-9 * PINNED_SCREE[0]
+
+
+# The other three commands on the pinned survey.  ``synth`` and ``validate``
+# files are pinned by SHA-256.  The sweep files are pinned cell by cell: str
+# cells exactly, float cells (silhouette and WCSS) within 1e-12, the
+# benchmark's sweep tolerance.
+PINNED_SYNTH = {
+    "preferences.csv": "acfa25304071aaeb744ea2a0bccaa1452c2a8c45f2d316cf332d4628b21ac86c",
+    "ground_truth.csv": "b35eb3c45ba0751fff70f3184cee675e2fa5c946d49059f417c4ed200d4044ab",
+    "planted_kits.json": "d40826525d8c52364d6cb1acf47dd38bac7075ed0ccd286e5a7ff8ffb849b626",
+}
+
+PINNED_VIOLATIONS = {
+    "clean": "d778ba51e2fd1dea5e2822b2134bcf4ec6f0c13837f3147cb1645c716a1d71a6",
+    "dirty": "dca03d7762dfd6dd0707191da8a98a5636b30264ca1508e50929b38238f7eb62",
+}
+
+PINNED_SWEEP = {
+    "sweep_table.csv": [
+        ["k", "trial_1", "trial_2"],
+        ["4", 0.1040758126966144, 0.10952922467509318],
+        ["5", 0.11306163653740213, 0.09155619736448144],
+        ["6", 0.10441726841322603, 0.10857459385735746],
+    ],
+    "sweep_points.csv": [
+        ["k", "trial", "silhouette"],
+        ["4", "1", 0.1040758126966144],
+        ["4", "2", 0.10952922467509318],
+        ["5", "1", 0.11306163653740213],
+        ["5", "2", 0.09155619736448144],
+        ["6", "1", 0.10441726841322603],
+        ["6", "2", 0.10857459385735746],
+    ],
+    "sweep_runs.csv": [
+        ["k", "trial", "iterations", "converged", "wcss"],
+        ["4", "1", "52", "1", 1084.0695620213373],
+        ["4", "2", "62", "1", 1082.6120896575576],
+        ["5", "1", "94", "1", 1018.087469350321],
+        ["5", "2", "52", "1", 1049.5594650585685],
+        ["6", "1", "85", "1", 984.0596447329631],
+        ["6", "2", "58", "1", 977.0035399019478],
+    ],
+}
+
+# ``prefkit [command] --help`` at COLUMNS=80 on Python 3.11 (argparse's layout
+# differs across Python versions), with the description of --strict blanked.
+PINNED_HELP = {
+    "": "1b0bfc20cd8fe9467dbba4c37819638b1e02380c8bad1db648587d2bf390247c",
+    "validate": "dc85c024b4c9ee74c5fc2f14c7a20c79ec2973a4701dbc2995e954d82040bfdc",
+    "synth": "86771615660bbf1e8093602431549854a00875bead3a8c41324e7b6f595e5314",
+    "kmeans-sweep": "b73eede31d0305212f4d51960777d504841b69498a356cd4edbed19114430c52",
+    "svd": "de2959df7535dae5b64f422c413875e75a14bee5b417b2ff3263317689671825",
+    "cluster-signs": "7d19b00d0ba124c39e1c033f14a31c8accd74100eda9a4757e1fbf44ce659141",
+    "design-kits": "c6cf54665b206eebbb1a5b0b5b0b57ae24ec0d2270428494dffd93e64a483c23",
+    "reassign": "5196fc543360d5edb75cb4d485b04ea80d623e0e5e49f6fed14296285f649805",
+    "pipeline": "abeeb99f48786231edc334f1da16b7ee111394b2c403aeb86b575c52bce7e740",
+}
+
+STRICT_HELP = re.compile(r"(--strict +)\S.*")
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def assert_cells_match(rows, pinned, where):
+    assert [len(row) for row in rows] == [len(row) for row in pinned], where
+    for row, expected in zip(rows, pinned):
+        for cell, want in zip(row, expected):
+            if isinstance(want, float):
+                assert abs(float(cell) - want) <= 1e-12, f"{where}: {cell} != {want}"
+            else:
+                assert cell == want, where
+
+
+class TestPinnedOtherCommands:
+    def test_synth_validate_and_sweep_match_recorded_outputs(self, tmp_path, catalog20):
+        survey = run_synth(tmp_path, **{"--n-users": 300, "--n-kits": 8, "--seed": 11})
+        assert {name: sha256(survey / name) for name in PINNED_SYNTH} == PINNED_SYNTH
+
+        prefs = pk.load_preferences(survey / "preferences.csv", catalog20)
+        data = prefs.data.copy()
+        data[0] = 0
+        data[0, :7] = 1
+        data[5] = 1
+        dirty = tmp_path / "dirty.csv"
+        pk.write_preferences(pk.PreferenceMatrix(prefs.user_ids, data, prefs.column_labels), dirty)
+        runs = {
+            "clean": (survey / "preferences.csv", [], 0, "clean"),
+            "dirty": (dirty, [], 0, "dirty"),
+            "dirty-strict": (dirty, ["--strict"], 1, "dirty"),
+        }
+        for name, (path, extra, code, pinned) in runs.items():
+            out = tmp_path / name
+            assert main([
+                "validate", "--catalog", str(CATALOG_PATH), "--prefs", str(path),
+                "--out", str(out), *extra,
+            ]) == code, name
+            assert sha256(out / "violations.csv") == PINNED_VIOLATIONS[pinned], name
+
+        out = tmp_path / "sweep"
+        assert main([
+            "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(survey / "preferences.csv"), "--out", str(out),
+            "--k-max", "6", "--trials", "2",
+        ]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(PINNED_SWEEP)
+        for name, pinned in PINNED_SWEEP.items():
+            assert_cells_match(read_csv(out / name), pinned, name)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests recorded on Python 3.11")
+    def test_help_texts_match_recorded_digests(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        digests = {}
+        for command in PINNED_HELP:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"] if command else ["--help"])
+            assert exc.value.code == 0
+            text = STRICT_HELP.sub(r"\1<help>", capsys.readouterr().out)
+            digests[command] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == PINNED_HELP

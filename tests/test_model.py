@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,12 @@ class TestValidateConstraint:
         exp_mask = catalog20.category_mask(pk.Category.EXPENSIVE)
         assert (prefs.data.sum(axis=1) == constraint.total).all()
         assert (prefs.data[:, exp_mask].sum(axis=1) == constraint.expensive_quota).all()
+
+
+def test_package_exports_each_imported_name_once():
+    assert len(pk.__all__) == len(set(pk.__all__))
+    for name in pk.__all__:
+        value = getattr(pk, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert getattr(value, "__module__", "prefkit.").startswith("prefkit."), name
+    assert {"kit_count", "svd", "sweep", "write_preferences", "PrefkitError"} <= set(pk.__all__)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ class TestRandomKits:
         constraint = pk.SelectionConstraint(total=2, expensive_quota=1, cheap_quota=1)
         with pytest.raises(ValueError):
             pk.random_kits(catalog, constraint, 2, seed=0)
+
+    def test_count_above_distinct_kits_fails_fast(self, catalog20, constraint):
+        limit = pk.kit_count(catalog20, constraint)
+        assert limit == 44100  # C(10, 6) * C(10, 4)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="holds only 44100"):
+            pk.random_kits(catalog20, constraint, limit + 1, seed=0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGenerateSynthetic:
