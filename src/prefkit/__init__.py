@@ -31,6 +31,7 @@ from .errors import (
     PreferenceFormatError,
     PrefkitError,
     RankOutOfRangeError,
+    TextFormatError,
     UnknownCategoryError,
     WidthMismatchError,
 )

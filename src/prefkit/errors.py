@@ -5,6 +5,10 @@ class PrefkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class TextFormatError(PrefkitError, ValueError):
+    """A file is not UTF-8 text that splits into CSV rows."""
+
+
 class CatalogError(PrefkitError, ValueError):
     """A catalog file or catalog construction is invalid."""
 

@@ -2,7 +2,9 @@
 
 Formats (UTF-8, comma-separated, LF line endings).  Loaders accept a UTF-8
 byte-order mark and ignore blank lines at the end of a file; a blank line
-before the last row is a malformed row.
+before the last row is a malformed row.  A file that is not UTF-8, or that
+the CSV reader cannot split into rows, raises ``TextFormatError`` naming
+``path:line``.
 
 * catalog:      ``item_id,name,category`` with category in {expensive, cheap}
 * preferences:  ``user_id,<one label per item>`` with data cells strictly 0 or 1
@@ -11,8 +13,11 @@ before the last row is a malformed row.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +28,7 @@ from .errors import (
     EmptyMatrixError,
     MalformedRowError,
     NonBinaryEntryError,
+    TextFormatError,
     UnknownCategoryError,
     WidthMismatchError,
 )
@@ -31,12 +37,32 @@ from .model import Category, Item, ItemCatalog, PreferenceMatrix
 CATALOG_HEADER = ["item_id", "name", "category"]
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+def _strip_bom(raw: bytes) -> bytes:
+    return raw[len(codecs.BOM_UTF8) :] if raw.startswith(codecs.BOM_UTF8) else raw
+
+
+def _csv_rows(path: str | Path, raw: bytes) -> list[list[str]]:
+    """Split a file's bytes into CSV rows, dropping blank rows at the end."""
+    raw = _strip_bom(raw)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The appended byte makes a bad byte right after a line break count
+        # as the first byte of the next line.
+        lineno = len((raw[: exc.start] + b"x").splitlines())
+        raise TextFormatError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is not valid UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise TextFormatError(f"{path}:{reader.line_num}: {exc}") from None
     while rows and not rows[-1]:
         rows.pop()
     return rows
+
+
+def _read_rows(path: str | Path) -> list[list[str]]:
+    return _csv_rows(path, Path(path).read_bytes())
 
 
 def load_catalog(path: str | Path) -> ItemCatalog:
@@ -68,25 +94,70 @@ def load_catalog(path: str | Path) -> ItemCatalog:
 
 
 def load_preferences(path: str | Path, catalog: ItemCatalog) -> PreferenceMatrix:
-    """Read a preference matrix, coercing cells strictly from '0'/'1' tokens."""
-    rows = _read_rows(path)
+    """Read a preference matrix, coercing cells strictly from '0'/'1' tokens.
+
+    A file in the plain form that ``write_preferences`` emits is read as one
+    byte block; any other file goes through the per-row reader, which gives
+    every error its message and line.  Both give the same matrix.
+    """
+    raw = Path(path).read_bytes()
+    prefs = _plain_preferences(raw, catalog.m)
+    if prefs is None:
+        prefs = _preferences_from_rows(path, _csv_rows(path, raw), catalog.m)
+    return prefs
+
+
+def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
+    """The matrix of a plain-form file, or None for any other file.
+
+    Plain form: LF line endings, no quote character or NUL byte, a header
+    of m + 1 fields, and data lines that each hold a unique, comma-free user
+    id and then m cells written as ``,0`` or ``,1``.  The last 2m bytes of every
+    data line form one n x 2m byte block, checked column by column.
+    """
+    raw = _strip_bom(raw)
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    lines = raw.rstrip(b"\n").split(b"\n")
+    header, body = lines[0], lines[1:]
+    width = 2 * m
+    cells = b"".join([line[-width:] for line in body])
+    # Every line holds m commas in its cells, so this count leaves none for
+    # the user ids once the header has its m.
+    if not body or len(cells) != width * len(body) or raw.count(b",") != m * len(lines):
+        return None
+    block = np.frombuffer(cells, dtype=np.uint8).reshape(len(body), width)
+    bits = block[:, 1::2]
+    if not ((block[:, 0::2] == ord(",")).all() and ((bits | 1) == ord("1")).all()):
+        return None
+    try:
+        labels = header.decode("utf-8").split(",")
+        user_ids = [line[:-width].decode("utf-8") for line in body]
+    except UnicodeDecodeError:
+        return None
+    if len(labels) != m + 1 or len(set(user_ids)) != len(user_ids):
+        return None
+    return PreferenceMatrix(tuple(user_ids), bits == ord("1"), tuple(labels[1:]))
+
+
+def _preferences_from_rows(path: str | Path, rows: list[list[str]], m: int) -> PreferenceMatrix:
     if not rows:
         raise EmptyMatrixError(f"{path}: file is empty")
     header = rows[0]
-    if len(header) != catalog.m + 1:
+    if len(header) != m + 1:
         raise WidthMismatchError(
-            f"{path}: header has {len(header)} fields, expected {catalog.m + 1}"
+            f"{path}: header has {len(header)} fields, expected {m + 1}"
         )
     if len(rows) == 1:
         raise EmptyMatrixError(f"{path}: no data rows")
     user_ids: list[str] = []
     seen: set[str] = set()
-    data = np.zeros((len(rows) - 1, catalog.m), dtype=np.int8)
+    data = np.zeros((len(rows) - 1, m), dtype=np.int8)
     for i, row in enumerate(rows[1:]):
         lineno = i + 2
-        if len(row) != catalog.m + 1:
+        if len(row) != m + 1:
             raise WidthMismatchError(
-                f"{path}:{lineno}: row has {len(row)} fields, expected {catalog.m + 1}"
+                f"{path}:{lineno}: row has {len(row)} fields, expected {m + 1}"
             )
         uid = row[0]
         if uid in seen:
@@ -106,9 +177,16 @@ def load_preferences(path: str | Path, catalog: ItemCatalog) -> PreferenceMatrix
 
 
 def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
-    """Write a header and then ``rows``; each cell is written as ``str(cell)``."""
+    """Write a header and then ``rows``; each cell is written as ``str(cell)``.
+
+    The CSV writer quotes a field only for the characters of its record
+    terminator, so it writes records ending in CR LF, which quotes every
+    field holding a CR, and each record is cut back to an LF ending as it is
+    written.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        out = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
+        writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 

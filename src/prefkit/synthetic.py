@@ -9,7 +9,14 @@ PCG64 (see :mod:`prefkit.seeding`) and the stepping rule is fixed:
    one currently selected item of the category, then ``integers(len(pool))``
    to add one from the category's unselected items (the dropped item is not
    in the pool, so a swap only degenerates to a no-op when the category has
-   no alternative item).  Candidate lists are in ascending item-id order.
+   no alternative item; that swap makes no pool draw).  Candidate lists are
+   in ascending item-id order.
+
+Every bound is known before any row is built: ``len(selected)`` is the
+category's quota and ``len(pool)`` the category's size minus its quota.  So
+the whole stream is drawn by one ``integers(0, bounds)`` call over the
+bounds listed in the order above, user after user, which yields the same
+values and leaves the generator in the same state as the draws one by one.
 
 Every generated row satisfies the selection constraint by construction.
 """
@@ -78,6 +85,7 @@ def random_kits(
     expensive = np.array(catalog.ids_in(Category.EXPENSIVE))
     cheap = np.array(catalog.ids_in(Category.CHEAP))
     kits: list[Kit] = []
+    accepted: set[frozenset[int]] = set()
     attempts = 0
     while len(kits) < count:
         attempts += 1
@@ -94,21 +102,13 @@ def random_kits(
                 ]
             )
         )
-        if any(len(picked ^ kit.items) < min_separation for kit in kits):
+        if picked in accepted or (
+            min_separation > 1 and any(len(picked ^ kit.items) < min_separation for kit in kits)
+        ):
             continue
+        accepted.add(picked)
         kits.append(Kit(kit_id=len(kits), items=picked))
     return tuple(kits)
-
-
-def _swap_in_category(row: np.ndarray, category_ids: tuple[int, ...], rng: np.random.Generator) -> None:
-    selected = [q for q in category_ids if row[q] == 1]
-    unselected = [q for q in category_ids if row[q] == 0]
-    out = selected[int(rng.integers(len(selected)))]
-    if not unselected:
-        return
-    into = unselected[int(rng.integers(len(unselected)))]
-    row[out] = 0
-    row[into] = 1
 
 
 def generate_synthetic(
@@ -126,21 +126,33 @@ def generate_synthetic(
     if spec.noise_swaps > min(constraint.expensive_quota, constraint.cheap_quota):
         raise ValueError("noise_swaps must not exceed the smaller category quota")
 
-    rng = generator(spec.seed)
-    category_ids = (
-        catalog.ids_in(Category.EXPENSIVE),
-        catalog.ids_in(Category.CHEAP),
-    )
-    data = np.zeros((spec.n_users, catalog.m), dtype=np.int8)
-    planted = np.zeros(spec.n_users, dtype=np.int64)
-    for i in range(spec.n_users):
-        g = int(rng.integers(len(spec.planted_kits)))
-        planted[i] = g
-        row = spec.planted_kits[g].indicator(catalog.m)
-        for ids in category_ids:
-            for _ in range(spec.noise_swaps):
-                _swap_in_category(row, ids, rng)
-        data[i] = row
+    categories = [
+        (np.array(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota),
+        (np.array(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota),
+    ]
+    bounds = [len(spec.planted_kits)]
+    for ids, quota in categories:
+        pool = len(ids) - quota
+        bounds += ([quota, pool] if pool else [quota]) * spec.noise_swaps
+    draws = generator(spec.seed).integers(0, np.tile(bounds, spec.n_users)).reshape(spec.n_users, -1)
+
+    planted = draws[:, 0].copy()
+    data = np.stack([kit.indicator(catalog.m) for kit in spec.planted_kits])[planted]
+    users = np.arange(spec.n_users)
+    col = 1
+    for ids, quota in categories:
+        pool = len(ids) - quota
+        for _ in range(spec.noise_swaps):
+            if pool:
+                block = data[:, ids]
+                # Unselected ids first, then selected ones, each in ascending
+                # order.  On int8 a stable sort is a radix sort, which is slow
+                # for rows this short, so the rows are sorted as int32.
+                order = np.argsort(block.astype(np.int32), axis=1, kind="stable")
+                block[users, order[users, pool + draws[:, col]]] = 0
+                block[users, order[users, draws[:, col + 1]]] = 1
+                data[:, ids] = block
+            col += 2 if pool else 1
 
     user_ids = tuple(f"u{i:04d}" for i in range(spec.n_users))
     prefs = PreferenceMatrix(user_ids, data, catalog.names)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: silhouette is
 recomputed from raw pairwise distances in pure Python, eigenvalues come from
 characteristic-polynomial root finding rather than LAPACK, and the adjusted
 Rand index is the plain contingency-table formula.  The per-user silhouette
-loop and the masked-mean k-means update that vectorized code replaced are
-kept here too, so the replacements are checked against what they replaced.
+loop, the masked-mean k-means update, the per-user synthetic generator and
+the scanning kit sampler that faster code replaced are kept here too, so the
+replacements are checked against what they replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from collections import Counter
 
 import numpy as np
 
+from prefkit.kits import Kit
 from prefkit.kmeans import init_centroids
+from prefkit.model import Category, PreferenceMatrix
+from prefkit.seeding import generator
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +134,61 @@ def run_kmeans_loop(prefs, config):
         if shift < config.tol:
             break
     return np.argmin(_sq_distances_loop(rows, centroids), axis=1), centroids, tuple(trace)
+
+
+# ---------------------------------------------------------------------------
+# per-user synthetic generator and scanning kit sampler (the replaced library code)
+
+
+def _swap_in_category(row, category_ids, rng):
+    selected = [q for q in category_ids if row[q] == 1]
+    unselected = [q for q in category_ids if row[q] == 0]
+    out = selected[int(rng.integers(len(selected)))]
+    if not unselected:
+        return
+    into = unselected[int(rng.integers(len(unselected)))]
+    row[out] = 0
+    row[into] = 1
+
+
+def generate_synthetic_loop(spec, catalog):
+    """Returns (prefs, planted), drawing one scalar at a time, user by user."""
+    rng = generator(spec.seed)
+    category_ids = (catalog.ids_in(Category.EXPENSIVE), catalog.ids_in(Category.CHEAP))
+    data = np.zeros((spec.n_users, catalog.m), dtype=np.int8)
+    planted = np.zeros(spec.n_users, dtype=np.int64)
+    for i in range(spec.n_users):
+        g = int(rng.integers(len(spec.planted_kits)))
+        planted[i] = g
+        row = spec.planted_kits[g].indicator(catalog.m)
+        for ids in category_ids:
+            for _ in range(spec.noise_swaps):
+                _swap_in_category(row, ids, rng)
+        data[i] = row
+    user_ids = tuple(f"u{i:04d}" for i in range(spec.n_users))
+    return PreferenceMatrix(user_ids, data, catalog.names), planted
+
+
+def random_kits_scan(catalog, constraint, count, seed, min_separation=1):
+    """Kits drawn as ``random_kits`` draws them, each checked against every accepted kit."""
+    rng = generator(seed)
+    expensive = np.array(catalog.ids_in(Category.EXPENSIVE))
+    cheap = np.array(catalog.ids_in(Category.CHEAP))
+    kits = []
+    while len(kits) < count:
+        picked = frozenset(
+            int(q)
+            for q in np.concatenate(
+                [
+                    rng.choice(expensive, size=constraint.expensive_quota, replace=False),
+                    rng.choice(cheap, size=constraint.cheap_quota, replace=False),
+                ]
+            )
+        )
+        if any(len(picked ^ kit.items) < min_separation for kit in kits):
+            continue
+        kits.append(Kit(kit_id=len(kits), items=picked))
+    return tuple(kits)
 
 
 # ---------------------------------------------------------------------------

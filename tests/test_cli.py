@@ -451,6 +451,18 @@ class TestCliContract:
         assert capsys.readouterr().err == line + "\n"
         assert not sweep_dir.exists()
 
+    def test_invalid_utf8_exits_three_naming_file_and_line(self, tmp_path, capsys):
+        prefs = run_synth(tmp_path) / "preferences.csv"
+        lines = prefs.read_bytes().split(b"\n")
+        lines[4] = lines[4][:2] + b"\xff" + lines[4][2:]
+        prefs.write_bytes(b"\n".join(lines))
+        out = tmp_path / "pipe"
+        assert main([
+            "pipeline", "--catalog", str(CATALOG_PATH), "--prefs", str(prefs), "--out", str(out),
+        ]) == 3
+        assert capsys.readouterr().err == f"error: {prefs}:5: byte 0xff is not valid UTF-8\n"
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

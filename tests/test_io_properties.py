@@ -1,0 +1,88 @@
+"""Property tests of the preference loader and its two readers.
+
+``load_preferences`` reads plain-form files as one byte block and every other
+file row by row.  Whatever the bytes, it must give what the per-row reader
+gives: the same matrix, or the same ``PrefkitError`` type and message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import prefkit as pk
+from prefkit import io as pio
+
+CATALOG = pk.ItemCatalog(
+    tuple(pk.Item(j, f"item_{j}", pk.Category.EXPENSIVE if j < 3 else pk.Category.CHEAP) for j in range(5))
+)
+M = CATALOG.m
+# Every byte a mutation may insert or write: cells, separators, quotes, line
+# breaks, NUL, a letter and a byte that is never valid UTF-8.
+MUTATION_BYTES = b'01,\n\r"\0x\xff'
+
+text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+rows = st.lists(st.lists(st.integers(0, 1), min_size=M, max_size=M), min_size=1, max_size=12)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties") / "prefs.csv"
+
+
+def per_row_reader(path):
+    return pio._preferences_from_rows(path, pio._csv_rows(path, path.read_bytes()), M)
+
+
+def outcome(load, path):
+    try:
+        prefs = load(path)
+    except pk.PrefkitError as exc:
+        return type(exc), str(exc)
+    return prefs.user_ids, prefs.column_labels, prefs.data.dtype, prefs.data.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+# A field holding a CR must be quoted although the files end lines with LF.
+@example(data=[[0, 1, 0, 1, 0]], ids=["a\rb", *map(str, range(11))], labels=["", "\r", "x\r\ny", "", ""])
+@given(data=rows, ids=st.lists(text, min_size=12, max_size=12, unique=True),
+       labels=st.lists(text, min_size=M, max_size=M))
+def test_write_then_load_returns_the_same_matrix(path, data, ids, labels):
+    prefs = pk.PreferenceMatrix(tuple(ids[: len(data)]), np.array(data), tuple(labels))
+    pk.write_preferences(prefs, path)
+    loaded = pk.load_preferences(path, CATALOG)
+    assert loaded.user_ids == prefs.user_ids
+    assert loaded.column_labels == prefs.column_labels
+    assert np.array_equal(loaded.data, prefs.data)
+
+
+@st.composite
+def mutated_files(draw):
+    data = draw(rows)
+    lines = ["user_id," + ",".join(f"item_{j}" for j in range(M))]
+    lines += [f"u{i}," + ",".join(map(str, row)) for i, row in enumerate(data)]
+    raw = bytearray(("\n".join(lines) + "\n").encode("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        at = draw(st.integers(0, len(raw) if op == "insert" else len(raw) - 1))
+        byte = draw(st.sampled_from(MUTATION_BYTES))
+        if op == "insert":
+            raw.insert(at, byte)
+        elif op == "delete":
+            del raw[at]
+        else:
+            raw[at] = byte
+        if not raw:
+            break
+    return bytes(raw)
+
+
+@settings(max_examples=300, deadline=None)
+# A comma inserted into a user id leaves the last 2m bytes of its line valid,
+# and with one comma deleted from the header the file's comma count holds too.
+@example(raw=b"user_id,item_0,item_1,item_2,item_3,item_4\nu,0,1,0,1,0,1\n")
+@example(raw=b"user_id,item_0item_1,item_2,item_3,item_4\nu,0,1,0,1,0,1\n")
+@given(raw=mutated_files())
+def test_mutated_file_loads_or_fails_as_the_per_row_reader_does(path, raw):
+    path.write_bytes(raw)
+    assert outcome(lambda p: pk.load_preferences(p, CATALOG), path) == outcome(per_row_reader, path)

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 import prefkit as pk
+from prefkit import io as pio
+from prefkit.cli import main
+
+from conftest import CATALOG_PATH
 
 
 def write(path, text):
@@ -154,6 +158,83 @@ class TestLoadPreferences:
         dst = tmp_path / "dst.csv"
         pk.write_preferences(prefs, dst)
         assert dst.read_text(encoding="utf-8").rstrip("\n") == original.rstrip("\n")
+
+
+def assert_same_matrix(a, b):
+    assert a.user_ids == b.user_ids
+    assert a.column_labels == b.column_labels
+    assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
+    assert a.data.flags.c_contiguous and not a.data.flags.writeable
+
+
+HEADER = "user_id,Rice,Oil,Salt,Sugar\n"
+
+
+class TestPlainFormReader:
+    """Plain-form files are read as one byte block; the result must be the
+    matrix the per-row reader builds from the same file."""
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            ("\ufeff" + HEADER + "u1,1,0,1,0\nu2,0,1,0,1\n", True),
+            (HEADER + "u1,1,0,1,0\nu2,0,1,0,1\n\n\n", True),
+            (HEADER + "u1,1,0,1,0\nu2,0,1,0,1", True),
+            (HEADER + "u1,1,0,1,0\nuser_000002,0,1,0,1\n,1,1,0,0\n", True),
+            (HEADER + "\u00fc1,1,0,1,0\n\u7528\u62372,0,1,0,1\n", True),
+            (HEADER + '"u,1",1,0,1,0\nu2,0,1,0,1\n', False),
+            (HEADER.replace("\n", "\r\n") + "u1,1,0,1,0\r\nu2,0,1,0,1\r\n", False),
+            (HEADER + "u\x001,1,0,1,0\nu2,0,1,0,1\n", False),
+        ],
+        ids=["bom", "trailing-blank-lines", "no-final-newline", "mixed-length-ids",
+             "non-ascii-ids", "quoted-id", "crlf", "nul-in-id"],
+    )
+    def test_matches_row_reader(self, tmp_path, small_catalog, text, plain):
+        path = write(tmp_path / "prefs.csv", text)
+        raw = path.read_bytes()
+        fast = pio._plain_preferences(raw, small_catalog.m)
+        rows = pio._preferences_from_rows(path, pio._csv_rows(path, raw), small_catalog.m)
+        assert (fast is not None) == plain
+        if plain:
+            assert_same_matrix(fast, rows)
+        assert_same_matrix(pk.load_preferences(path, small_catalog), rows)
+
+    def test_synth_survey_takes_plain_path(self, tmp_path, catalog20, monkeypatch):
+        out = tmp_path / "synth"
+        argv = ["synth", "--catalog", str(CATALOG_PATH), "--out", str(out), "--n-users", "500"]
+        assert main(argv + ["--n-kits", "8", "--noise-swaps", "1", "--seed", "4"]) == 0
+
+        def per_row_reader(*args):
+            raise AssertionError("a synth survey went through the per-row reader")
+
+        monkeypatch.setattr(pio, "_preferences_from_rows", per_row_reader)
+        prefs = pk.load_preferences(out / "preferences.csv", catalog20)
+        assert prefs.n == 500 and prefs.user_ids[-1] == "u0499"
+
+
+class TestTextErrors:
+    @pytest.mark.parametrize("kind", ["catalog", "preferences", "ground-truth"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, small_catalog, kind):
+        text, load = {
+            "catalog": (CLEAN_CATALOG, pk.load_catalog),
+            "preferences": (
+                HEADER + "u1,1,0,1,0\nu2,0,1,0,1\n",
+                lambda path: pk.load_preferences(path, small_catalog),
+            ),
+            "ground-truth": ("user_id,planted_kit\nu1,0\nu2,1\n", pk.load_ground_truth),
+        }[kind]
+        raw = text.encode("utf-8")
+        # The bad byte opens line 3, right after a line break.
+        cut = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + raw[:cut] + b"\xff" + raw[cut:])
+        with pytest.raises(pk.TextFormatError, match=r"bad\.csv:3: byte 0xff is not valid UTF-8"):
+            load(path)
+
+    def test_oversized_field_names_file_and_line(self, tmp_path, small_catalog):
+        path = write(tmp_path / "prefs.csv", HEADER + 'u1,1,0,1,0\n"u2' + "0" * 200_000 + "\n")
+        with pytest.raises(pk.TextFormatError, match=r"prefs\.csv:3: field larger than field limit"):
+            pk.load_preferences(path, small_catalog)
 
 
 class TestPreferenceMatrix:

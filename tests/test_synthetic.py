@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
+from oracles import generate_synthetic_loop, random_kits_scan
 
 
 def planted_fixture(catalog, constraint, n_users=40, noise=0, seed=11, n_kits=4):
@@ -11,6 +12,14 @@ def planted_fixture(catalog, constraint, n_users=40, noise=0, seed=11, n_kits=4)
     spec = pk.SyntheticSpec(n_users=n_users, planted_kits=kits, noise_swaps=noise, seed=seed)
     prefs, planted = pk.generate_synthetic(spec, catalog, constraint)
     return prefs, planted, kits
+
+
+def assert_same_population(got, expected):
+    (prefs, planted), (ref_prefs, ref_planted) = got, expected
+    assert prefs.user_ids == ref_prefs.user_ids
+    assert prefs.column_labels == ref_prefs.column_labels
+    assert np.array_equal(prefs.data, ref_prefs.data)
+    assert planted.dtype == ref_planted.dtype and np.array_equal(planted, ref_planted)
 
 
 class TestRandomKits:
@@ -40,7 +49,66 @@ class TestRandomKits:
         assert time.perf_counter() - start < 1.0
 
 
+    @pytest.mark.parametrize(
+        "count, min_separation", [(1, 1), (50, 1), (400, 1), (8, 10), (60, 4)]
+    )
+    def test_matches_scan_over_accepted_kits(self, catalog20, constraint, count, min_separation):
+        kits = pk.random_kits(catalog20, constraint, count, seed=3, min_separation=min_separation)
+        assert kits == random_kits_scan(catalog20, constraint, count, 3, min_separation)
+
+    def test_sixteen_thousand_kits_take_linear_time(self, catalog20, constraint):
+        # The scan over accepted kits took about two minutes for this count.
+        start = time.perf_counter()
+        kits = pk.random_kits(catalog20, constraint, 16000, seed=3)
+        assert time.perf_counter() - start < 10.0
+        assert len({kit.items for kit in kits}) == 16000
+
+
+def scalar_draws(rng, bounds):
+    return np.array([rng.integers(bound) for bound in bounds], dtype=np.int64)
+
+
+class TestDrawStream:
+    """``generate_synthetic`` draws its stream in one call over per-draw bounds.
+
+    That this reproduces the documented one-at-a-time draws is a numpy
+    implementation detail, pinned here so that a numpy release that breaks
+    it fails loudly instead of changing every synthetic survey.
+    """
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_kits", [1, 3, 8, 44100])
+    def test_one_call_matches_scalar_draws(self, seed, n_kits):
+        for swaps in range(5):
+            # data/catalog.csv: quota 6 of 10 expensive, 4 of 10 cheap.
+            bounds = np.tile([n_kits] + [6, 4] * swaps + [4, 6] * swaps, 40)
+            one_by_one, at_once = pk.generator(seed), pk.generator(seed)
+            assert np.array_equal(scalar_draws(one_by_one, bounds), at_once.integers(0, bounds))
+            assert one_by_one.bit_generator.state == at_once.bit_generator.state
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("noise", range(5))
+    def test_matches_per_user_loop(self, catalog20, constraint, noise):
+        kits = pk.random_kits(catalog20, constraint, 8, seed=noise)
+        spec = pk.SyntheticSpec(n_users=300, planted_kits=kits, noise_swaps=noise, seed=noise + 20)
+        assert_same_population(
+            pk.generate_synthetic(spec, catalog20, constraint), generate_synthetic_loop(spec, catalog20)
+        )
+
+    def test_matches_per_user_loop_without_alternative_item(self, catalog_factory):
+        # Six expensive items and a quota of 6: every expensive swap draws
+        # the item to drop, finds an empty pool and changes nothing.
+        catalog = catalog_factory(6, 8)
+        constraint = pk.SelectionConstraint(total=10, expensive_quota=6, cheap_quota=4)
+        kits = pk.random_kits(catalog, constraint, 5, seed=1)
+        for noise in range(5):
+            spec = pk.SyntheticSpec(n_users=200, planted_kits=kits, noise_swaps=noise, seed=noise)
+            prefs, planted = pk.generate_synthetic(spec, catalog, constraint)
+            assert_same_population((prefs, planted), generate_synthetic_loop(spec, catalog))
+            expensive = list(catalog.ids_in(pk.Category.EXPENSIVE))
+            assert (prefs.data[:, expensive] == 1).all()
+
     def test_no_noise_rows_equal_planted_kits(self, catalog20, constraint):
         prefs, planted, kits = planted_fixture(catalog20, constraint, noise=0)
         for i in range(prefs.n):
