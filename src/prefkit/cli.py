@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import suppress
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -286,10 +287,13 @@ def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
 def run_command(args: argparse.Namespace) -> int:
     """Load inputs, check flags and data, refuse existing outputs, run every stage, then write.
 
-    Nothing is written before every stage the files need has run, so a
-    command that fails leaves no ``--out``.  Under ``--strict``, rows that
-    violate the quotas exit 1: ``validate`` still writes its report, and a
-    command that does not report them writes nothing.
+    Nothing is written before every stage the files need has run.  Each file
+    is written under a temporary name in ``--out`` and renamed into place
+    only after every writer has succeeded, so a command that fails, in a
+    stage or in a write, leaves no new file, no ``--out`` it created, and
+    any existing outputs untouched.  Under ``--strict``, rows that violate
+    the quotas exit 1: ``validate`` still writes its report, and a command
+    that does not report them writes nothing.
     """
     files = COMMANDS[args.command][2]
     stages = Stages(args)
@@ -307,9 +311,21 @@ def run_command(args: argparse.Namespace) -> int:
     if existing and not args.force:
         raise FileExistsError(f"output exists (use --force to overwrite): {', '.join(existing)}")
     writers = [(out / name, ARTIFACTS[name](stages)) for name in files]
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    for path, write in writers:
-        write(path)
+    partials = [path.with_name(f".{path.name}.partial") for path, _ in writers]
+    try:
+        for (_, write), partial_path in zip(writers, partials):
+            write(partial_path)
+        for (path, _), partial_path in zip(writers, partials):
+            partial_path.replace(path)
+    except BaseException:
+        for partial_path in partials:
+            partial_path.unlink(missing_ok=True)
+        for d in created:
+            with suppress(OSError):
+                d.rmdir()
+        raise
     return code
 
 

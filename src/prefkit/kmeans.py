@@ -12,6 +12,17 @@ reseeding within the same iteration, so k never shrinks.
 All ties break toward the lowest index: assignment prefers the lowest
 centroid, kit extraction the lowest item id, reseeding the lowest row.
 
+Assignment keeps, per row, a lower bound on its distance to every centroid
+other than its own (Hamerly 2010): after each update the bound drops by the
+largest shift among those centroids, the second largest for rows whose own
+centroid moved most.  Every iteration measures each row's own-centroid
+distance exactly, and only a row whose ``sqrt(own) * (1 + eps) < lower *
+(1 - eps)`` fails gets all k distances.  A row that skips has no other
+centroid within its bound, so no tie is possible and its label is what the
+full pass would give; near-ties go through the full pass and its lowest-index
+``argmin``.  The shifts are widened by the same eps, so rounding in the
+decay never leaves a positive bound where the exact one is zero.
+
 Silhouette reads an n x n distance matrix built in row blocks, so its memory
 is O(n^2), not O(n^2 * m); a sweep builds it once for all its cells.
 """
@@ -27,6 +38,7 @@ from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
 from .seeding import derive_seed, generator
 
 _BLOCK_FLOATS = 2**20  # row differences per block (8 MB), never all n x n x m
+_EPS = 1e-9  # relative slack of the assignment bounds
 
 
 @dataclass(frozen=True)
@@ -110,8 +122,11 @@ def compute_centroids(
     damping: float,
 ) -> np.ndarray:
     """One damped update; empty clusters are reseeded from the farthest rows."""
+    return _update(prefs.data.astype(np.float64), idx, centroids_prev, damping)
+
+
+def _update(rows: np.ndarray, idx: np.ndarray, centroids_prev: np.ndarray, damping: float) -> np.ndarray:
     k = centroids_prev.shape[0]
-    rows = prefs.data.astype(np.float64)
     counts = np.bincount(idx, minlength=k)
     filled = counts > 0
     # 0/1 rows sum exactly, so this is bit for bit each cluster's mean row.
@@ -121,13 +136,25 @@ def compute_centroids(
     empties = np.flatnonzero(~filled)
     if empties.size:
         dist_own = np.linalg.norm(rows - centroids[idx], axis=1)
-        donated = np.zeros(prefs.n, dtype=bool)
+        donated = np.zeros(len(rows), dtype=bool)
         for j in empties:
             masked = np.where(donated, -np.inf, dist_own)
             donor = int(np.argmax(masked))
             centroids[j] = rows[donor]
             donated[donor] = True
     return centroids
+
+
+def _assign(rows: np.ndarray, centroids: np.ndarray, idx: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Relabel rows in idx and refresh their bounds in place; return each row's own squared distance."""
+    diff = rows[:, None, :] - centroids[idx][:, None, :]
+    own = np.einsum("ikj,ikj->ik", diff, diff)[:, 0]
+    full = np.flatnonzero(~(np.sqrt(own) * (1 + _EPS) < lower * (1 - _EPS)))
+    d2 = _sq_distances(rows[full], centroids)
+    idx[full] = np.argmin(d2, axis=1)
+    own[full] = d2[np.arange(full.size), idx[full]]
+    lower[full] = np.sqrt(np.partition(d2, 1, axis=1)[:, 1]) if len(centroids) > 1 else np.inf
+    return own
 
 
 def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
@@ -143,21 +170,24 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
         raise ValueError(f"k={config.k} exceeds number of users {prefs.n}")
     rows = prefs.data.astype(np.float64)
     centroids = init_centroids(prefs, config.k, config.seed)
+    idx = np.zeros(prefs.n, dtype=np.intp)
+    lower = np.zeros(prefs.n)  # a zero bound sends every row through the first full pass
     trace: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        d2 = _sq_distances(rows, centroids)
-        idx = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(prefs.n), idx].sum()))
-        new_centroids = compute_centroids(prefs, idx, centroids, config.damping)
-        shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
+        trace.append(float(_assign(rows, centroids, idx, lower).sum()))
+        new_centroids = _update(rows, idx, centroids, config.damping)
+        shifts = np.linalg.norm(new_centroids - centroids, axis=1)
         centroids = new_centroids
-        if shift < config.tol:
+        top = int(np.argmax(shifts))
+        runner_up = np.partition(shifts, -2)[-2] if config.k > 1 else 0.0
+        lower -= np.where(idx == top, runner_up, shifts[top]) * (1 + _EPS)
+        if shifts[top] < config.tol:
             converged = True
             break
-    idx = find_closest_centroids(prefs, centroids)
+    _assign(rows, centroids, idx, lower)
     centroids.flags.writeable = False
     idx.flags.writeable = False
     return KMeansRun(

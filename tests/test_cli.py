@@ -416,6 +416,22 @@ class TestCliContract:
         ]) == 3
         assert not pipe_dir.exists()
 
+    def test_failed_write_leaves_no_partial_out(self, tmp_path, monkeypatch):
+        old = run_synth(tmp_path)
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+
+        def full_disk(user_ids, planted, path):  # the second of synth's three files
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("user_id,planted_kit\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("prefkit.cli.write_ground_truth", full_disk)
+        fresh = tmp_path / "new" / "synth"
+        for out, extra in ((old, ["--force", "--seed", "8"]), (fresh, [])):
+            assert main(["synth", "--catalog", str(CATALOG_PATH), "--out", str(out), *extra]) == 3
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("kmeans-sweep", "--lambda", "1.5"),
         ("kmeans-sweep", "--max-iters", "0"),

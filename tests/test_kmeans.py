@@ -184,6 +184,68 @@ class TestRunKmeans:
             pk.KMeansConfig(k=2, max_iters=0)
 
 
+def assert_matches_loop(prefs, config):
+    """run_kmeans equals the full-pass reference loop bit for bit; returns the run."""
+    run = pk.run_kmeans(prefs, config)
+    idx, centroids, trace = run_kmeans_loop(prefs, config)
+    assert np.array_equal(run.idx, idx)
+    assert np.array_equal(run.centroids, centroids)
+    assert run.wcss_trace == trace
+    assert run.iterations_used == len(trace)
+    return run
+
+
+class TestBoundedAssignment:
+    """The per-row bounds skip distance passes; they must never change a result."""
+
+    @pytest.mark.parametrize("damping", [0.3, 1.0])
+    def test_coincident_rows_with_k_above_distinct_rows(self, damping):
+        rng = np.random.default_rng(23)
+        for distinct, copies, k in [(3, 6, 5), (5, 4, 12), (4, 10, 20), (2, 3, 6)]:
+            base = rng.integers(0, 2, size=(distinct, 10))
+            while len(np.unique(base, axis=0)) < distinct:
+                base = rng.integers(0, 2, size=(distinct, 10))
+            prefs = prefs_from(base[rng.permutation(np.repeat(np.arange(distinct), copies))])
+            for seed in range(4):
+                config = pk.KMeansConfig(k=k, damping=damping, max_iters=30, seed=seed)
+                run = assert_matches_loop(prefs, config)
+                assert len(np.unique(run.idx)) <= distinct < k  # empties reseeded each iteration
+
+    @pytest.mark.parametrize("damping", [0.3, 1.0])
+    def test_edge_sizes_and_single_iteration(self, survey, damping):
+        prefs, _, _ = survey
+        small, _ = two_clouds()
+        cases = [(prefs, 1, 100), (prefs, 2, 1), (prefs, 15, 1), (small, small.n, 100), (small, small.n, 1),
+                 (small, 1, 1)]
+        for seed, (p, k, max_iters) in enumerate(cases):
+            assert_matches_loop(p, pk.KMeansConfig(k=k, damping=damping, max_iters=max_iters, seed=seed))
+
+    def test_default_sweep_cells_on_seven_hundred_users(self, catalog20, constraint):
+        kits = pk.random_kits(catalog20, constraint, 8, pk.derive_seed(0, "synth", "kits"))
+        spec = pk.SyntheticSpec(700, kits, 1, pk.derive_seed(0, "synth", "population"))
+        prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
+        base = pk.derive_seed(0, "kmeans-sweep")
+        for k in range(4, 16):
+            for t in range(3):
+                assert_matches_loop(prefs, pk.KMeansConfig(k=k, seed=pk.derive_seed(base, "sweep", k, t)))
+
+    def test_bounds_skip_most_distance_passes(self, survey, monkeypatch):
+        prefs, _, _ = survey
+        full_rows = []
+        sq_distances = pk.kmeans._sq_distances
+
+        def counted(rows, centroids):
+            full_rows.append(len(rows))
+            return sq_distances(rows, centroids)
+
+        monkeypatch.setattr(pk.kmeans, "_sq_distances", counted)
+        row_iterations = 0
+        for k in (4, 8, 15):
+            run = pk.run_kmeans(prefs, pk.KMeansConfig(k=k, seed=k))
+            row_iterations += prefs.n * (run.iterations_used + 1)  # + the final assignment
+        assert sum(full_rows) < 0.4 * row_iterations
+
+
 class TestKitsFromCentroids:
     def test_indicator_centroid_returns_its_kit(self, catalog20, constraint):
         kit = pk.Kit(kit_id=0, items=frozenset([0, 1, 2, 3, 4, 5, 10, 11, 12, 13]))

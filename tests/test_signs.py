@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import prefkit as pk
 
@@ -60,6 +63,30 @@ class TestUserSignClusters:
             assert clustering.codes.tolist() == [int(p, 2) for p in patterns]
             assert clustering.labels.tolist() == [first[p] for p in patterns]
             assert clustering.n_clusters == len(first)
+
+
+NOISE = 1e-12
+
+
+class TestSignStability:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_noise_below_the_sign_margin_keeps_codes_and_labels(self, data):
+        # The margin is the smallest |coordinate| over the kept directions of
+        # a 0/1 survey; every kept coordinate then moves by at most NOISE.
+        n, m = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 8))
+        survey = data.draw(hnp.arrays(np.int8, (n, m), elements=st.integers(0, 1)))
+        t = pk.truncate(pk.svd(survey), data.draw(st.integers(1, min(n, m))))
+        assume(min(np.abs(t.u).min(), np.abs(t.vt).min()) > NOISE)
+        u, vt = (
+            factor + data.draw(hnp.arrays(np.float64, factor.shape, elements=st.floats(-NOISE, NOISE)))
+            for factor in (t.u, t.vt)
+        )
+        noisy = pk.SvdFactors(u=u, sigma=t.sigma, vt=vt)
+        for build in (pk.user_sign_clusters, pk.item_sign_clusters):
+            clean, moved = build(t), build(noisy)
+            assert clean.codes.tolist() == moved.codes.tolist()
+            assert clean.labels.tolist() == moved.labels.tolist()
 
 
 class TestItemSignClusters:
