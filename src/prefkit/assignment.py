@@ -88,11 +88,17 @@ def cluster_losses(
 
 
 def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
-    """n x K losses of every user against every kit."""
+    """n x K losses of every user against every kit, as |x| + |k| - 2 x.k.
+
+    The overlaps come from one float32 matmul, exact for 0/1 rows while
+    m < 2**24; the row sums are int64, as is the result.
+    """
     if not kits:
         raise ValueError("at least one kit is required")
     indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
-    return (prefs.data[:, None, :] != indicators[None, :, :]).sum(axis=2)
+    overlap = prefs.data.astype(np.float32) @ indicators.T.astype(np.float32)
+    sizes = prefs.data.sum(axis=1, dtype=np.int64)[:, None] + indicators.sum(axis=1, dtype=np.int64)
+    return sizes - 2 * overlap.astype(np.int64)
 
 
 def _report(mismatches: np.ndarray, assignment: Assignment) -> LossReport:

@@ -123,29 +123,32 @@ def _write_kits_json(kits: Iterable[Kit], path: Path) -> None:
         fh.write("\n")
 
 
-def _csv(header: list[str], rows: Iterable[Sequence[object]]) -> Callable[[Path], None]:
-    return partial(write_csv, header=header, rows=rows)
+def _csv(header: list[str], columns: Sequence[Sequence[object] | np.ndarray]) -> Callable[[Path], None]:
+    return partial(write_csv, header=header, columns=columns)
 
 
-def _sweep_cells(table: SweepTable, *columns: np.ndarray):
-    """One row per sweep cell: k, trial (from 1), then the cell of each column."""
-    return (
-        [k, t + 1, *cells]
-        for k, *per_trial in zip(table.k_values, *(column.tolist() for column in columns))
-        for t, cells in enumerate(zip(*per_trial))
-    )
+def _rows(header: list[str], rows: Iterable[Sequence[object]]) -> Callable[[Path], None]:
+    """A small file given row by row."""
+    return _csv(header, list(zip(*rows)))
+
+
+def _sweep_cells(table: SweepTable, *columns: np.ndarray) -> list[np.ndarray]:
+    """One cell per sweep cell, k-major: k, trial (from 1), then each k x trials column."""
+    k, trials = len(table.k_values), table.trials
+    ks, ts = np.repeat(table.k_values, trials), np.tile(np.arange(1, trials + 1), k)
+    return [ks, ts, *(column.ravel() for column in columns)]
 
 
 MEMBERSHIP = ["element_id", "cluster_id", "pattern_bits"]
 
 
 def _membership(element_ids: Iterable[object], clustering: SignClustering):
-    return _csv(MEMBERSHIP, zip(element_ids, clustering.labels.tolist(), clustering.patterns))
+    return _csv(MEMBERSHIP, [element_ids, clustering.labels, clustering.patterns])
 
 
 def _loss_clusters(s: Stages):
     _, before, after = s.reassigned
-    return _csv(["kit_id", "population", "normal_loss", "exponential_loss", "phase"], (
+    return _rows(["kit_id", "population", "normal_loss", "exponential_loss", "phase"], (
         [j, *cells, phase]
         for phase, report in (("before", before), ("after", after))
         for j, cells in enumerate(zip(
@@ -157,10 +160,9 @@ def _loss_clusters(s: Stages):
 
 def _loss_users(s: Stages):
     final, before, after = s.reassigned
-    return _csv(["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], zip(
-        s.prefs.user_ids, s.initial.kit_index.tolist(), final.kit_index.tolist(),
-        before.per_user_loss.tolist(), after.per_user_loss.tolist(),
-    ))
+    return _csv(["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], [
+        s.prefs.user_ids, s.initial.kit_index, final.kit_index, before.per_user_loss, after.per_user_loss,
+    ])
 
 
 # Output file -> what writes it: a function of the stages that runs every
@@ -168,7 +170,7 @@ def _loss_users(s: Stages):
 # Library functions are looked up by name when a stage runs, never bound here,
 # so rebinding a name of this module (as tests and bench/tracer.py do) takes effect.
 ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
-    "violations.csv": lambda s: _csv(
+    "violations.csv": lambda s: _rows(
         ["row", "user_id", "expensive_count", "cheap_count"],
         ([v.row_index, v.user_id, v.expensive_count, v.cheap_count] for v in s.violations),
     ),
@@ -177,7 +179,7 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
     "planted_kits.json": lambda s: partial(_write_kits_json, s.planted_kits),
     "sweep_table.csv": lambda s: _csv(
         ["k", *(f"trial_{t + 1}" for t in range(s.sweep_table.trials))],
-        ([k, *scores] for k, scores in zip(s.sweep_table.k_values, s.sweep_table.scores.tolist())),
+        [s.sweep_table.k_values, *s.sweep_table.scores.T],
     ),
     "sweep_points.csv": lambda s: _csv(
         ["k", "trial", "silhouette"], _sweep_cells(s.sweep_table, s.sweep_table.scores)
@@ -185,17 +187,17 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
     "sweep_runs.csv": lambda s: _csv(["k", "trial", "iterations", "converged", "wcss"], _sweep_cells(
         s.sweep_table, s.sweep_table.iterations, s.sweep_table.converged.astype(int), s.sweep_table.wcss,
     )),
-    "scree.csv": lambda s: _csv(["rank", "sigma"], scree(s.factors)),
-    "user_cluster_counts.csv": lambda s: _csv(
+    "scree.csv": lambda s: _rows(["rank", "sigma"], scree(s.factors)),
+    "user_cluster_counts.csv": lambda s: _rows(
         ["r", "count"], cluster_count_table(s.factors, USERS, 1, s.args.rank)
     ),
-    "item_cluster_counts.csv": lambda s: _csv(
+    "item_cluster_counts.csv": lambda s: _rows(
         ["r", "count"], cluster_count_table(s.factors, ITEMS, 1, s.args.rank)
     ),
     "user_membership.csv": lambda s: _membership(s.prefs.user_ids, s.users),
     "item_membership.csv": lambda s: _membership(range(s.catalog.m), s.items),
-    "kits.csv": lambda s: _csv(
-        ["kit_id", "item_id"], [[kit.kit_id, q] for kit in s.kits for q in kit.sorted_items()]
+    "kits.csv": lambda s: _rows(
+        ["kit_id", "item_id"], ([kit.kit_id, q] for kit in s.kits for q in kit.sorted_items())
     ),
     "kits.json": lambda s: partial(_write_kits_json, s.kits),
     "loss_clusters.csv": _loss_clusters,

@@ -9,6 +9,11 @@ the CSV reader cannot split into rows, raises ``TextFormatError`` naming
 * catalog:      ``item_id,name,category`` with category in {expensive, cheap}
 * preferences:  ``user_id,<one label per item>`` with data cells strictly 0 or 1
 * ground truth: ``user_id,planted_kit``
+
+Writers work a column at a time: ``write_csv`` turns each column into its
+fields once and writes the joined rows in blocks, and ``write_preferences``
+writes the plain form from one byte block of cells.  A field is quoted only
+when it holds a comma, a quote, a CR or an LF.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -176,28 +181,76 @@ def _preferences_from_rows(path: str | Path, rows: list[list[str]], m: int) -> P
     return PreferenceMatrix(tuple(user_ids), data, tuple(header[1:]))
 
 
-def write_csv(path: str | Path, header: Sequence[object], rows: Iterable[Sequence[object]]) -> None:
-    """Write a header and then ``rows``; each cell is written as ``str(cell)``.
+# Rows the writers join and hand to the file at once.
+_BLOCK_ROWS = 4096
+# Characters that make the csv module quote a field when records end in CR LF.
+_SPECIAL = (",", '"', "\r", "\n")
 
-    The CSV writer quotes a field only for the characters of its record
-    terminator, so it writes records ending in CR LF, which quotes every
-    field holding a CR, and each record is cut back to an LF ending as it is
-    written.
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in _SPECIAL) else cell
+
+
+def _fields(column: Sequence[object] | np.ndarray) -> list[str]:
+    """One column's cells as CSV fields.
+
+    An integer array is formatted through a table of its distinct values;
+    any other cell is ``str(cell)``, quoted by the csv module's minimal rule
+    (wrap in quotes, double each quote) only if it holds a comma, a quote, a
+    CR or an LF.  The joined column is searched once, so a column that needs
+    no quoting costs no per-cell test.
     """
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu":
+            values, index = np.unique(column, return_inverse=True)
+            return np.array([str(v) for v in values.tolist()], dtype=object)[index].tolist()
+        column = column.tolist()
+    cells = [str(cell) for cell in column]
+    if any(c in "".join(cells) for c in _SPECIAL):
+        cells = [_quote(cell) for cell in cells]
+    return cells
+
+
+def write_csv(
+    path: str | Path, header: Sequence[object], columns: Sequence[Sequence[object] | np.ndarray]
+) -> None:
+    """Write a header and then one row per cell of the equal-length ``columns``.
+
+    Each column is turned into its fields once (see ``_fields``), then rows
+    are joined with commas, ended by LF and written in blocks of
+    ``_BLOCK_ROWS``.  The bytes are those of ``csv.writer`` with minimal
+    quoting that also quotes a field holding a CR, with one exception: a row
+    whose only field is empty is written as an empty line, not as ``""``.
+    No command writes a one-column file.
+    """
+    rows = map(",".join, zip(*map(_fields, columns), strict=True))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        out = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
-        writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_fields(header)) + "\n")
+        while chunk := list(islice(rows, _BLOCK_ROWS)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
-    rows = ([uid, *row] for uid, row in zip(prefs.user_ids, prefs.data.tolist()))
-    write_csv(path, ["user_id", *prefs.column_labels], rows)
+    """Write the plain form ``_plain_preferences`` reads, as ``write_csv`` would.
+
+    One n x (2m + 1) byte block holds every line's cells as ``,0``/``,1`` and
+    its LF; each line is its quoted, encoded user id and its row of the block.
+    """
+    width = 2 * prefs.m + 1
+    block = np.full((prefs.n, width), ord(","), dtype=np.uint8)
+    block[:, 1::2] = prefs.data + ord("0")
+    block[:, -1] = ord("\n")
+    ids = [uid.encode("utf-8") for uid in _fields(prefs.user_ids)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(_fields(["user_id", *prefs.column_labels])) + "\n").encode("utf-8"))
+        for start in range(0, prefs.n, _BLOCK_ROWS):
+            cells = block[start : start + _BLOCK_ROWS].tobytes()
+            rows = [cells[i : i + width] for i in range(0, len(cells), width)]
+            fh.write(b"".join(map(bytes.__add__, ids[start : start + _BLOCK_ROWS], rows)))
 
 
 def write_ground_truth(user_ids: tuple[str, ...], planted: np.ndarray, path: str | Path) -> None:
-    write_csv(path, ["user_id", "planted_kit"], zip(user_ids, planted.tolist()))
+    write_csv(path, ["user_id", "planted_kit"], [user_ids, planted])
 
 
 def load_ground_truth(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:

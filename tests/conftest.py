@@ -1,8 +1,15 @@
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import prefkit as pk
+
+# HYPOTHESIS_PROFILE=ci makes every property test draw the same examples on
+# each run and print the blob that reproduces a failure.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CATALOG_PATH = REPO_ROOT / "data" / "catalog.csv"

@@ -4,15 +4,18 @@ Everything here deliberately avoids the code paths under test: silhouette is
 recomputed from raw pairwise distances in pure Python, eigenvalues come from
 characteristic-polynomial root finding rather than LAPACK, and the adjusted
 Rand index is the plain contingency-table formula.  The per-user silhouette
-loop, the masked-mean k-means update, the per-user synthetic generator and
-the scanning kit sampler that faster code replaced are kept here too, so the
-replacements are checked against what they replaced.
+loop, the masked-mean k-means update, the per-user synthetic generator, the
+scanning kit sampler, the broadcast mismatch count and the row-at-a-time CSV
+writer that faster code replaced are kept here too, so the replacements are
+checked against what they replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -189,6 +192,28 @@ def random_kits_scan(catalog, constraint, count, seed, min_separation=1):
             continue
         kits.append(Kit(kit_id=len(kits), items=picked))
     return tuple(kits)
+
+
+# ---------------------------------------------------------------------------
+# broadcast mismatch count and row-at-a-time CSV writer (the replaced library code)
+
+
+def mismatches_broadcast(prefs, kits):
+    """n x K Hamming distances from one n x K x m comparison tensor."""
+    indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
+    return (prefs.data[:, None, :] != indicators[None, :, :]).sum(axis=2)
+
+
+def write_csv_rows(path, header, rows):
+    """``csv.writer`` with CR LF records, each cut back to LF as it is written.
+
+    The CR LF terminator makes the writer quote a field holding a CR too.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n"))
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import prefkit as pk
+from oracles import mismatches_broadcast
+from prefkit.assignment import _mismatches
 
 
 def prefs_from(rows):
@@ -133,6 +135,26 @@ class TestReassign:
         final, _, _ = pk.reassign(prefs, self.kits, initial)
         assert initial.provenance == pk.INITIAL
         assert final.provenance == pk.REASSIGNED
+
+
+class TestMismatches:
+    """The matmul count against the n x K x m comparison it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n_kits", [1, 2, 16])
+    def test_matches_broadcast_count_on_rows_off_quota(self, catalog20, constraint, n_kits):
+        data = np.random.default_rng(n_kits).integers(0, 2, size=(500, 20))
+        data[0], data[1] = 0, 1  # no item and every item: both break the 6/4 quota
+        prefs = pk.PreferenceMatrix(tuple(map(str, range(500))), data)
+        kits = pk.random_kits(catalog20, constraint, n_kits, seed=n_kits)
+        got, want = _mismatches(prefs, kits), mismatches_broadcast(prefs, kits)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_matches_broadcast_count_for_kits_of_any_size(self, survey):
+        prefs, _, planted = survey
+        kits = [kit_of(0, []), kit_of(1, [7]), kit_of(2, range(20)), *planted]
+        for chosen in ([kits[0]], [kits[2]], kits):
+            assert np.array_equal(_mismatches(prefs, chosen), mismatches_broadcast(prefs, chosen))
 
 
 class TestLossReport:

@@ -1,8 +1,10 @@
-"""Property tests of the preference loader and its two readers.
+"""Property tests of the CSV writers and of the preference loader's two readers.
 
-``load_preferences`` reads plain-form files as one byte block and every other
-file row by row.  Whatever the bytes, it must give what the per-row reader
-gives: the same matrix, or the same ``PrefkitError`` type and message.
+The column writers must give the bytes of the row-at-a-time ``csv.writer``
+they replaced.  ``load_preferences`` reads plain-form files as one byte block
+and every other file row by row.  Whatever the bytes, it must give what the
+per-row reader gives: the same matrix, or the same ``PrefkitError`` type and
+message.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prefkit as pk
+from oracles import write_csv_rows
 from prefkit import io as pio
 
 CATALOG = pk.ItemCatalog(
@@ -54,6 +57,53 @@ def test_write_then_load_returns_the_same_matrix(path, data, ids, labels):
     assert loaded.user_ids == prefs.user_ids
     assert loaded.column_labels == prefs.column_labels
     assert np.array_equal(loaded.data, prefs.data)
+
+
+# Cells with every character the csv module quotes for, plus some it does not.
+cell_text = st.text(alphabet='ab,"\r\n\u00e9\t ', max_size=5)
+cell_ints = st.integers(-(10**6), 10**6)
+cell_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): 2-4 equal-length columns of text, ints or floats, as lists or arrays."""
+    n = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(["text", "int", "int64", "float", "float64"]), min_size=2, max_size=4))
+    columns = []
+    for kind in kinds:
+        cell = {"text": cell_text, "int": cell_ints, "int64": cell_ints}.get(kind, cell_floats)
+        cells = draw(st.lists(cell, min_size=n, max_size=n))
+        columns.append(np.array(cells, dtype=kind) if kind in ("int64", "float64") else cells)
+    return draw(st.lists(cell_text, min_size=len(columns), max_size=len(columns))), columns
+
+
+def written(write, path, *args):
+    write(path, *args)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@example(table=(["a", ""], [["", 'x"y'], np.array([-0.0, float("nan")])]))
+@example(table=(["a\rb", "c"], [[], np.array([], dtype=np.int64)]))
+@given(table=tables())
+def test_column_writer_gives_the_row_writers_bytes(path, table):
+    header, columns = table
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    assert written(pio.write_csv, path, header, columns) == written(write_csv_rows, path, header, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@example(data=[[0, 1, 0, 1, 0]], ids=['a"b', "c,d"], labels=["", "\r", "x\r\ny", "", ""])
+@given(data=st.lists(st.lists(st.integers(0, 1), min_size=M, max_size=M), max_size=8),
+       ids=st.lists(cell_text, min_size=8, max_size=8, unique=True),
+       labels=st.lists(cell_text, min_size=M, max_size=M))
+def test_write_preferences_gives_the_row_writers_bytes(path, data, ids, labels):
+    matrix = np.array(data, dtype=np.int8).reshape(-1, M)
+    prefs = pk.PreferenceMatrix(tuple(ids[: len(data)]), matrix, tuple(labels))
+    rows = ([uid, *row] for uid, row in zip(prefs.user_ids, prefs.data.tolist()))
+    expected = written(write_csv_rows, path, ["user_id", *prefs.column_labels], rows)
+    assert written(lambda p: pk.write_preferences(prefs, p), path) == expected
 
 
 @st.composite
