@@ -43,11 +43,8 @@ from .io import (
     write_preferences,
 )
 from .kits import (
-    FrequencyProfile,
     Kit,
     design_all,
-    design_kit,
-    frequency_profile,
     top_items,
     validate_kit,
 )
@@ -56,10 +53,7 @@ from .kmeans import (
     KMeansRun,
     SilhouetteReport,
     SweepTable,
-    compute_centroids,
-    find_closest_centroids,
     init_centroids,
-    kits_from_centroids,
     run_kmeans,
     silhouette,
     silhouette_from_labels,

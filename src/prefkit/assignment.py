@@ -73,6 +73,7 @@ def cluster_losses(
 ) -> ClusterLosses:
     """Normal and exponential average loss per kit; empty kits report 0."""
     losses = np.asarray(per_user_loss, dtype=np.float64)
+    _check_assignment(assignment, len(losses), k)
     normal = np.zeros(k)
     exponential = np.zeros(k)
     populations = np.zeros(k, dtype=np.int64)
@@ -85,6 +86,13 @@ def cluster_losses(
     for arr in (normal, exponential, populations):
         arr.flags.writeable = False
     return ClusterLosses(normal, exponential, populations)
+
+
+def _check_assignment(assignment: Assignment, n: int, k: int) -> None:
+    if assignment.kit_index.shape != (n,):
+        raise ValueError(f"assignment has {assignment.kit_index.size} kit indices for {n} users")
+    if n and int(assignment.kit_index.max()) >= k:
+        raise ValueError(f"assignment refers to kit {int(assignment.kit_index.max())}, but there are {k} kits")
 
 
 def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
@@ -103,8 +111,7 @@ def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
 
 def _report(mismatches: np.ndarray, assignment: Assignment) -> LossReport:
     n, k = mismatches.shape
-    if int(assignment.kit_index.max()) >= k:
-        raise ValueError("assignment refers to a kit index out of range")
+    _check_assignment(assignment, n, k)
     per_user = mismatches[np.arange(n), assignment.kit_index].astype(np.int64)
     normal, exponential, populations = cluster_losses(per_user, assignment, k)
     per_user.flags.writeable = False

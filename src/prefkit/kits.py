@@ -9,7 +9,6 @@ item id so kit design is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +27,11 @@ class Kit:
 
     def indicator(self, m: int) -> np.ndarray:
         """Length-m 0/1 vector marking the kit's items."""
+        items = self.sorted_items()
+        if items and not 0 <= items[0] <= items[-1] < m:
+            raise ValueError(f"kit {self.kit_id}: item ids must lie in 0..{m - 1}, got {items[0]}..{items[-1]}")
         vec = np.zeros(m, dtype=np.int8)
-        vec[self.sorted_items()] = 1
+        vec[items] = 1
         return vec
 
 
@@ -40,43 +42,18 @@ def validate_kit(
     constrained: bool = True,
 ) -> None:
     """Raise unless the kit has the right size (and, if asked, quota split)."""
-    if not all(0 <= q < catalog.m for q in kit.items):
-        raise ValueError(f"kit {kit.kit_id}: item ids must lie in 0..{catalog.m - 1}")
+    indicator = kit.indicator(catalog.m)  # rejects item ids outside the catalog
     if len(kit.items) != constraint.total:
         raise ValueError(
             f"kit {kit.kit_id}: has {len(kit.items)} items, expected {constraint.total}"
         )
     if constrained:
-        expensive = set(catalog.ids_in(Category.EXPENSIVE))
-        n_exp = sum(1 for q in kit.items if q in expensive)
+        n_exp = int(indicator[list(catalog.ids_in(Category.EXPENSIVE))].sum())
         if n_exp != constraint.expensive_quota:
             raise ValueError(
                 f"kit {kit.kit_id}: {n_exp} expensive items, "
                 f"expected {constraint.expensive_quota}"
             )
-
-
-@dataclass(frozen=True)
-class FrequencyProfile:
-    """Per-item selection counts within one cluster."""
-
-    cluster_id: int
-    counts: np.ndarray
-    cluster_size: int
-
-
-def frequency_profile(
-    prefs: PreferenceMatrix,
-    member_indices: Sequence[int],
-    cluster_id: int = 0,
-) -> FrequencyProfile:
-    """Count how often each item was selected by the given cluster members."""
-    members = np.asarray(member_indices, dtype=np.intp)
-    if not members.size:
-        raise ValueError("cluster has no members")
-    counts = prefs.data[members].sum(axis=0, dtype=np.int64)
-    counts.flags.writeable = False
-    return FrequencyProfile(cluster_id=cluster_id, counts=counts, cluster_size=members.size)
 
 
 def top_items(values: np.ndarray, count: int) -> list[int]:
@@ -100,24 +77,8 @@ def select_items(
         (Category.CHEAP, constraint.cheap_quota),
     ):
         ids = np.array(catalog.ids_in(category))
-        order = np.argsort(-np.asarray(values, dtype=np.float64)[ids], kind="stable")
-        chosen.extend(int(q) for q in ids[order[:quota]])
+        chosen.extend(int(ids[q]) for q in top_items(np.asarray(values)[ids], quota))
     return sorted(chosen)
-
-
-def design_kit(
-    profile: FrequencyProfile,
-    catalog: ItemCatalog,
-    constraint: SelectionConstraint,
-    constrained: bool = False,
-) -> Kit:
-    """Build one kit from a frequency profile by top-count ranking."""
-    if catalog.m < constraint.total:
-        raise ValueError("catalog smaller than kit size")
-    if constrained:
-        constraint.check_catalog(catalog)
-    items = select_items(profile.counts, catalog, constraint, constrained)
-    return Kit(kit_id=profile.cluster_id, items=frozenset(items))
 
 
 def design_all(
@@ -135,9 +96,14 @@ def design_all(
     labels = np.asarray(labels)
     if labels.shape != (prefs.n,) or not labels.size or labels.dtype.kind not in "iu" or labels.min() < 0:
         raise ValueError(f"labels must be {prefs.n} non-negative integer cluster ids")
+    if catalog.m < constraint.total:
+        raise ValueError("catalog smaller than kit size")
+    if constrained:
+        constraint.check_catalog(catalog)
     order = np.argsort(labels, kind="stable")
-    clusters = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    starts = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1]
+    counts = np.add.reduceat(prefs.data[order], starts, axis=0, dtype=np.int64)
     return [
-        design_kit(frequency_profile(prefs, members, cluster_id=j), catalog, constraint, constrained)
-        for j, members in enumerate(clusters)
+        Kit(kit_id=j, items=frozenset(select_items(row, catalog, constraint, constrained)))
+        for j, row in enumerate(counts)
     ]

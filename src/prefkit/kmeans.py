@@ -10,7 +10,7 @@ assignment pass are reseeded to the row currently farthest from its own
 reseeding within the same iteration, so k never shrinks.
 
 All ties break toward the lowest index: assignment prefers the lowest
-centroid, kit extraction the lowest item id, reseeding the lowest row.
+centroid, reseeding the lowest row.
 
 Assignment keeps, per row, a lower bound on its distance to every centroid
 other than its own (Hamerly 2010): after each update the bound drops by the
@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kits import Kit, select_items
-from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import PreferenceMatrix
 from .seeding import derive_seed, generator
 
 _BLOCK_FLOATS = 2**20  # row differences per block (8 MB), never all n x n x m
@@ -97,32 +96,11 @@ def init_centroids(prefs: PreferenceMatrix, k: int, seed: int) -> np.ndarray:
     return prefs.data[order[:k]].astype(np.float64)
 
 
-def find_closest_centroids(prefs: PreferenceMatrix, centroids: np.ndarray) -> np.ndarray:
-    """Assign each user to its nearest centroid under Euclidean distance."""
-    centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 2 or centroids.shape[0] < 1:
-        raise ValueError("at least one centroid is required")
-    if centroids.shape[1] != prefs.m:
-        raise ValueError("centroid width must match item count")
-    d2 = _sq_distances(prefs.data.astype(np.float64), centroids)
-    return np.argmin(d2, axis=1)
-
-
 def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # Full differences (not the expanded dot-product form) so exact
     # equidistant cases tie exactly and break toward the lowest index.
     diff = rows[:, None, :] - centroids[None, :, :]
     return np.einsum("ikj,ikj->ik", diff, diff)
-
-
-def compute_centroids(
-    prefs: PreferenceMatrix,
-    idx: np.ndarray,
-    centroids_prev: np.ndarray,
-    damping: float,
-) -> np.ndarray:
-    """One damped update; empty clusters are reseeded from the farthest rows."""
-    return _update(prefs.data.astype(np.float64), idx, centroids_prev, damping)
 
 
 def _update(rows: np.ndarray, idx: np.ndarray, centroids_prev: np.ndarray, damping: float) -> np.ndarray:
@@ -200,19 +178,6 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     )
 
 
-def kits_from_centroids(
-    run: KMeansRun,
-    catalog: ItemCatalog,
-    constraint: SelectionConstraint,
-    constrained: bool = False,
-) -> list[Kit]:
-    """Extract one kit per centroid from its largest coordinates."""
-    return [
-        Kit(kit_id=j, items=frozenset(select_items(run.centroids[j], catalog, constraint, constrained)))
-        for j in range(run.k)
-    ]
-
-
 def _pairwise_distances(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     dist = np.empty((len(data), len(data)))
@@ -248,6 +213,11 @@ def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> Silh
     cluster and b the smallest mean distance to another non-empty cluster.
     Singletons score 0, as does the 0/0 case of coincident points.
     """
+    labels, n = np.asarray(labels), len(data)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {n} integer cluster ids, got {labels.dtype} of shape {labels.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < k:
+        raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
     return _silhouette(_pairwise_distances(data), labels, k)
 
 

@@ -5,9 +5,9 @@ recomputed from raw pairwise distances in pure Python, eigenvalues come from
 characteristic-polynomial root finding rather than LAPACK, and the adjusted
 Rand index is the plain contingency-table formula.  The per-user silhouette
 loop, the masked-mean k-means update, the per-user synthetic generator, the
-scanning kit sampler, the broadcast mismatch count and the row-at-a-time CSV
-writer that faster code replaced are kept here too, so the replacements are
-checked against what they replaced.
+scanning kit sampler, the broadcast mismatch count, the row-at-a-time CSV
+writer and the cluster-by-cluster kit design that faster code replaced are
+kept here too, so the replacements are checked against what they replaced.
 """
 
 from __future__ import annotations
@@ -214,6 +214,35 @@ def write_csv_rows(path, header, rows):
         writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# ---------------------------------------------------------------------------
+# cluster-by-cluster kit design (the replaced library code)
+
+
+def _top_items_argsort(values, ids, count):
+    order = np.argsort(-np.asarray(values, dtype=np.float64)[ids], kind="stable")
+    return [int(q) for q in ids[order[:count]]]
+
+
+def design_all_loop(prefs, labels, catalog, constraint, constrained=False):
+    """One kit per cluster id in use, each counted from its own member rows.
+
+    The counts of each cluster come from one row gather and sum, and the
+    ranking is a stable argsort per category (or over all items when flat).
+    """
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    kits = []
+    for j, members in enumerate(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)):
+        counts = prefs.data[members].sum(axis=0, dtype=np.int64)
+        if constrained:
+            items = _top_items_argsort(counts, np.array(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota)
+            items += _top_items_argsort(counts, np.array(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota)
+        else:
+            items = _top_items_argsort(counts, np.arange(prefs.m), constraint.total)
+        kits.append(Kit(kit_id=j, items=frozenset(items)))
+    return kits
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def reassignment_corpus(catalog20, constraint, survey):
                             seed=pk.derive_seed(BASE_SEED, "corpus", 3))
     noisy_prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
     run = pk.run_kmeans(noisy_prefs, pk.KMeansConfig(k=5, damping=1.0, seed=pk.derive_seed(BASE_SEED, "corpus", 4)))
-    km_kits = pk.kits_from_centroids(run, catalog20, constraint)
-    initial = pk.Assignment(run.idx, pk.INITIAL)
+    km_kits = pk.design_all(noisy_prefs, run.idx, catalog20, constraint)
+    initial = pk.assignment_from_clusters(run.idx)
     corpus.append((noisy_prefs, km_kits) + pk.reassign(noisy_prefs, km_kits, initial) + (initial,))
 
     return corpus

@@ -170,6 +170,29 @@ class TestLossReport:
         prefs = prefs_from([[1, 0, 1]])
         with pytest.raises(ValueError):
             pk.loss_report(prefs, [kit_of(0, [0, 2])], pk.Assignment(np.array([1]), pk.INITIAL))
+        with pytest.raises(ValueError, match="assignment refers to kit 5, but there are 1 kits"):
+            pk.cluster_losses(np.array([1.0, 3.0]), pk.Assignment(np.array([0, 5]), pk.INITIAL), 1)
+
+
+    def test_assignment_of_wrong_length_rejected_by_name(self):
+        prefs = prefs_from([[1, 0, 1], [0, 1, 1]])
+        kits = [kit_of(0, [0, 2])]
+        short = pk.Assignment(np.array([0]), pk.INITIAL)
+        for call in (
+            lambda: pk.reassign(prefs, kits, short),
+            lambda: pk.loss_report(prefs, kits, short),
+            lambda: pk.cluster_losses(np.zeros(2), short, 1),
+        ):
+            with pytest.raises(ValueError, match="assignment has 1 kit indices for 2 users"):
+                call()
+
+    @pytest.mark.parametrize("items", [[0, 5], [-1, 2]])
+    def test_kit_item_outside_catalog_rejected_by_name(self, items):
+        prefs = prefs_from([[1, 0, 1]])
+        assignment = pk.Assignment(np.array([0]), pk.INITIAL)
+        for call in (pk.reassign, pk.loss_report):
+            with pytest.raises(ValueError, match=r"kit 0: item ids must lie in 0\.\.2"):
+                call(prefs, [kit_of(0, items)], assignment)
 
 
 class TestAssignmentFromClusters:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import prefkit as pk
+from oracles import design_all_loop
+from prefkit.kits import select_items
 
 
 def prefs_from(rows):
@@ -17,14 +19,21 @@ def toy_selection(m, items):
     return row
 
 
-class TestFrequencyProfile:
-    def test_single_user_counts_equal_row(self):
-        prefs = prefs_from([toy_selection(6, [0, 3, 5])])
-        profile = pk.frequency_profile(prefs, [0])
-        assert profile.counts.tolist() == [1, 0, 0, 1, 0, 1]
-        assert profile.cluster_size == 1
+def one_kit(prefs, catalog, constraint, constrained=False):
+    """The kit ``design_all`` designs for a single cluster holding every user."""
+    (kit,) = pk.design_all(prefs, np.zeros(prefs.n, dtype=np.int64), catalog, constraint, constrained)
+    return kit.items
 
-    def test_hand_counted_toy_cluster(self):
+
+class TestFrequencyProfile:
+    """A cluster's item counts, seen through the kit ``design_all`` ranks from them."""
+
+    def test_single_user_counts_equal_row(self, catalog_factory):
+        prefs = prefs_from([toy_selection(6, [0, 3, 5])])
+        c = pk.SelectionConstraint(total=3, expensive_quota=2, cheap_quota=1)
+        assert one_kit(prefs, catalog_factory(3, 3), c) == frozenset({0, 3, 5})
+
+    def test_hand_counted_toy_cluster(self, catalog_factory):
         prefs = prefs_from(
             [
                 toy_selection(6, [0, 1]),
@@ -32,67 +41,57 @@ class TestFrequencyProfile:
                 toy_selection(6, [0, 5]),
             ]
         )
-        profile = pk.frequency_profile(prefs, [0, 1, 2])
-        assert profile.counts.tolist() == [3, 1, 1, 0, 0, 1]
+        # Counts [3, 1, 1, 0, 0, 1]: item 0 leads, then the ones, lowest ids first.
+        catalog = catalog_factory(3, 3)
+        for total, want in [(1, {0}), (3, {0, 1, 2}), (4, {0, 1, 2, 5})]:
+            c = pk.SelectionConstraint(total=total, expensive_quota=total - 1, cheap_quota=1)
+            assert one_kit(prefs, catalog, c) == frozenset(want)
 
-    def test_full_column_counts_population(self):
-        rows = [toy_selection(4, [1]) for _ in range(7)]
-        prefs = prefs_from(rows)
-        profile = pk.frequency_profile(prefs, range(7))
-        assert profile.counts.tolist() == [0, 7, 0, 0]
-
-    def test_empty_cluster_rejected(self):
-        prefs = prefs_from([toy_selection(4, [1])])
-        with pytest.raises(ValueError):
-            pk.frequency_profile(prefs, [])
+    def test_full_column_counts_population(self, catalog_factory):
+        # Seven users outvote six on item 3, though item 1's column is the lower id.
+        prefs = prefs_from([toy_selection(4, [3])] * 7 + [toy_selection(4, [1])] * 6)
+        c = pk.SelectionConstraint(total=1, expensive_quota=1, cheap_quota=0)
+        assert one_kit(prefs, catalog_factory(2, 2), c) == frozenset({3})
 
 
 class TestDesignKit:
-    def make_profile(self, counts):
-        return pk.FrequencyProfile(cluster_id=0, counts=np.array(counts), cluster_size=max(counts))
-
     def test_ranks_by_count_with_low_id_ties(self, catalog_factory):
         catalog = catalog_factory(3, 3)
         c = pk.SelectionConstraint(total=3, expensive_quota=2, cheap_quota=1)
-        kit = pk.design_kit(self.make_profile([3, 2, 2, 1, 0, 1]), catalog, c)
-        assert kit.items == frozenset({0, 1, 2})
+        assert select_items(np.array([3, 2, 2, 1, 0, 1]), catalog, c) == [0, 1, 2]
 
     def test_all_equal_counts_take_lowest_ids(self, catalog20, constraint):
-        kit = pk.design_kit(self.make_profile([5] * 20), catalog20, constraint)
-        assert kit.items == frozenset(range(10))
+        assert select_items(np.full(20, 5), catalog20, constraint) == list(range(10))
 
     def test_unanimous_cluster_reproduces_its_selection(self, catalog20, constraint):
         selection = [0, 2, 4, 6, 8, 9, 11, 13, 15, 17]
         prefs = prefs_from([toy_selection(20, selection)] * 5)
-        profile = pk.frequency_profile(prefs, range(5))
         for constrained in (False, True):
-            kit = pk.design_kit(profile, catalog20, constraint, constrained)
-            assert kit.items == frozenset(selection)
+            assert one_kit(prefs, catalog20, constraint, constrained) == frozenset(selection)
 
     def test_constrained_mode_fills_quotas(self, catalog20, constraint):
         # Cheap items dominate the raw counts; flat ranking would take all ten.
-        counts = [1] * 10 + [9] * 10
-        flat = pk.design_kit(self.make_profile(counts), catalog20, constraint)
-        quota = pk.design_kit(self.make_profile(counts), catalog20, constraint, constrained=True)
-        assert flat.items == frozenset(range(10, 20))
-        assert quota.items == frozenset([0, 1, 2, 3, 4, 5, 10, 11, 12, 13])
-        pk.validate_kit(quota, catalog20, constraint, constrained=True)
+        counts = np.array([1] * 10 + [9] * 10)
+        flat = select_items(counts, catalog20, constraint)
+        quota = select_items(counts, catalog20, constraint, constrained=True)
+        assert flat == list(range(10, 20))
+        assert quota == [0, 1, 2, 3, 4, 5, 10, 11, 12, 13]
+        pk.validate_kit(pk.Kit(0, frozenset(quota)), catalog20, constraint, constrained=True)
 
     def test_catalog_smaller_than_kit_rejected(self, catalog_factory):
-        catalog = catalog_factory(1, 1)
-        with pytest.raises(ValueError):
-            pk.design_kit(self.make_profile([1, 1]), catalog, pk.SelectionConstraint())
+        prefs = prefs_from([[1, 1]])
+        with pytest.raises(ValueError, match="catalog smaller than kit size"):
+            pk.design_all(prefs, np.array([0]), catalog_factory(1, 1), pk.SelectionConstraint())
 
     def test_raising_a_kit_items_count_never_evicts_it(self, catalog20, constraint):
         rng = np.random.default_rng(53)
         for _ in range(50):
             counts = rng.integers(0, 12, size=20)
-            kit = pk.design_kit(self.make_profile(counts.tolist()), catalog20, constraint)
-            q = int(rng.choice(sorted(kit.items)))
+            items = select_items(counts, catalog20, constraint)
+            q = int(rng.choice(items))
             bumped = counts.copy()
             bumped[q] += 1
-            kit2 = pk.design_kit(self.make_profile(bumped.tolist()), catalog20, constraint)
-            assert q in kit2.items
+            assert q in select_items(bumped, catalog20, constraint)
 
 
 class TestDesignAll:
@@ -132,6 +131,20 @@ class TestDesignAll:
         for labels in (np.array([], dtype=np.int64), np.zeros(prefs.n - 1, dtype=np.int64)):
             with pytest.raises(ValueError):
                 pk.design_all(prefs, labels, catalog20, constraint)
+
+    def test_matches_cluster_by_cluster_loop(self, survey, catalog20, constraint):
+        prefs, _, _ = survey
+        rng = np.random.default_rng(67)
+        for trial in range(60):
+            n = int(rng.integers(1, prefs.n + 1))
+            rows = prefs.data[:n] if trial % 2 else rng.integers(0, 2, size=(n, 20))  # survey or random rows
+            sub = prefs_from(rows)
+            ids = rng.choice(10**6, size=int(rng.integers(1, 12)), replace=False)  # sparse cluster ids
+            labels = ids[rng.integers(0, len(ids), size=n)].astype(np.uint32 if trial % 3 == 0 else np.int64)
+            labels[-1] = ids.max() + 1  # a one-member cluster
+            for constrained in (False, True):
+                got = pk.design_all(sub, labels, catalog20, constraint, constrained)
+                assert got == design_all_loop(sub, labels, catalog20, constraint, constrained)
 
     def test_negative_label_rejected(self, catalog20, constraint):
         prefs = prefs_from([toy_selection(20, range(6))] * 3)

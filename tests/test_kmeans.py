@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import compute_centroids_loop, run_kmeans_loop, silhouette_bruteforce, silhouette_loop
+from oracles import compute_centroids_loop, design_all_loop, run_kmeans_loop, silhouette_bruteforce, silhouette_loop
 
 
 def prefs_from(rows):
@@ -53,51 +53,52 @@ class TestInitCentroids:
             pk.init_centroids(prefs, 3, seed=0)
 
 
+def closest(prefs, centroids):
+    """Nearest centroid per row from ``_assign``'s full pass, which a zero bound forces."""
+    idx = np.zeros(prefs.n, dtype=np.intp)
+    pk.kmeans._assign(prefs.data.astype(float), np.asarray(centroids, dtype=float), idx, np.zeros(prefs.n))
+    return idx
+
+
 class TestFindClosestCentroids:
+    """Nearest-centroid assignment, as ``run_kmeans`` does it in ``_assign``."""
+
     def test_exact_match_wins(self):
         prefs = prefs_from([[1, 1, 0]])
         centroids = np.array([[0.0, 0.0, 0.0], [9.0, 9.0, 9.0], [0.5, 0.5, 0.5], [1.0, 1.0, 0.0]])
-        assert pk.find_closest_centroids(prefs, centroids).tolist() == [3]
+        assert closest(prefs, centroids).tolist() == [3]
 
     def test_equidistant_breaks_to_lowest_index(self):
         prefs = prefs_from([[0, 0]])
         centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert pk.find_closest_centroids(prefs, centroids).tolist() == [0]
+        assert closest(prefs, centroids).tolist() == [0]
 
     def test_one_hot_users_match_hand_distance_table(self):
         # Users e0..e3; centroids at e0 and e1.  Squared distances:
         # e0 -> (0, 2); e1 -> (2, 0); e2 -> (2, 2) tie; e3 -> (2, 2) tie.
         prefs = prefs_from(np.eye(4, dtype=int).tolist())
         centroids = np.eye(4)[:2]
-        assert pk.find_closest_centroids(prefs, centroids).tolist() == [0, 1, 0, 0]
-
-    def test_empty_centroids_rejected(self):
-        prefs = prefs_from([[1, 0]])
-        with pytest.raises(ValueError):
-            pk.find_closest_centroids(prefs, np.zeros((0, 2)))
-
-    def test_width_mismatch_rejected(self):
-        prefs = prefs_from([[1, 0]])
-        with pytest.raises(ValueError):
-            pk.find_closest_centroids(prefs, np.zeros((1, 3)))
+        assert closest(prefs, centroids).tolist() == [0, 1, 0, 0]
 
 
 class TestComputeCentroids:
+    """The damped centroid update ``run_kmeans`` applies each iteration."""
+
     def test_undamped_update_is_plain_mean(self):
         prefs = prefs_from([[0, 0], [1, 1]])
         # Both rows in cluster 0 with damping 1: centroid becomes the mean.
-        out = pk.compute_centroids(prefs, np.array([0, 0]), np.array([[5.0, 5.0]]), 1.0)
+        out = pk.kmeans._update(prefs.data.astype(float), np.array([0, 0]), np.array([[5.0, 5.0]]), 1.0)
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_damped_update_blends_with_previous(self):
         prefs = prefs_from([[1, 1]])
-        out = pk.compute_centroids(prefs, np.array([0]), np.array([[0.0, 0.0]]), 0.3)
+        out = pk.kmeans._update(prefs.data.astype(float), np.array([0]), np.array([[0.0, 0.0]]), 0.3)
         np.testing.assert_allclose(out, [[0.3, 0.3]])
 
     def test_empty_cluster_reseeded_to_farthest_row(self):
         prefs = prefs_from([[0, 0], [0, 1], [1, 1]])
         idx = np.array([0, 0, 0])
-        out = pk.compute_centroids(prefs, idx, np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
+        out = pk.kmeans._update(prefs.data.astype(float), idx, np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
         # Cluster 0 moves to the mean; row (1,1) is farthest from it.
         np.testing.assert_allclose(out[0], [1 / 3, 2 / 3])
         np.testing.assert_allclose(out[1], [1.0, 1.0])
@@ -106,7 +107,7 @@ class TestComputeCentroids:
         prefs = prefs_from([[0, 0], [0, 1], [1, 1]])
         idx = np.array([0, 0, 0])
         prev = np.array([[0.0, 0.0], [9.0, 9.0], [8.0, 8.0]])
-        out = pk.compute_centroids(prefs, idx, prev, 1.0)
+        out = pk.kmeans._update(prefs.data.astype(float), idx, prev, 1.0)
         donors = {tuple(out[1]), tuple(out[2])}
         assert len(donors) == 2
         assert donors <= {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
@@ -121,7 +122,7 @@ class TestComputeCentroids:
             idx = rng.integers(0, max(1, k // 3) if trial % 2 else k, size=n)
             prev = rng.random((k, 10))
             damping = float(rng.uniform(0.05, 1.0))
-            out = pk.compute_centroids(prefs, idx, prev, damping)
+            out = pk.kmeans._update(prefs.data.astype(float), idx, prev, damping)
             assert np.array_equal(out, compute_centroids_loop(prefs, idx, prev, damping))
             most_empties = max(most_empties, k - len(np.unique(idx)))
         assert most_empties >= 5
@@ -246,36 +247,6 @@ class TestBoundedAssignment:
         assert sum(full_rows) < 0.4 * row_iterations
 
 
-class TestKitsFromCentroids:
-    def test_indicator_centroid_returns_its_kit(self, catalog20, constraint):
-        kit = pk.Kit(kit_id=0, items=frozenset([0, 1, 2, 3, 4, 5, 10, 11, 12, 13]))
-        run = _run_with_centroids(kit.indicator(20)[None, :].astype(float))
-        kits = pk.kits_from_centroids(run, catalog20, constraint)
-        assert kits[0].items == kit.items
-
-    def test_top_coordinates_win(self, catalog_factory):
-        catalog = catalog_factory(2, 2)
-        c = pk.SelectionConstraint(total=2, expensive_quota=1, cheap_quota=1)
-        run = _run_with_centroids(np.array([[0.9, 0.9, 0.1, 0.1]]))
-        kits = pk.kits_from_centroids(run, catalog, c)
-        assert kits[0].items == frozenset({0, 1})
-
-    def test_all_equal_coordinates_take_lowest_ids(self, catalog20, constraint):
-        run = _run_with_centroids(np.full((1, 20), 0.5))
-        kits = pk.kits_from_centroids(run, catalog20, constraint)
-        assert kits[0].items == frozenset(range(10))
-
-    def test_constrained_mode_respects_quotas(self, catalog20, constraint):
-        coords = np.zeros((1, 20))
-        coords[0, :10] = np.linspace(1.0, 0.1, 10)   # expensive block
-        coords[0, 10:] = np.linspace(0.09, 0.01, 10)  # cheap block, all smaller
-        run = _run_with_centroids(coords)
-        flat = pk.kits_from_centroids(run, catalog20, constraint)[0]
-        quota = pk.kits_from_centroids(run, catalog20, constraint, constrained=True)[0]
-        assert flat.items == frozenset(range(10))
-        assert quota.items == frozenset([0, 1, 2, 3, 4, 5, 10, 11, 12, 13])
-
-
 class TestKmeansPartition:
     def test_kits_and_assignment_follow_the_label_array(self, survey, catalog20, constraint):
         # Planted kit g goes to centroid 2g, so every odd centroid is left empty.
@@ -291,24 +262,11 @@ class TestKmeansPartition:
         used = np.unique(run.idx).tolist()
         designed = pk.design_all(prefs, run.idx, catalog20, constraint)
         assert len(designed) == len(used) < run.k
+        assert designed == design_all_loop(prefs, run.idx, catalog20, constraint)
         assignment = pk.assignment_from_clusters(run.idx)
-        for i, kit in enumerate(designed):
+        for i in range(len(designed)):
             members = np.flatnonzero(assignment.kit_index == i)
             assert np.unique(run.idx[members]).tolist() == [used[i]]
-            profile = pk.frequency_profile(prefs, members, cluster_id=i)
-            assert kit == pk.design_kit(profile, catalog20, constraint)
-
-
-def _run_with_centroids(centroids):
-    n, m = centroids.shape[0], centroids.shape[1]
-    return pk.KMeansRun(
-        centroids=np.asarray(centroids, dtype=float),
-        idx=np.zeros(n, dtype=np.int64),
-        iterations_used=1,
-        converged=True,
-        wcss_trace=(0.0,),
-        config=pk.KMeansConfig(k=n),
-    )
 
 
 class TestSilhouette:
@@ -396,6 +354,24 @@ class TestSilhouette:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * n * 8
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0, 1, 2, 1], r"labels must lie in 0\.\.1, got 0\.\.2"),
+            ([0, 1, -1, 1], r"labels must lie in 0\.\.1, got -1\.\.1"),
+            ([0, 1, 1], r"labels must be 4 integer cluster ids, got int64 of shape \(3,\)"),
+            ([0.0, 1.0, 0.0, 1.0], r"labels must be 4 integer cluster ids, got float64 of shape \(4,\)"),
+        ],
+        ids=["label_equal_to_k", "negative_label", "short_array", "float_labels"],
+    )
+    def test_bad_labels_rejected_by_name(self, labels, message):
+        prefs = prefs_from([[0, 0], [0, 1], [1, 0], [1, 1]])
+        run = pk.KMeansRun(np.zeros((2, 2)), np.array(labels), 1, True, (0.0,), pk.KMeansConfig(k=2))
+        with pytest.raises(ValueError, match=message):
+            pk.silhouette_from_labels(prefs.data, run.idx, 2)
+        with pytest.raises(ValueError, match=message):
+            pk.silhouette(prefs, run)
 
     def test_fewer_than_two_nonempty_clusters_rejected(self):
         data = np.zeros((3, 2))
