@@ -70,8 +70,6 @@ from .model import (
 )
 from .seeding import derive_seed, generator
 from .signs import (
-    ITEMS,
-    USERS,
     SignClustering,
     cluster_count_table,
     item_sign_clusters,

@@ -28,7 +28,10 @@ class Assignment:
     provenance: str
 
     def __post_init__(self) -> None:
-        idx = np.array(self.kit_index, dtype=np.int64, copy=True)
+        idx = np.asarray(self.kit_index)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"kit indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64)
         if idx.ndim != 1:
             raise ValueError("kit_index must be 1-d")
         if (idx < 0).any():

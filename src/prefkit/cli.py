@@ -35,7 +35,7 @@ from .kits import Kit, design_all
 from .kmeans import KMeansConfig, SweepTable, sweep
 from .model import PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
 from .seeding import derive_seed
-from .signs import ITEMS, USERS, SignClustering, cluster_count_table, item_sign_clusters, user_sign_clusters
+from .signs import SignClustering, cluster_count_table, item_sign_clusters, user_sign_clusters
 from .svd import SvdFactors, scree, svd, truncate
 from .synthetic import SyntheticSpec, generate_synthetic, kit_count, random_kits
 
@@ -188,12 +188,8 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
         s.sweep_table, s.sweep_table.iterations, s.sweep_table.converged.astype(int), s.sweep_table.wcss,
     )),
     "scree.csv": lambda s: _rows(["rank", "sigma"], scree(s.factors)),
-    "user_cluster_counts.csv": lambda s: _rows(
-        ["r", "count"], cluster_count_table(s.factors, USERS, 1, s.args.rank)
-    ),
-    "item_cluster_counts.csv": lambda s: _rows(
-        ["r", "count"], cluster_count_table(s.factors, ITEMS, 1, s.args.rank)
-    ),
+    "user_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.users)),
+    "item_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.items)),
     "user_membership.csv": lambda s: _membership(s.prefs.user_ids, s.users),
     "item_membership.csv": lambda s: _membership(range(s.catalog.m), s.items),
     "kits.csv": lambda s: _rows(
@@ -276,6 +272,10 @@ def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
             yield f"all {s.prefs.n} survey rows are equal (1 distinct row); silhouette needs 2"
     if "rank" in a and not 1 <= a.rank <= min(s.prefs.n, s.prefs.m):
         yield f"--rank must lie in 1..{min(s.prefs.n, s.prefs.m)} for this matrix"
+    elif "rank" in a:  # past numpy's matrix_rank tolerance, the sign codes read rounding noise
+        sigma, tol = s.factors.sigma, s.factors.sigma[0] * max(s.prefs.n, s.prefs.m) * np.finfo(float).eps
+        if sigma[a.rank - 1] <= tol:
+            yield f"--rank {a.rank} is past the numerical rank: sigma_{a.rank} = {sigma[a.rank - 1]:.2g} <= {tol:.2g}"
     if "n_users" in a:  # synth
         kits, swaps = kit_count(s.catalog, QUOTAS), min(QUOTAS.expensive_quota, QUOTAS.cheap_quota)
         if a.n_users < 1:

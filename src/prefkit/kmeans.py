@@ -38,6 +38,7 @@ from .seeding import derive_seed, generator
 
 _BLOCK_FLOATS = 2**20  # row differences per block (8 MB), never all n x n x m
 _EPS = 1e-9  # relative slack of the assignment bounds
+_TOL = 1e-6  # convergence: the largest centroid shift falls below this
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class KMeansConfig:
     damping: float = 0.3
     max_iters: int = 100
     seed: int = 0
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if not 0 < self.damping <= 1:
@@ -55,8 +55,6 @@ class KMeansConfig:
             raise ValueError("k must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +136,7 @@ def _assign(rows: np.ndarray, centroids: np.ndarray, idx: np.ndarray, lower: np.
 def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     """Alternate assignment and damped updates until the centroids settle.
 
-    Stops when the largest per-centroid shift drops below ``config.tol`` or
+    Stops when the largest per-centroid shift drops below ``_TOL`` or
     after ``config.max_iters`` iterations; a final assignment pass keeps idx
     consistent with the returned centroids.  ``wcss_trace`` records, per
     iteration, the within-cluster sum of squared distances measured right
@@ -162,7 +160,7 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
         top = int(np.argmax(shifts))
         runner_up = np.partition(shifts, -2)[-2] if config.k > 1 else 0.0
         lower -= np.where(idx == top, runner_up, shifts[top]) * (1 + _EPS)
-        if shifts[top] < config.tol:
+        if shifts[top] < _TOL:
             converged = True
             break
     _assign(rows, centroids, idx, lower)

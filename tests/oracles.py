@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from prefkit.kits import Kit
-from prefkit.kmeans import init_centroids
+from prefkit.kmeans import _TOL, init_centroids
 from prefkit.model import Category, PreferenceMatrix
 from prefkit.seeding import generator
 
@@ -134,7 +134,7 @@ def run_kmeans_loop(prefs, config):
         new_centroids = compute_centroids_loop(prefs, idx, centroids, config.damping)
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
-        if shift < config.tol:
+        if shift < _TOL:
             break
     return np.argmin(_sq_distances_loop(rows, centroids), axis=1), centroids, tuple(trace)
 

@@ -97,7 +97,7 @@ def test_criterion_3_sign_cluster_count_law(catalog20, constraint, survey):
         for a in matrices:
             f = pk.svd(a)
             r_max = min(8, f.p)
-            table = pk.cluster_count_table(f, pk.USERS, 1, r_max)
+            table = pk.cluster_count_table(pk.user_sign_clusters(pk.truncate(f, r_max)))
             assert table[0] == (1, 1)
             counts = [c for _, c in table]
             for r, count in table[1:]:

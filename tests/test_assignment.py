@@ -212,3 +212,11 @@ class TestAssignmentFromClusters:
     def test_negative_kit_index_rejected(self):
         with pytest.raises(ValueError):
             pk.Assignment(np.array([-1]), pk.INITIAL)
+
+    @pytest.mark.parametrize("kit_index", [
+        np.array([0.7, 1.9]), np.array([True, False]), np.array(["0", "1"]),
+    ], ids=["float", "bool", "str"])
+    def test_non_integer_kit_indices_rejected_by_dtype(self, kit_index):
+        # A cast would silently score other kits: 0.7 -> 0, True -> 1, "1" -> 1.
+        with pytest.raises(ValueError, match=str(kit_index.dtype)):
+            pk.Assignment(kit_index, pk.INITIAL)

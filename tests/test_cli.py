@@ -258,6 +258,37 @@ class TestSvdAndSigns:
         ]) == 2
         assert not (tmp_path / "x").exists()
 
+    def test_rank_past_numerical_rank_is_usage_error(self, tmp_path, capsys):
+        # Every quota-valid row is orthogonal to 1_expensive/6 - 1_cheap/4, so
+        # the survey has rank at most 19 and sigma_20 is rounding noise.
+        out = run_synth(tmp_path)
+        assert main([
+            "cluster-signs", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(tmp_path / "x"),
+            "--rank", "20",
+        ]) == 2
+        assert "sigma_20 = " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, coded_sizes", [("pipeline", [60]), ("cluster-signs", [60, 20])])
+    def test_each_axis_is_coded_once(self, tmp_path, monkeypatch, command, coded_sizes):
+        # pipeline codes the 60 users; cluster-signs the users and the 20 items.
+        out = run_synth(tmp_path)
+        coded = []
+        cluster_codes = pk.signs._cluster_codes
+
+        def counted(coords, *args):
+            coded.append(len(coords))
+            return cluster_codes(coords, *args)
+
+        monkeypatch.setattr("prefkit.signs._cluster_codes", counted)
+        assert main([
+            command, "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(tmp_path / "x"),
+            "--rank", "4",
+        ]) == 0
+        assert coded == coded_sizes
+
 
 class TestDesignAndReassign:
     def test_kits_have_exact_size(self, tmp_path):
