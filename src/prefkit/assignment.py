@@ -79,13 +79,14 @@ def cluster_losses(
     _check_assignment(assignment, len(losses), k)
     normal = np.zeros(k)
     exponential = np.zeros(k)
-    populations = np.zeros(k, dtype=np.int64)
-    for j in range(k):
-        members = assignment.kit_index == j
-        populations[j] = int(members.sum())
-        if populations[j]:
-            normal[j] = losses[members].mean()
-            exponential[j] = np.exp(losses[members]).mean()
+    populations = np.bincount(assignment.kit_index, minlength=k)
+    # Each kit's losses in user order, as one contiguous segment, so each
+    # mean sums in the order a mask over the users would give.
+    segments = np.split(losses[np.argsort(assignment.kit_index, kind="stable")], np.cumsum(populations)[:-1])
+    for j, segment in enumerate(segments):
+        if segment.size:
+            normal[j] = segment.mean()
+            exponential[j] = np.exp(segment).mean()
     for arr in (normal, exponential, populations):
         arr.flags.writeable = False
     return ClusterLosses(normal, exponential, populations)
@@ -99,23 +100,28 @@ def _check_assignment(assignment: Assignment, n: int, k: int) -> None:
 
 
 def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
-    """n x K losses of every user against every kit, as |x| + |k| - 2 x.k.
+    """d x K losses of every distinct row against every kit, as |x| + |k| - 2 x.k.
 
-    The overlaps come from one float32 matmul, exact for 0/1 rows while
-    m < 2**24; the row sums are int64, as is the result.
+    Users with equal rows have equal losses, so only the d distinct rows of
+    ``prefs.distinct`` are scored.  The overlaps come from one float32
+    matmul, exact for 0/1 rows while m < 2**24; the result is int64.
     """
     if not kits:
         raise ValueError("at least one kit is required")
+    rows = prefs.distinct.rows
     indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
-    overlap = prefs.data.astype(np.float32) @ indicators.T.astype(np.float32)
-    sizes = prefs.data.sum(axis=1, dtype=np.int64)[:, None] + indicators.sum(axis=1, dtype=np.int64)
-    return sizes - 2 * overlap.astype(np.int64)
+    mismatches = (rows.astype(np.float32) @ indicators.T.astype(np.float32)).astype(np.int64)
+    mismatches *= -2
+    mismatches += rows.sum(axis=1, dtype=np.int64)[:, None]
+    mismatches += indicators.sum(axis=1, dtype=np.int64)
+    return mismatches
 
 
-def _report(mismatches: np.ndarray, assignment: Assignment) -> LossReport:
-    n, k = mismatches.shape
-    _check_assignment(assignment, n, k)
-    per_user = mismatches[np.arange(n), assignment.kit_index].astype(np.int64)
+def _report(mismatches: np.ndarray, inverse: np.ndarray, assignment: Assignment) -> LossReport:
+    """User i's loss is its distinct row ``inverse[i]``'s mismatch with its kit."""
+    k = mismatches.shape[1]
+    _check_assignment(assignment, len(inverse), k)
+    per_user = mismatches[inverse, assignment.kit_index]
     normal, exponential, populations = cluster_losses(per_user, assignment, k)
     per_user.flags.writeable = False
     return LossReport(
@@ -129,7 +135,7 @@ def _report(mismatches: np.ndarray, assignment: Assignment) -> LossReport:
 
 def loss_report(prefs: PreferenceMatrix, kits: Sequence[Kit], assignment: Assignment) -> LossReport:
     """Losses of each user against its assigned kit, with per-kit averages."""
-    return _report(_mismatches(prefs, kits), assignment)
+    return _report(_mismatches(prefs, kits), prefs.distinct.inverse, assignment)
 
 
 def reassign(
@@ -140,11 +146,13 @@ def reassign(
     """Move every user to its lowest-loss kit (ties to the lowest kit index).
 
     Returns the new assignment plus before/after loss reports.  Per-user loss
-    never increases, and reassigning again is a no-op.
+    never increases, and reassigning again is a no-op.  Each distinct row
+    picks its kit once, and its users take that kit.
     """
     mismatches = _mismatches(prefs, kits)
-    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1), provenance=REASSIGNED)
-    return reassigned, _report(mismatches, initial), _report(mismatches, reassigned)
+    inverse = prefs.distinct.inverse
+    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1)[inverse], provenance=REASSIGNED)
+    return reassigned, _report(mismatches, inverse, initial), _report(mismatches, inverse, reassigned)
 
 
 def assignment_from_clusters(labels: np.ndarray) -> Assignment:

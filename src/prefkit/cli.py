@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from contextlib import suppress
+from dataclasses import replace
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -51,7 +52,9 @@ class Stages:
 
     The factorization route is svd -> truncate -> user (and item) sign
     clusters -> one kit per user cluster -> initial assignment ->
-    reassignment with before/after reports.
+    reassignment with before/after reports.  Users with equal rows share a
+    code, a kit and a loss, so every stage works on the survey's distinct
+    rows (``PreferenceMatrix.distinct``) and gathers per-user results.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -88,7 +91,8 @@ class Stages:
 
     @cached_property
     def factors(self) -> SvdFactors:
-        return svd(self.prefs.data)
+        distinct = self.prefs.distinct
+        return svd(distinct.rows, distinct.weights)
 
     @cached_property
     def truncated(self) -> SvdFactors:
@@ -96,7 +100,10 @@ class Stages:
 
     @cached_property
     def users(self) -> SignClustering:
-        return user_sign_clusters(self.truncated)
+        by_row = user_sign_clusters(self.truncated)  # one code per distinct row, numbered in user order
+        labels = by_row.labels[self.prefs.distinct.inverse]
+        labels.flags.writeable = False
+        return replace(by_row, labels=labels)
 
     @cached_property
     def items(self) -> SignClustering:

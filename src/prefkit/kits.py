@@ -100,9 +100,14 @@ def design_all(
         raise ValueError("catalog smaller than kit size")
     if constrained:
         constraint.check_catalog(catalog)
-    order = np.argsort(labels, kind="stable")
-    starts = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1]
-    counts = np.add.reduceat(prefs.data[order], starts, axis=0, dtype=np.int64)
+    rows, _, inverse = prefs.distinct
+    # One (cluster, distinct row) pair per key, cluster-major; each counts the
+    # users it holds.  Labels may split identical rows, as k-means labels can.
+    clusters = np.unique(labels, return_inverse=True)[1]
+    keys, users = np.unique(clusters * len(rows) + inverse, return_counts=True)
+    cluster, row = np.divmod(keys, len(rows))
+    starts = np.r_[0, np.flatnonzero(np.diff(cluster)) + 1]
+    counts = np.add.reduceat(rows[row] * users[:, None], starts, axis=0)
     return [
         Kit(kit_id=j, items=frozenset(select_items(row, catalog, constraint, constrained)))
         for j, row in enumerate(counts)

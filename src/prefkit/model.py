@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +83,32 @@ class SelectionConstraint:
             raise ValueError("cheap_quota exceeds cheap item count")
 
 
+def _unique_by_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of a 1-d array, numbered in order of first occurrence.
+
+    Returns where each value first occurs, each element's value number and
+    each value's count.
+    """
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    # np.unique numbers the values in sorted order; renumber them by first occurrence.
+    order = np.argsort(first)
+    by_first = np.empty(order.size, dtype=np.int64)
+    by_first[order] = np.arange(order.size)
+    return first[order], by_first[inverse], counts[order]
+
+
+class DistinctRows(NamedTuple):
+    """The distinct rows of a matrix, in order of first occurrence.
+
+    ``rows`` is d x m, ``weights[j]`` counts the users whose row is
+    ``rows[j]``, and user i's row is ``rows[inverse[i]]``.
+    """
+
+    rows: np.ndarray
+    weights: np.ndarray
+    inverse: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class PreferenceMatrix:
     """n users by m items, entries 0/1; row i is user i's selections.
@@ -117,6 +145,20 @@ class PreferenceMatrix:
     @property
     def m(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def distinct(self) -> DistinctRows:
+        """The distinct selection rows, found once and kept.
+
+        Each row is packed to bits and viewed as one byte-string key, so a
+        single 1-d ``np.unique`` finds them for any m.
+        """
+        packed = np.packbits(self.data, axis=1) if self.m else np.zeros((self.n, 1), dtype=np.uint8)
+        first, inverse, weights = _unique_by_first(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+        distinct = DistinctRows(self.data[first], weights, inverse)
+        for arr in distinct:
+            arr.flags.writeable = False
+        return distinct
 
 
 @dataclass(frozen=True)

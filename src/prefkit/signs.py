@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _unique_by_first
 from .svd import SvdFactors
 
 
@@ -49,12 +50,8 @@ def _cluster_codes(coords: np.ndarray, rank: int) -> SignClustering:
     dtype = np.int64 if rank < 64 else object
     weights = np.array([1 << (rank - 1 - j) for j in range(rank)], dtype=dtype)
     codes = (coords >= 0).astype(dtype) @ weights
-    # np.unique numbers the distinct codes in ascending order; renumber them by first occurrence.
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    by_first = np.empty(first.size, dtype=np.int64)
-    by_first[order] = np.arange(first.size)
-    labels, cluster_codes = by_first[inverse], distinct[order]
+    first, labels, _ = _unique_by_first(codes)
+    cluster_codes = codes[first]
     for arr in (labels, cluster_codes):
         arr.flags.writeable = False
     return SignClustering(rank=rank, labels=labels, cluster_codes=cluster_codes)

@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -34,6 +35,14 @@ def survey(catalog20, constraint):
     )
     prefs, planted = pk.generate_synthetic(spec, catalog20, constraint)
     return prefs, planted, kits
+
+
+@pytest.fixture(scope="session")
+def repeated_survey(survey):
+    """600 users whose rows repeat the first 40 rows of ``survey``, in shuffled order."""
+    prefs = survey[0]
+    data = prefs.data[:40][np.random.default_rng(5).integers(0, 40, size=600)]
+    return pk.PreferenceMatrix(tuple(f"r{i}" for i in range(600)), data)
 
 
 @pytest.fixture

@@ -6,8 +6,10 @@ characteristic-polynomial root finding rather than LAPACK, and the adjusted
 Rand index is the plain contingency-table formula.  The per-user silhouette
 loop, the masked-mean k-means update, the per-user synthetic generator, the
 scanning kit sampler, the broadcast mismatch count, the row-at-a-time CSV
-writer and the cluster-by-cluster kit design that faster code replaced are
-kept here too, so the replacements are checked against what they replaced.
+writer, the cluster-by-cluster kit design, and the per-user SVD, kit counts,
+mismatch count and per-kit loss loop that the distinct-row route replaced
+are kept here too, so the replacements are checked against what they
+replaced.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from prefkit.kits import Kit
+from prefkit.assignment import REASSIGNED, Assignment, ClusterLosses, LossReport
+from prefkit.kits import Kit, select_items
 from prefkit.kmeans import _TOL, init_centroids
 from prefkit.model import Category, PreferenceMatrix
 from prefkit.seeding import generator
+from prefkit.svd import SvdFactors
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +247,76 @@ def design_all_loop(prefs, labels, catalog, constraint, constrained=False):
             items = _top_items_argsort(counts, np.arange(prefs.m), constraint.total)
         kits.append(Kit(kit_id=j, items=frozenset(items)))
     return kits
+
+
+# ---------------------------------------------------------------------------
+# the SVD route on every user row (the replaced library code)
+
+
+def svd_rows(a):
+    """Thin SVD of every row with the sign convention of ``prefkit.svd``."""
+    a = np.asarray(a, dtype=np.float64)
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    u = np.ascontiguousarray(u)
+    vt = np.ascontiguousarray(vt)
+    for j in range(u.shape[1]):
+        anchor = int(np.argmax(np.abs(u[:, j])))
+        if u[anchor, j] < 0:
+            u[:, j] = -u[:, j]
+            vt[j, :] = -vt[j, :]
+    return SvdFactors(u=u, sigma=sigma, vt=vt)
+
+
+def design_all_rows(prefs, labels, catalog, constraint, constrained=False):
+    """One kit per label in use, each counted from its users' rows in one pass."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    starts = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1]
+    counts = np.add.reduceat(prefs.data[order], starts, axis=0, dtype=np.int64)
+    return [
+        Kit(kit_id=j, items=frozenset(select_items(row, catalog, constraint, constrained)))
+        for j, row in enumerate(counts)
+    ]
+
+
+def mismatches_rows(prefs, kits):
+    """n x K losses of every user against every kit from one float32 matmul."""
+    indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
+    overlap = prefs.data.astype(np.float32) @ indicators.T.astype(np.float32)
+    sizes = prefs.data.sum(axis=1, dtype=np.int64)[:, None] + indicators.sum(axis=1, dtype=np.int64)
+    return sizes - 2 * overlap.astype(np.int64)
+
+
+def cluster_losses_loop(per_user_loss, assignment, k):
+    """Per-kit normal and exponential means, one boolean mask over the users per kit."""
+    losses = np.asarray(per_user_loss, dtype=np.float64)
+    normal = np.zeros(k)
+    exponential = np.zeros(k)
+    populations = np.zeros(k, dtype=np.int64)
+    for j in range(k):
+        members = assignment.kit_index == j
+        populations[j] = int(members.sum())
+        if populations[j]:
+            normal[j] = losses[members].mean()
+            exponential[j] = np.exp(losses[members]).mean()
+    return ClusterLosses(normal, exponential, populations)
+
+
+def _report_rows(mismatches, assignment):
+    per_user = mismatches[np.arange(mismatches.shape[0]), assignment.kit_index].astype(np.int64)
+    normal, exponential, populations = cluster_losses_loop(per_user, assignment, mismatches.shape[1])
+    return LossReport(per_user, normal, exponential, populations, int(per_user.sum()))
+
+
+def loss_report_rows(prefs, kits, assignment):
+    return _report_rows(mismatches_rows(prefs, kits), assignment)
+
+
+def reassign_rows(prefs, kits, initial):
+    """Every user's argmin over its own row of the n x K mismatch matrix."""
+    mismatches = mismatches_rows(prefs, kits)
+    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1), provenance=REASSIGNED)
+    return reassigned, _report_rows(mismatches, initial), _report_rows(mismatches, reassigned)
 
 
 # ---------------------------------------------------------------------------

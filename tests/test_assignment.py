@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import mismatches_broadcast
+from oracles import cluster_losses_loop, loss_report_rows, mismatches_broadcast, reassign_rows
 from prefkit.assignment import _mismatches
 
 
@@ -138,7 +139,7 @@ class TestReassign:
 
 
 class TestMismatches:
-    """The matmul count against the n x K x m comparison it replaced, bit for bit."""
+    """The distinct-row matmul count, gathered to every user, against the n x K x m comparison."""
 
     @pytest.mark.parametrize("n_kits", [1, 2, 16])
     def test_matches_broadcast_count_on_rows_off_quota(self, catalog20, constraint, n_kits):
@@ -146,7 +147,7 @@ class TestMismatches:
         data[0], data[1] = 0, 1  # no item and every item: both break the 6/4 quota
         prefs = pk.PreferenceMatrix(tuple(map(str, range(500))), data)
         kits = pk.random_kits(catalog20, constraint, n_kits, seed=n_kits)
-        got, want = _mismatches(prefs, kits), mismatches_broadcast(prefs, kits)
+        got, want = _mismatches(prefs, kits)[prefs.distinct.inverse], mismatches_broadcast(prefs, kits)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want)
 
@@ -154,7 +155,62 @@ class TestMismatches:
         prefs, _, planted = survey
         kits = [kit_of(0, []), kit_of(1, [7]), kit_of(2, range(20)), *planted]
         for chosen in ([kits[0]], [kits[2]], kits):
-            assert np.array_equal(_mismatches(prefs, chosen), mismatches_broadcast(prefs, chosen))
+            got = _mismatches(prefs, chosen)[prefs.distinct.inverse]
+            assert np.array_equal(got, mismatches_broadcast(prefs, chosen))
+
+
+def assert_same_report(got, want):
+    for name in ("per_user_loss", "per_cluster_normal", "per_cluster_exponential", "populations"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert got.total_loss == want.total_loss
+
+
+class TestDistinctRowScoring:
+    """Scoring the distinct rows and gathering to users, against scoring every user row."""
+
+    def test_reassign_and_loss_report_equal_per_user_oracles(self, repeated_survey, catalog20, constraint):
+        prefs = repeated_survey
+        kits = [*pk.random_kits(catalog20, constraint, 12, seed=4), kit_of(12, range(20)), kit_of(13, [])]
+        rng = np.random.default_rng(8)
+        for initial in (
+            pk.Assignment(rng.integers(0, len(kits), size=prefs.n), pk.INITIAL),  # splits identical rows
+            pk.Assignment(np.zeros(prefs.n, dtype=np.int64), pk.INITIAL),
+        ):
+            got, want = pk.reassign(prefs, kits, initial), reassign_rows(prefs, kits, initial)
+            assert np.array_equal(got[0].kit_index, want[0].kit_index)
+            assert_same_report(got[1], want[1])
+            assert_same_report(got[2], want[2])
+            assert_same_report(pk.loss_report(prefs, kits, initial), loss_report_rows(prefs, kits, initial))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (500, 3), (30_000, 2), (20_000, 700)])
+    def test_cluster_losses_equal_the_mask_loop(self, n, k):
+        # 30,000 users in 2 kits gives segments past numpy's 8,192-element summation blocks.
+        rng = np.random.default_rng(n + k)
+        assignment = pk.Assignment(rng.integers(0, k, size=n), pk.INITIAL)
+        for losses in (rng.integers(0, 21, size=n), rng.integers(0, 21, size=n) * 0.37):
+            got, want = pk.cluster_losses(losses, assignment, k + 2), cluster_losses_loop(losses, assignment, k + 2)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    def test_reassign_peak_memory_stays_off_the_user_by_kit_matrix(self):
+        # 20,000 users of 50 distinct rows and 50 kits: an n x K int64 matrix alone is 8 MB.
+        rng = np.random.default_rng(400)
+        m, n = 400, 20_000
+        base = np.zeros((50, m), dtype=np.int8)
+        for row in base:
+            row[rng.choice(m, size=10, replace=False)] = 1
+        prefs = pk.PreferenceMatrix(tuple(map(str, range(n))), base[rng.permutation(np.repeat(np.arange(50), n // 50))])
+        kits = [kit_of(j, rng.choice(m, size=10, replace=False).tolist()) for j in range(50)]
+        initial = pk.Assignment(rng.integers(0, 50, size=n), pk.INITIAL)
+        assert len(prefs.distinct.rows) == 50  # found once, before the measurement
+        tracemalloc.start()
+        try:
+            pk.reassign(prefs, kits, initial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLossReport:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from prefkit.cli import main
+from oracles import svd_rows
+from prefkit.cli import Stages, build_parser, main
 
 from conftest import CATALOG_PATH
 
@@ -288,6 +289,24 @@ class TestSvdAndSigns:
             "--rank", "4",
         ]) == 0
         assert coded == coded_sizes
+
+    def test_sign_codes_match_the_full_svd_at_every_rank(self, tmp_path, monkeypatch):
+        # The route factors the 4,466 distinct rows of the 100k seed-0 survey;
+        # each user's code must be the one the SVD of all 100k rows gives it,
+        # wherever no kept coordinate is within rounding of zero.
+        survey = run_synth(tmp_path, **{"--n-users": 100_000, "--n-kits": 8, "--seed": 0})
+        prefs = pk.load_preferences(survey / "preferences.csv", pk.load_catalog(CATALOG_PATH))
+        monkeypatch.setattr("prefkit.cli.load_preferences", lambda path, catalog: prefs)
+        assert len(prefs.distinct.rows) == 4466
+        full = svd_rows(prefs.data)
+        for rank in range(1, 20):
+            args = build_parser().parse_args([
+                "cluster-signs", "--catalog", str(CATALOG_PATH), "--prefs", "-", "--out", "-", "--rank", str(rank),
+            ])
+            codes = Stages(args).users.codes
+            clear = np.abs(full.u[:, :rank]).min(axis=1) > 1e-9
+            assert clear.mean() > 0.99, rank
+            assert np.array_equal(codes[clear], pk.user_sign_clusters(pk.truncate(full, rank)).codes[clear]), rank
 
 
 class TestDesignAndReassign:

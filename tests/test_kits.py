@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import design_all_loop
+from oracles import design_all_loop, design_all_rows
 from prefkit.kits import select_items
 
 
@@ -166,3 +166,21 @@ class TestValidateKit:
         pk.validate_kit(five_five, catalog20, constraint, constrained=False)
         with pytest.raises(ValueError):
             pk.validate_kit(five_five, catalog20, constraint, constrained=True)
+
+
+class TestDesignOnDistinctRows:
+    """Kits counted from distinct rows times their users, against counts over every user row."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_equal_to_per_user_counts_for_any_labels(self, repeated_survey, catalog20, constraint, constrained):
+        prefs = repeated_survey
+        rng = np.random.default_rng(3)
+        for labels in (
+            pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data), 4)).labels,
+            rng.integers(0, 9, size=prefs.n),  # splits identical rows across clusters
+            3 * rng.integers(0, 5, size=prefs.n) + 7,  # ids no user carries in between
+            np.zeros(prefs.n, dtype=np.int64),
+            np.arange(prefs.n),
+        ):
+            got = pk.design_all(prefs, labels, catalog20, constraint, constrained)
+            assert got == design_all_rows(prefs, labels, catalog20, constraint, constrained)

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -250,6 +251,42 @@ class TestPreferenceMatrix:
         prefs = pk.PreferenceMatrix(("u1",), np.array([[0, 1]]))
         with pytest.raises(ValueError):
             prefs.data[0, 0] = 1
+
+
+class TestDistinctRows:
+    def test_first_occurrence_order_weights_and_inverse(self):
+        data = [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 0], [1, 1, 0]]
+        rows, weights, inverse = pk.PreferenceMatrix(tuple("abcdef"), np.array(data)).distinct
+        assert rows.tolist() == [[1, 1, 0], [0, 0, 0], [0, 1, 1]] and rows.dtype == np.int8
+        assert weights.tolist() == [3, 2, 1]
+        assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 130])
+    def test_matches_unique_rows_at_any_width(self, m):
+        rng = np.random.default_rng(m)
+        base = rng.integers(0, 2, size=(12, m))
+        data = base[rng.integers(0, 12, size=300)]
+        rows, weights, inverse = pk.PreferenceMatrix(tuple(map(str, range(300))), data).distinct
+        assert np.array_equal(rows[inverse], data)
+        assert len(rows) == len(np.unique(data, axis=0))
+        assert np.array_equal(weights, np.bincount(inverse))
+        firsts = np.unique(inverse, return_index=True)[1]
+        assert (np.diff(firsts) > 0).all()  # numbered in order of first occurrence
+
+    def test_computed_once_read_only_and_still_frozen(self):
+        prefs = pk.PreferenceMatrix(("u1", "u2"), np.array([[0, 1], [0, 1]]))
+        assert prefs.distinct is prefs.distinct
+        for arr in prefs.distinct:
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prefs.data = np.zeros((2, 2))
+
+    def test_no_rows_and_no_columns(self):
+        rows, weights, inverse = pk.PreferenceMatrix((), np.zeros((0, 4))).distinct
+        assert rows.shape == (0, 4) and weights.size == inverse.size == 0
+        rows, weights, inverse = pk.PreferenceMatrix(("a", "b"), np.zeros((2, 0))).distinct
+        assert rows.shape == (1, 0) and weights.tolist() == [2] and inverse.tolist() == [0, 0]
 
 
 class TestSelectionConstraint:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import prefkit as pk
-from oracles import singular_values_charpoly
+from oracles import singular_values_charpoly, svd_rows
 
 
 def random_binary(rng, n, m):
@@ -140,3 +143,60 @@ class TestScree:
         assert [rank for rank, _ in pairs] == list(range(1, 21))
         sigmas = [s for _, s in pairs]
         assert all(a >= b - 1e-12 for a, b in zip(sigmas, sigmas[1:]))
+
+
+class TestWeightedSvd:
+    """``svd(rows, weights)`` against the SVD of the matrix with each row repeated."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (3, 7), (20, 20), (300, 20)])
+    def test_unweighted_is_bit_identical_to_the_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for a in (rng.normal(size=shape), rng.integers(0, 2, size=shape).astype(np.float64)):
+            got, want = pk.svd(a), svd_rows(a)
+            for x, y in ((got.u, want.u), (got.sigma, want.sigma), (got.vt, want.vt)):
+                assert x.shape == y.shape and np.array_equal(x, y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_weighted_equals_repeated_rows(self, data):
+        d, m = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        rows = data.draw(hnp.arrays(np.int8, (d, m), elements=st.integers(0, 1)))
+        weights = data.draw(hnp.arrays(np.int64, d, elements=st.integers(1, 5)))
+        got, full = pk.svd(rows, weights), pk.svd(np.repeat(rows, weights, axis=0))
+        inverse = np.repeat(np.arange(d), weights)
+        assert got.u.shape == (d, full.p) and got.vt.shape == full.vt.shape
+        scale = max(float(full.sigma[0]), 1.0)
+        assert np.abs(got.sigma - full.sigma).max() <= 1e-12 * scale
+        sigma = np.r_[np.inf, full.sigma, 0.0]
+        for j in range(full.p):
+            # A direction is only defined where its singular value is separated.
+            if min(sigma[j] - sigma[j + 1], sigma[j + 1] - sigma[j + 2]) <= 1e-3 * scale:
+                continue
+            column = full.u[:, j]
+            near_top = column[np.abs(column) >= np.abs(column).max() - 1e-9]
+            sign = 1.0
+            if near_top.min() < 0 < near_top.max():  # the anchor itself is a rounding tie
+                sign = float(np.sign(got.u[inverse, j] @ column))
+            np.testing.assert_allclose(sign * got.u[inverse, j], column, atol=1e-9)
+            np.testing.assert_allclose(sign * got.vt[j], full.vt[j], atol=1e-9)
+
+    def test_fewer_rows_than_triplets_give_zero_null_directions(self):
+        rows = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+        weights = np.array([3, 2])
+        f = pk.svd(rows, weights)
+        assert f.p == 4 and f.u.shape == (2, 4)
+        assert (f.sigma[2:] == 0).all() and (f.u[:, 2:] == 0).all()
+        np.testing.assert_allclose(f.vt @ f.vt.T, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(f.reconstruct(), rows, atol=1e-12)
+        np.testing.assert_allclose(f.u.T @ (weights[:, None] * f.u), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
+
+    @pytest.mark.parametrize("weights, cause", [
+        (np.array([1, 1]), "one multiplicity per row: got shape \\(2,\\) for 3 rows"),
+        (np.ones((3, 1), dtype=np.int64), "one multiplicity per row"),
+        (np.array([1, 0, 2]), "positive integers"),
+        (np.array([1, -1, 2]), "positive integers"),
+        (np.array([1.0, 2.0, 1.0]), "positive integers"),
+    ], ids=["short", "2-d", "zero", "negative", "float"])
+    def test_bad_weights_rejected_by_cause(self, weights, cause):
+        with pytest.raises(ValueError, match=cause):
+            pk.svd(np.eye(3), weights)
