@@ -9,8 +9,6 @@ dissatisfaction is reported per kit under normal and exponential averaging.
 from types import ModuleType as _ModuleType
 
 from .assignment import (
-    INITIAL,
-    REASSIGNED,
     Assignment,
     ClusterLosses,
     LossReport,
@@ -18,7 +16,6 @@ from .assignment import (
     cluster_losses,
     loss_report,
     reassign,
-    user_loss,
 )
 from .errors import (
     CatalogError,
@@ -37,9 +34,7 @@ from .errors import (
 )
 from .io import (
     load_catalog,
-    load_ground_truth,
     load_preferences,
-    write_ground_truth,
     write_preferences,
 )
 from .kits import (
@@ -75,7 +70,7 @@ from .signs import (
     item_sign_clusters,
     user_sign_clusters,
 )
-from .svd import SvdFactors, scree, svd, truncate
+from .svd import SvdFactors, svd, truncate
 from .synthetic import SyntheticSpec, generate_synthetic, kit_count, random_kits
 
 __version__ = "0.1.0"

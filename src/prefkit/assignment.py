@@ -16,16 +16,11 @@ import numpy as np
 from .kits import Kit
 from .model import PreferenceMatrix
 
-INITIAL = "initial"
-REASSIGNED = "reassigned"
-
-
 @dataclass(frozen=True, eq=False)
 class Assignment:
-    """Kit index per user, with how the mapping was produced."""
+    """Kit index per user."""
 
     kit_index: np.ndarray
-    provenance: str
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.kit_index)
@@ -61,12 +56,6 @@ class ClusterLosses(NamedTuple):
     normal: np.ndarray
     exponential: np.ndarray
     populations: np.ndarray
-
-
-def user_loss(row: np.ndarray, kit: Kit) -> int:
-    """Hamming distance between one selection row and a kit."""
-    row = np.asarray(row)
-    return int((row != kit.indicator(row.shape[0])).sum())
 
 
 def cluster_losses(
@@ -151,7 +140,7 @@ def reassign(
     """
     mismatches = _mismatches(prefs, kits)
     inverse = prefs.distinct.inverse
-    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1)[inverse], provenance=REASSIGNED)
+    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1)[inverse])
     return reassigned, _report(mismatches, inverse, initial), _report(mismatches, inverse, reassigned)
 
 
@@ -164,4 +153,4 @@ def assignment_from_clusters(labels: np.ndarray) -> Assignment:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.dtype.kind not in "iu" or (labels < 0).any():
         raise ValueError("labels must be a 1-d array of non-negative integer cluster ids")
-    return Assignment(kit_index=np.unique(labels, return_inverse=True)[1], provenance=INITIAL)
+    return Assignment(kit_index=np.unique(labels, return_inverse=True)[1])

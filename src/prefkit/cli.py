@@ -6,9 +6,9 @@ selection quotas, ``synth`` emits a seeded planted-kit population,
 ``cluster-signs`` / ``design-kits`` / ``reassign`` / ``pipeline`` run the
 factorization route through kit design and loss reporting.
 
-Every subcommand runs :func:`run_command`: load the inputs, check the flags
-against them, refuse existing outputs, run every stage its files need, and
-only then create ``--out`` and write, so a command that fails writes nothing.
+Every subcommand runs :func:`run_command`: load the inputs, refuse existing
+outputs, check the flags against the inputs, run every stage its files need,
+and only then create ``--out`` and write, so a command that fails writes nothing.
 
 Exit codes: 0 success, 1 strict-mode validation failure, 2 usage error,
 3 I/O or numeric failure.  Existing output files are only overwritten under
@@ -31,13 +31,13 @@ import numpy as np
 
 from .assignment import Assignment, LossReport, assignment_from_clusters, reassign
 from .errors import PrefkitError
-from .io import load_catalog, load_preferences, write_csv, write_ground_truth, write_preferences
+from .io import load_catalog, load_preferences, write_csv, write_preferences
 from .kits import Kit, design_all
 from .kmeans import KMeansConfig, SweepTable, sweep
 from .model import PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
 from .seeding import derive_seed
 from .signs import SignClustering, cluster_count_table, item_sign_clusters, user_sign_clusters
-from .svd import SvdFactors, scree, svd, truncate
+from .svd import SvdFactors, svd, truncate
 from .synthetic import SyntheticSpec, generate_synthetic, kit_count, random_kits
 
 QUOTAS = SelectionConstraint()
@@ -87,7 +87,7 @@ class Stages:
         config = KMeansConfig(
             k=a.k_min, damping=a.damping, max_iters=a.max_iters, seed=derive_seed(a.seed, "kmeans-sweep")
         )
-        return sweep(self.prefs, config, k_min=a.k_min, k_max=a.k_max, trials=a.trials)
+        return sweep(self.prefs, config, k_max=a.k_max, trials=a.trials)
 
     @cached_property
     def factors(self) -> SvdFactors:
@@ -182,7 +182,7 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
         ([v.row_index, v.user_id, v.expensive_count, v.cheap_count] for v in s.violations),
     ),
     "preferences.csv": lambda s: partial(write_preferences, s.population[0]),
-    "ground_truth.csv": lambda s: partial(write_ground_truth, s.population[0].user_ids, s.population[1]),
+    "ground_truth.csv": lambda s: _csv(["user_id", "planted_kit"], [s.population[0].user_ids, s.population[1]]),
     "planted_kits.json": lambda s: partial(_write_kits_json, s.planted_kits),
     "sweep_table.csv": lambda s: _csv(
         ["k", *(f"trial_{t + 1}" for t in range(s.sweep_table.trials))],
@@ -194,7 +194,7 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
     "sweep_runs.csv": lambda s: _csv(["k", "trial", "iterations", "converged", "wcss"], _sweep_cells(
         s.sweep_table, s.sweep_table.iterations, s.sweep_table.converged.astype(int), s.sweep_table.wcss,
     )),
-    "scree.csv": lambda s: _rows(["rank", "sigma"], scree(s.factors)),
+    "scree.csv": lambda s: _csv(["rank", "sigma"], [range(1, s.factors.p + 1), s.factors.sigma]),
     "user_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.users)),
     "item_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.items)),
     "user_membership.csv": lambda s: _membership(s.prefs.user_ids, s.users),
@@ -294,7 +294,7 @@ def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
 
 
 def run_command(args: argparse.Namespace) -> int:
-    """Load inputs, check flags and data, refuse existing outputs, run every stage, then write.
+    """Load inputs, refuse existing outputs, check flags against the data, run every stage, then write.
 
     Nothing is written before every stage the files need has run.  Each file
     is written under a temporary name in ``--out`` and renamed into place
@@ -312,13 +312,13 @@ def run_command(args: argparse.Namespace) -> int:
         if "violations.csv" not in files:
             return 1
         code = 1
-    problem = next(_flag_problems(args, stages), None)
-    if problem:
-        raise UsageError(problem)
     out = Path(args.out)
     existing = [str(out / name) for name in files if (out / name).exists()]
     if existing and not args.force:
         raise FileExistsError(f"output exists (use --force to overwrite): {', '.join(existing)}")
+    problem = next(_flag_problems(args, stages), None)
+    if problem:
+        raise UsageError(problem)
     writers = [(out / name, ARTIFACTS[name](stages)) for name in files]
     created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)

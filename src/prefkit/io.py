@@ -1,4 +1,4 @@
-"""CSV ingestion and emission for catalogs, preference matrices, and ground truth.
+"""CSV ingestion and emission for catalogs, preference matrices and the command outputs.
 
 Formats (UTF-8, comma-separated, LF line endings).  Loaders accept a UTF-8
 byte-order mark and ignore blank lines at the end of a file; a blank line
@@ -8,7 +8,6 @@ the CSV reader cannot split into rows, raises ``TextFormatError`` naming
 
 * catalog:      ``item_id,name,category`` with category in {expensive, cheap}
 * preferences:  ``user_id,<one label per item>`` with data cells strictly 0 or 1
-* ground truth: ``user_id,planted_kit``
 
 Writers work a column at a time: ``write_csv`` turns each column into its
 fields once and writes the joined rows in blocks, and ``write_preferences``
@@ -66,13 +65,9 @@ def _csv_rows(path: str | Path, raw: bytes) -> list[list[str]]:
     return rows
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
-    return _csv_rows(path, Path(path).read_bytes())
-
-
 def load_catalog(path: str | Path) -> ItemCatalog:
     """Read an item catalog; item order is file order."""
-    rows = _read_rows(path)
+    rows = _csv_rows(path, Path(path).read_bytes())
     if not rows or rows[0] != CATALOG_HEADER:
         raise MalformedRowError(f"{path}: expected header {','.join(CATALOG_HEADER)}")
     items: list[Item] = []
@@ -247,25 +242,3 @@ def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
             cells = block[start : start + _BLOCK_ROWS].tobytes()
             rows = [cells[i : i + width] for i in range(0, len(cells), width)]
             fh.write(b"".join(map(bytes.__add__, ids[start : start + _BLOCK_ROWS], rows)))
-
-
-def write_ground_truth(user_ids: tuple[str, ...], planted: np.ndarray, path: str | Path) -> None:
-    write_csv(path, ["user_id", "planted_kit"], [user_ids, planted])
-
-
-def load_ground_truth(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = _read_rows(path)
-    if not rows or rows[0] != ["user_id", "planted_kit"]:
-        raise MalformedRowError(f"{path}: expected header user_id,planted_kit")
-    planted: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise MalformedRowError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        uid, raw_kit = row
-        if uid in planted:
-            raise DuplicateUserIdError(f"{path}:{lineno}: duplicate user_id {uid!r}")
-        try:
-            planted[uid] = int(raw_kit)
-        except ValueError:
-            raise MalformedRowError(f"{path}:{lineno}: planted_kit {raw_kit!r} is not an integer") from None
-    return tuple(planted), np.array(list(planted.values()), dtype=np.int64)

@@ -35,25 +35,19 @@ class Kit:
         return vec
 
 
-def validate_kit(
-    kit: Kit,
-    catalog: ItemCatalog,
-    constraint: SelectionConstraint,
-    constrained: bool = True,
-) -> None:
-    """Raise unless the kit has the right size (and, if asked, quota split)."""
+def validate_kit(kit: Kit, catalog: ItemCatalog, constraint: SelectionConstraint) -> None:
+    """Raise unless the kit has the right size and quota split."""
     indicator = kit.indicator(catalog.m)  # rejects item ids outside the catalog
     if len(kit.items) != constraint.total:
         raise ValueError(
             f"kit {kit.kit_id}: has {len(kit.items)} items, expected {constraint.total}"
         )
-    if constrained:
-        n_exp = int(indicator[list(catalog.ids_in(Category.EXPENSIVE))].sum())
-        if n_exp != constraint.expensive_quota:
-            raise ValueError(
-                f"kit {kit.kit_id}: {n_exp} expensive items, "
-                f"expected {constraint.expensive_quota}"
-            )
+    n_exp = int(indicator[list(catalog.ids_in(Category.EXPENSIVE))].sum())
+    if n_exp != constraint.expensive_quota:
+        raise ValueError(
+            f"kit {kit.kit_id}: {n_exp} expensive items, "
+            f"expected {constraint.expensive_quota}"
+        )
 
 
 def top_items(values: np.ndarray, count: int) -> list[int]:

@@ -241,20 +241,19 @@ class SweepTable:
 def sweep(
     prefs: PreferenceMatrix,
     config: KMeansConfig,
-    k_min: int = 4,
     k_max: int = 15,
     trials: int = 3,
 ) -> SweepTable:
-    """Run independent seeded trials for every k in [k_min, k_max].
+    """Run independent seeded trials for every k from ``config.k`` to ``k_max``.
 
     Cell (k, t) uses the seed ``derive_seed(config.seed, "sweep", k, t)`` so
     the whole table is a pure function of the config seed.
     """
-    if not 2 <= k_min <= k_max <= prefs.n:
-        raise ValueError(f"need 2 <= k_min <= k_max <= n, got {k_min}..{k_max} with n={prefs.n}")
+    if not 2 <= config.k <= k_max <= prefs.n:
+        raise ValueError(f"need 2 <= config.k <= k_max <= n, got {config.k}..{k_max} with n={prefs.n}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    k_values = tuple(range(k_min, k_max + 1))
+    k_values = tuple(range(config.k, k_max + 1))
     dist = _pairwise_distances(prefs.data)
     cells = []
     for k in k_values:

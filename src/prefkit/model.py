@@ -61,17 +61,18 @@ class ItemCatalog:
 
 @dataclass(frozen=True)
 class SelectionConstraint:
-    """How many items a survey row must select, split by price tier."""
+    """How many items a survey row must select from each price tier."""
 
-    total: int = 10
     expensive_quota: int = 6
     cheap_quota: int = 4
 
     def __post_init__(self) -> None:
         if self.total < 1 or self.expensive_quota < 0 or self.cheap_quota < 0:
             raise ValueError("quotas must be non-negative and total at least 1")
-        if self.expensive_quota + self.cheap_quota != self.total:
-            raise ValueError("expensive_quota + cheap_quota must equal total")
+
+    @property
+    def total(self) -> int:
+        return self.expensive_quota + self.cheap_quota
 
     def check_catalog(self, catalog: ItemCatalog) -> None:
         """Raise unless the catalog can satisfy every quota."""

@@ -30,11 +30,6 @@ class SignClustering:
     cluster_codes: np.ndarray
 
     @property
-    def codes(self) -> np.ndarray:
-        """Per-element code."""
-        return self.cluster_codes[self.labels]
-
-    @property
     def n_clusters(self) -> int:
         return len(self.cluster_codes)
 

@@ -94,8 +94,3 @@ def truncate(factors: SvdFactors, rank: int) -> SvdFactors:
         sigma=factors.sigma[:rank],
         vt=factors.vt[:rank, :],
     )
-
-
-def scree(factors: SvdFactors) -> list[tuple[int, float]]:
-    """(rank, sigma) pairs, 1-based, in decreasing-sigma order for plotting."""
-    return [(j + 1, float(s)) for j, s in enumerate(factors.sigma)]

@@ -122,7 +122,7 @@ def generate_synthetic(
     index.  Identical inputs produce bit-identical outputs.
     """
     for kit in spec.planted_kits:
-        validate_kit(kit, catalog, constraint, constrained=True)
+        validate_kit(kit, catalog, constraint)
     if spec.noise_swaps > min(constraint.expensive_quota, constraint.cheap_quota):
         raise ValueError("noise_swaps must not exceed the smaller category quota")
 

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: silhouette is
 recomputed from raw pairwise distances in pure Python, eigenvalues come from
 characteristic-polynomial root finding rather than LAPACK, and the adjusted
-Rand index is the plain contingency-table formula.  The per-user silhouette
+Rand index is the plain contingency-table formula, and ``user_loss`` scores
+one row against one kit by comparing every position, as the brute-force
+reference for ``reassign``.  The per-user silhouette
 loop, the masked-mean k-means update, the per-user synthetic generator, the
 scanning kit sampler, the broadcast mismatch count, the row-at-a-time CSV
 writer, the cluster-by-cluster kit design, and the per-user SVD, kit counts,
@@ -21,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from prefkit.assignment import REASSIGNED, Assignment, ClusterLosses, LossReport
+from prefkit.assignment import Assignment, ClusterLosses, LossReport
 from prefkit.kits import Kit, select_items
 from prefkit.kmeans import _TOL, init_centroids
 from prefkit.model import Category, PreferenceMatrix
@@ -199,6 +201,16 @@ def random_kits_scan(catalog, constraint, count, seed, min_separation=1):
 
 
 # ---------------------------------------------------------------------------
+# one user's loss against one kit
+
+
+def user_loss(row, kit):
+    """Hamming distance between one selection row and a kit."""
+    row = np.asarray(row)
+    return int((row != kit.indicator(row.shape[0])).sum())
+
+
+# ---------------------------------------------------------------------------
 # broadcast mismatch count and row-at-a-time CSV writer (the replaced library code)
 
 
@@ -315,7 +327,7 @@ def loss_report_rows(prefs, kits, assignment):
 def reassign_rows(prefs, kits, initial):
     """Every user's argmin over its own row of the n x K mismatch matrix."""
     mismatches = mismatches_rows(prefs, kits)
-    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1), provenance=REASSIGNED)
+    reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1))
     return reassigned, _report_rows(mismatches, initial), _report_rows(mismatches, reassigned)
 
 

@@ -14,7 +14,7 @@ import prefkit as pk
 from prefkit.cli import main
 
 from conftest import CATALOG_PATH
-from oracles import adjusted_rand_index, silhouette_bruteforce, singular_values_charpoly
+from oracles import adjusted_rand_index, silhouette_bruteforce, singular_values_charpoly, user_loss
 
 BASE_SEED = 20260809
 
@@ -188,7 +188,7 @@ def reassignment_corpus(catalog20, constraint, survey):
     spec = pk.SyntheticSpec(n_users=90, planted_kits=clean_kits, noise_swaps=0,
                             seed=pk.derive_seed(BASE_SEED, "corpus", 1))
     clean_prefs, clean_truth = pk.generate_synthetic(spec, catalog20, constraint)
-    initial = pk.Assignment(clean_truth, pk.INITIAL)
+    initial = pk.Assignment(clean_truth)
     corpus.append((clean_prefs, list(clean_kits)) + pk.reassign(clean_prefs, list(clean_kits), initial) + (initial,))
 
     noisy_kits = pk.random_kits(catalog20, constraint, 5, seed=pk.derive_seed(BASE_SEED, "corpus", 2))
@@ -213,7 +213,7 @@ def test_criterion_6_reassignment_contract(reassignment_corpus):
             assert before2.total_loss == after.total_loss == after2.total_loss
             for i in range(prefs.n):
                 for kit in kits:
-                    assert pk.user_loss(prefs.data[i], kit) >= after.per_user_loss[i]
+                    assert user_loss(prefs.data[i], kit) >= after.per_user_loss[i]
 
 
 def test_criterion_7_jensen_magnification(reassignment_corpus):
@@ -237,12 +237,12 @@ def test_criterion_8_sweep_structure_and_stress(survey):
     with criterion(8, "12x3 sweep table in [-1,1]; 50-kit stress sweep under 60 s"):
         prefs, _, _ = survey
         config = pk.KMeansConfig(k=4, seed=pk.derive_seed(BASE_SEED, "sweep"))
-        table = pk.sweep(prefs, config, k_min=4, k_max=15, trials=3)
+        table = pk.sweep(prefs, config, k_max=15, trials=3)
         assert table.k_values == tuple(range(4, 16))
         assert table.scores.shape == (12, 3)
         assert (table.scores >= -1.0).all() and (table.scores <= 1.0).all()
         start = time.perf_counter()
-        stress = pk.sweep(prefs, config, k_min=4, k_max=50, trials=1)
+        stress = pk.sweep(prefs, config, k_max=50, trials=1)
         assert time.perf_counter() - start < 60.0
         assert stress.scores.shape == (47, 1)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import cluster_losses_loop, loss_report_rows, mismatches_broadcast, reassign_rows
+from oracles import cluster_losses_loop, loss_report_rows, mismatches_broadcast, reassign_rows, user_loss
 from prefkit.assignment import _mismatches
 
 
@@ -23,11 +23,11 @@ class TestUserLoss:
     def test_identical_selection_scores_zero(self):
         kit = kit_of(0, [1, 2, 3])
         row = kit.indicator(5)
-        assert pk.user_loss(row, kit) == 0
+        assert user_loss(row, kit) == 0
 
     def test_one_missing_one_extra_scores_two(self):
         row = np.array([0, 1, 1, 1, 0], dtype=np.int8)
-        assert pk.user_loss(row, kit_of(0, [1, 2, 4])) == 2
+        assert user_loss(row, kit_of(0, [1, 2, 4])) == 2
 
     def test_equals_twice_total_minus_overlap(self):
         # Brute-force check over all positions for equal-cardinality rows/kits.
@@ -42,7 +42,7 @@ class TestUserLoss:
             explicit = sum(
                 1 for q in range(m) if (q in row_items) != (q in kit_items)
             )
-            loss = pk.user_loss(row, kit)
+            loss = user_loss(row, kit)
             assert loss == explicit
             assert loss == 2 * (total - len(row_items & kit_items))
             assert loss % 2 == 0
@@ -50,14 +50,14 @@ class TestUserLoss:
 
 class TestClusterLosses:
     def test_zero_losses_give_unit_exponential(self):
-        assignment = pk.Assignment(np.array([0, 0]), pk.INITIAL)
+        assignment = pk.Assignment(np.array([0, 0]))
         normal, exponential, populations = pk.cluster_losses(np.array([0, 0]), assignment, 1)
         assert normal.tolist() == [0.0]
         assert exponential.tolist() == [1.0]
         assert populations.tolist() == [2]
 
     def test_zero_and_two_frozen_values(self):
-        assignment = pk.Assignment(np.array([0, 0]), pk.INITIAL)
+        assignment = pk.Assignment(np.array([0, 0]))
         normal, exponential, _ = pk.cluster_losses(np.array([0, 2]), assignment, 1)
         assert normal[0] == pytest.approx(1.0, abs=1e-12)
         assert exponential[0] == pytest.approx(4.194528049465325, abs=1e-9)
@@ -67,14 +67,14 @@ class TestClusterLosses:
         rng = np.random.default_rng(71)
         for _ in range(30):
             losses = rng.integers(0, 9, size=10)
-            assignment = pk.Assignment(np.zeros(10, dtype=int), pk.INITIAL)
+            assignment = pk.Assignment(np.zeros(10, dtype=int))
             normal, exponential, _ = pk.cluster_losses(losses, assignment, 1)
             assert exponential[0] >= math.exp(normal[0]) - 1e-12
             if len(set(losses.tolist())) > 1:
                 assert exponential[0] > math.exp(normal[0])
 
     def test_empty_population_reports_zero_with_marker(self):
-        assignment = pk.Assignment(np.array([0, 0]), pk.INITIAL)
+        assignment = pk.Assignment(np.array([0, 0]))
         normal, exponential, populations = pk.cluster_losses(np.array([1, 1]), assignment, 2)
         assert populations.tolist() == [2, 0]
         assert normal[1] == 0.0 and exponential[1] == 0.0
@@ -90,7 +90,7 @@ class TestReassign:
 
     def test_exact_kit_match_gets_that_kit(self):
         prefs = prefs_from([self.kits[2].indicator(6).tolist()])
-        initial = pk.Assignment(np.array([0]), pk.INITIAL)
+        initial = pk.Assignment(np.array([0]))
         final, before, after = pk.reassign(prefs, self.kits, initial)
         assert final.kit_index.tolist() == [2]
         assert after.per_user_loss.tolist() == [0]
@@ -99,7 +99,7 @@ class TestReassign:
     def test_tie_breaks_to_lowest_kit_index(self):
         # Equidistant from kits 0 and 1 (loss 4 against both, 6 against kit 2).
         prefs = prefs_from([[1, 0, 0, 1, 0, 0]])
-        initial = pk.Assignment(np.array([2]), pk.INITIAL)
+        initial = pk.Assignment(np.array([2]))
         final, _, _ = pk.reassign(prefs, self.kits, initial)
         assert final.kit_index.tolist() == [0]
 
@@ -123,19 +123,12 @@ class TestReassign:
         final, _, after = pk.reassign(prefs, kits, initial)
         for i in range(prefs.n):
             for kit in kits:
-                assert pk.user_loss(prefs.data[i], kit) >= after.per_user_loss[i]
+                assert user_loss(prefs.data[i], kit) >= after.per_user_loss[i]
 
     def test_empty_kit_list_rejected(self):
         prefs = prefs_from([[1, 0]])
         with pytest.raises(ValueError):
-            pk.reassign(prefs, [], pk.Assignment(np.array([0]), pk.INITIAL))
-
-    def test_provenance_labels(self):
-        prefs = prefs_from([self.kits[0].indicator(6).tolist()])
-        initial = pk.Assignment(np.array([0]), pk.INITIAL)
-        final, _, _ = pk.reassign(prefs, self.kits, initial)
-        assert initial.provenance == pk.INITIAL
-        assert final.provenance == pk.REASSIGNED
+            pk.reassign(prefs, [], pk.Assignment(np.array([0])))
 
 
 class TestMismatches:
@@ -174,8 +167,8 @@ class TestDistinctRowScoring:
         kits = [*pk.random_kits(catalog20, constraint, 12, seed=4), kit_of(12, range(20)), kit_of(13, [])]
         rng = np.random.default_rng(8)
         for initial in (
-            pk.Assignment(rng.integers(0, len(kits), size=prefs.n), pk.INITIAL),  # splits identical rows
-            pk.Assignment(np.zeros(prefs.n, dtype=np.int64), pk.INITIAL),
+            pk.Assignment(rng.integers(0, len(kits), size=prefs.n)),  # splits identical rows
+            pk.Assignment(np.zeros(prefs.n, dtype=np.int64)),
         ):
             got, want = pk.reassign(prefs, kits, initial), reassign_rows(prefs, kits, initial)
             assert np.array_equal(got[0].kit_index, want[0].kit_index)
@@ -187,7 +180,7 @@ class TestDistinctRowScoring:
     def test_cluster_losses_equal_the_mask_loop(self, n, k):
         # 30,000 users in 2 kits gives segments past numpy's 8,192-element summation blocks.
         rng = np.random.default_rng(n + k)
-        assignment = pk.Assignment(rng.integers(0, k, size=n), pk.INITIAL)
+        assignment = pk.Assignment(rng.integers(0, k, size=n))
         for losses in (rng.integers(0, 21, size=n), rng.integers(0, 21, size=n) * 0.37):
             got, want = pk.cluster_losses(losses, assignment, k + 2), cluster_losses_loop(losses, assignment, k + 2)
             for x, y in zip(got, want):
@@ -202,7 +195,7 @@ class TestDistinctRowScoring:
             row[rng.choice(m, size=10, replace=False)] = 1
         prefs = pk.PreferenceMatrix(tuple(map(str, range(n))), base[rng.permutation(np.repeat(np.arange(50), n // 50))])
         kits = [kit_of(j, rng.choice(m, size=10, replace=False).tolist()) for j in range(50)]
-        initial = pk.Assignment(rng.integers(0, 50, size=n), pk.INITIAL)
+        initial = pk.Assignment(rng.integers(0, 50, size=n))
         assert len(prefs.distinct.rows) == 50  # found once, before the measurement
         tracemalloc.start()
         try:
@@ -217,7 +210,7 @@ class TestLossReport:
     def test_total_is_sum_of_per_user(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         kits = pk.random_kits(catalog20, constraint, 3, seed=5)
-        assignment = pk.Assignment(np.zeros(prefs.n, dtype=int), pk.INITIAL)
+        assignment = pk.Assignment(np.zeros(prefs.n, dtype=int))
         report = pk.loss_report(prefs, list(kits), assignment)
         assert report.total_loss == int(report.per_user_loss.sum())
         assert report.populations.tolist() == [prefs.n, 0, 0]
@@ -225,15 +218,15 @@ class TestLossReport:
     def test_out_of_range_assignment_rejected(self):
         prefs = prefs_from([[1, 0, 1]])
         with pytest.raises(ValueError):
-            pk.loss_report(prefs, [kit_of(0, [0, 2])], pk.Assignment(np.array([1]), pk.INITIAL))
+            pk.loss_report(prefs, [kit_of(0, [0, 2])], pk.Assignment(np.array([1])))
         with pytest.raises(ValueError, match="assignment refers to kit 5, but there are 1 kits"):
-            pk.cluster_losses(np.array([1.0, 3.0]), pk.Assignment(np.array([0, 5]), pk.INITIAL), 1)
+            pk.cluster_losses(np.array([1.0, 3.0]), pk.Assignment(np.array([0, 5])), 1)
 
 
     def test_assignment_of_wrong_length_rejected_by_name(self):
         prefs = prefs_from([[1, 0, 1], [0, 1, 1]])
         kits = [kit_of(0, [0, 2])]
-        short = pk.Assignment(np.array([0]), pk.INITIAL)
+        short = pk.Assignment(np.array([0]))
         for call in (
             lambda: pk.reassign(prefs, kits, short),
             lambda: pk.loss_report(prefs, kits, short),
@@ -245,7 +238,7 @@ class TestLossReport:
     @pytest.mark.parametrize("items", [[0, 5], [-1, 2]])
     def test_kit_item_outside_catalog_rejected_by_name(self, items):
         prefs = prefs_from([[1, 0, 1]])
-        assignment = pk.Assignment(np.array([0]), pk.INITIAL)
+        assignment = pk.Assignment(np.array([0]))
         for call in (pk.reassign, pk.loss_report):
             with pytest.raises(ValueError, match=r"kit 0: item ids must lie in 0\.\.2"):
                 call(prefs, [kit_of(0, items)], assignment)
@@ -255,7 +248,6 @@ class TestAssignmentFromClusters:
     def test_kit_positions_follow_sorted_cluster_ids(self):
         assignment = pk.assignment_from_clusters(np.array([2, 0, 0]))
         assert assignment.kit_index.tolist() == [1, 0, 0]
-        assert assignment.provenance == pk.INITIAL
 
     def test_empty_clusters_skipped_in_numbering(self):
         assignment = pk.assignment_from_clusters(np.array([0, 2]))
@@ -267,7 +259,7 @@ class TestAssignmentFromClusters:
 
     def test_negative_kit_index_rejected(self):
         with pytest.raises(ValueError):
-            pk.Assignment(np.array([-1]), pk.INITIAL)
+            pk.Assignment(np.array([-1]))
 
     @pytest.mark.parametrize("kit_index", [
         np.array([0.7, 1.9]), np.array([True, False]), np.array(["0", "1"]),
@@ -275,4 +267,4 @@ class TestAssignmentFromClusters:
     def test_non_integer_kit_indices_rejected_by_dtype(self, kit_index):
         # A cast would silently score other kits: 0.7 -> 0, True -> 1, "1" -> 1.
         with pytest.raises(ValueError, match=str(kit_index.dtype)):
-            pk.Assignment(kit_index, pk.INITIAL)
+            pk.Assignment(kit_index)

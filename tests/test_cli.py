@@ -36,8 +36,10 @@ class TestSynth:
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
         assert prefs.n == 60
         assert pk.validate_constraint(prefs, catalog20, constraint) == []
-        user_ids, planted = pk.load_ground_truth(out / "ground_truth.csv")
-        assert user_ids == prefs.user_ids
+        truth = read_csv(out / "ground_truth.csv")
+        assert truth[0] == ["user_id", "planted_kit"]
+        assert tuple(row[0] for row in truth[1:]) == prefs.user_ids
+        planted = np.array([int(row[1]) for row in truth[1:]])
         kits = json.loads((out / "planted_kits.json").read_text())
         assert set(kits) == {"0", "1", "2", "3"}
         assert (planted < 4).all()
@@ -45,10 +47,10 @@ class TestSynth:
     def test_no_noise_rows_duplicate_planted_kits(self, tmp_path, catalog20):
         out = run_synth(tmp_path, **{"--noise-swaps": 0})
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
-        _, planted = pk.load_ground_truth(out / "ground_truth.csv")
+        planted = [row[1] for row in read_csv(out / "ground_truth.csv")[1:]]
         kits = json.loads((out / "planted_kits.json").read_text())
         for i in range(prefs.n):
-            expected = sorted(kits[str(planted[i])])
+            expected = sorted(kits[planted[i]])
             assert sorted(np.flatnonzero(prefs.data[i]).tolist()) == expected
 
     def test_same_flags_byte_identical(self, tmp_path):
@@ -303,10 +305,11 @@ class TestSvdAndSigns:
             args = build_parser().parse_args([
                 "cluster-signs", "--catalog", str(CATALOG_PATH), "--prefs", "-", "--out", "-", "--rank", str(rank),
             ])
-            codes = Stages(args).users.codes
+            users, reference = Stages(args).users, pk.user_sign_clusters(pk.truncate(full, rank))
+            codes, expected = users.cluster_codes[users.labels], reference.cluster_codes[reference.labels]
             clear = np.abs(full.u[:, :rank]).min(axis=1) > 1e-9
             assert clear.mean() > 0.99, rank
-            assert np.array_equal(codes[clear], pk.user_sign_clusters(pk.truncate(full, rank)).codes[clear]), rank
+            assert np.array_equal(codes[clear], expected[clear]), rank
 
 
 class TestDesignAndReassign:
@@ -401,12 +404,12 @@ class TestPipeline:
         users = read_csv(pipe_dir / "loss_users.csv")
         planted = json.loads((out / "planted_kits.json").read_text())
         designed = {tuple(items) for items in json.loads((pipe_dir / "kits.json").read_text()).values()}
-        _, truth = pk.load_ground_truth(out / "ground_truth.csv")
+        truth = [row[1] for row in read_csv(out / "ground_truth.csv")[1:]]
         total_before = sum(int(r[3]) for r in users[1:])
         total_after = sum(int(r[4]) for r in users[1:])
         assert total_after <= total_before
         for row, g in zip(users[1:], truth):
-            if tuple(planted[str(g)]) in designed:
+            if tuple(planted[g]) in designed:
                 assert int(row[4]) == 0
 
     def test_strict_pipeline_aborts_on_dirty_rows(self, tmp_path, catalog20):
@@ -470,17 +473,31 @@ class TestCliContract:
         old = run_synth(tmp_path)
         before = {p.name: p.read_bytes() for p in old.iterdir()}
 
-        def full_disk(user_ids, planted, path):  # the second of synth's three files
+        def full_disk(path, header, columns):  # ground_truth.csv, the second of synth's three files
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("user_id,planted_kit\n")
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("prefkit.cli.write_ground_truth", full_disk)
+        monkeypatch.setattr("prefkit.cli.write_csv", full_disk)
         fresh = tmp_path / "new" / "synth"
         for out, extra in ((old, ["--force", "--seed", "8"]), (fresh, [])):
             assert main(["synth", "--catalog", str(CATALOG_PATH), "--out", str(out), *extra]) == 3
         assert {p.name: p.read_bytes() for p in old.iterdir()} == before
         assert not (tmp_path / "new").exists()
+
+    def test_existing_output_is_refused_before_the_flags_are_checked(self, tmp_path, monkeypatch, capsys):
+        # The --rank check reads the singular values; a refused command must not factor.
+        argv = ["pipeline", "--catalog", str(CATALOG_PATH), "--prefs", str(run_synth(tmp_path) / "preferences.csv"),
+                "--out", str(tmp_path / "pipe"), "--rank", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("svd ran for a refused command")
+
+        monkeypatch.setattr("prefkit.cli.svd", fail)
+        assert main(argv) == 3
+        assert "output exists" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("kmeans-sweep", "--lambda", "1.5"),

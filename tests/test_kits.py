@@ -30,7 +30,7 @@ class TestFrequencyProfile:
 
     def test_single_user_counts_equal_row(self, catalog_factory):
         prefs = prefs_from([toy_selection(6, [0, 3, 5])])
-        c = pk.SelectionConstraint(total=3, expensive_quota=2, cheap_quota=1)
+        c = pk.SelectionConstraint(expensive_quota=2, cheap_quota=1)
         assert one_kit(prefs, catalog_factory(3, 3), c) == frozenset({0, 3, 5})
 
     def test_hand_counted_toy_cluster(self, catalog_factory):
@@ -44,20 +44,20 @@ class TestFrequencyProfile:
         # Counts [3, 1, 1, 0, 0, 1]: item 0 leads, then the ones, lowest ids first.
         catalog = catalog_factory(3, 3)
         for total, want in [(1, {0}), (3, {0, 1, 2}), (4, {0, 1, 2, 5})]:
-            c = pk.SelectionConstraint(total=total, expensive_quota=total - 1, cheap_quota=1)
+            c = pk.SelectionConstraint(expensive_quota=total - 1, cheap_quota=1)
             assert one_kit(prefs, catalog, c) == frozenset(want)
 
     def test_full_column_counts_population(self, catalog_factory):
         # Seven users outvote six on item 3, though item 1's column is the lower id.
         prefs = prefs_from([toy_selection(4, [3])] * 7 + [toy_selection(4, [1])] * 6)
-        c = pk.SelectionConstraint(total=1, expensive_quota=1, cheap_quota=0)
+        c = pk.SelectionConstraint(expensive_quota=1, cheap_quota=0)
         assert one_kit(prefs, catalog_factory(2, 2), c) == frozenset({3})
 
 
 class TestDesignKit:
     def test_ranks_by_count_with_low_id_ties(self, catalog_factory):
         catalog = catalog_factory(3, 3)
-        c = pk.SelectionConstraint(total=3, expensive_quota=2, cheap_quota=1)
+        c = pk.SelectionConstraint(expensive_quota=2, cheap_quota=1)
         assert select_items(np.array([3, 2, 2, 1, 0, 1]), catalog, c) == [0, 1, 2]
 
     def test_all_equal_counts_take_lowest_ids(self, catalog20, constraint):
@@ -76,7 +76,7 @@ class TestDesignKit:
         quota = select_items(counts, catalog20, constraint, constrained=True)
         assert flat == list(range(10, 20))
         assert quota == [0, 1, 2, 3, 4, 5, 10, 11, 12, 13]
-        pk.validate_kit(pk.Kit(0, frozenset(quota)), catalog20, constraint, constrained=True)
+        pk.validate_kit(pk.Kit(0, frozenset(quota)), catalog20, constraint)
 
     def test_catalog_smaller_than_kit_rejected(self, catalog_factory):
         prefs = prefs_from([[1, 1]])
@@ -161,11 +161,10 @@ class TestValidateKit:
         with pytest.raises(ValueError):
             pk.validate_kit(pk.Kit(0, frozenset([0, 1, 2, 3, 4, 5, 10, 11, 12, 99])), catalog20, constraint)
 
-    def test_quota_mismatch_rejected_only_when_constrained(self, catalog20, constraint):
+    def test_quota_mismatch_rejected(self, catalog20, constraint):
         five_five = pk.Kit(0, frozenset([0, 1, 2, 3, 4, 10, 11, 12, 13, 14]))
-        pk.validate_kit(five_five, catalog20, constraint, constrained=False)
         with pytest.raises(ValueError):
-            pk.validate_kit(five_five, catalog20, constraint, constrained=True)
+            pk.validate_kit(five_five, catalog20, constraint)
 
 
 class TestDesignOnDistinctRows:

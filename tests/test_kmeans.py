@@ -391,12 +391,12 @@ class TestSilhouette:
 class TestSweep:
     def test_single_cell_table(self, survey):
         prefs, _, _ = survey
-        table = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=0), k_min=4, k_max=4, trials=1)
+        table = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=0), k_max=4, trials=1)
         assert table.k_values == (4,)
         assert table.scores.shape == (1, 1)
 
     def test_default_layout_matches_twelve_by_three(self, survey):
-        # k_max defaults to 15, k_min to 4.
+        # k_max defaults to 15.
         prefs, _, _ = survey
         table = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=1))
         assert table.k_values == tuple(range(4, 16))
@@ -405,14 +405,14 @@ class TestSweep:
 
     def test_identical_seeds_identical_tables(self, survey):
         prefs, _, _ = survey
-        a = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=9), k_min=4, k_max=6, trials=2)
-        b = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=9), k_min=4, k_max=6, trials=2)
+        a = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=9), k_max=6, trials=2)
+        b = pk.sweep(prefs, pk.KMeansConfig(k=4, seed=9), k_max=6, trials=2)
         assert (a.scores == b.scores).all()
 
     def test_shared_distances_match_per_cell_silhouette(self, survey):
         prefs, _, _ = survey
         config = pk.KMeansConfig(k=4, seed=5)
-        table = pk.sweep(prefs, config, k_min=4, k_max=7, trials=2)
+        table = pk.sweep(prefs, config, k_max=7, trials=2)
         for row, k in enumerate(table.k_values):
             for t in range(table.trials):
                 run = pk.run_kmeans(prefs, replace(config, k=k, seed=pk.derive_seed(config.seed, "sweep", k, t)))
@@ -425,6 +425,6 @@ class TestSweep:
     def test_bounds_validation(self, survey):
         prefs, _, _ = survey
         with pytest.raises(ValueError):
-            pk.sweep(prefs, pk.KMeansConfig(k=4, seed=0), k_min=5, k_max=4)
+            pk.sweep(prefs, pk.KMeansConfig(k=5, seed=0), k_max=4)
         with pytest.raises(ValueError):
-            pk.sweep(prefs, pk.KMeansConfig(k=4, seed=0), k_min=4, k_max=999)
+            pk.sweep(prefs, pk.KMeansConfig(k=4, seed=0), k_max=999)

@@ -214,7 +214,7 @@ class TestPlainFormReader:
 
 
 class TestTextErrors:
-    @pytest.mark.parametrize("kind", ["catalog", "preferences", "ground-truth"])
+    @pytest.mark.parametrize("kind", ["catalog", "preferences"])
     def test_invalid_utf8_names_file_and_line(self, tmp_path, small_catalog, kind):
         text, load = {
             "catalog": (CLEAN_CATALOG, pk.load_catalog),
@@ -222,7 +222,6 @@ class TestTextErrors:
                 HEADER + "u1,1,0,1,0\nu2,0,1,0,1\n",
                 lambda path: pk.load_preferences(path, small_catalog),
             ),
-            "ground-truth": ("user_id,planted_kit\nu1,0\nu2,1\n", pk.load_ground_truth),
         }[kind]
         raw = text.encode("utf-8")
         # The bad byte opens line 3, right after a line break.
@@ -292,10 +291,6 @@ class TestDistinctRows:
 class TestSelectionConstraint:
     def test_defaults(self, constraint):
         assert (constraint.total, constraint.expensive_quota, constraint.cheap_quota) == (10, 6, 4)
-
-    def test_quota_sum_must_match_total(self):
-        with pytest.raises(ValueError):
-            pk.SelectionConstraint(total=10, expensive_quota=5, cheap_quota=4)
 
     def test_catalog_must_be_large_enough(self, catalog_factory):
         with pytest.raises(ValueError):

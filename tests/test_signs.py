@@ -44,7 +44,7 @@ class TestUserSignClusters:
         u = np.array([[0.1, -0.2], [0.3, 0.4], [0.2, -0.9], [0.5, 0.5]])
         clustering = pk.user_sign_clusters(fake_truncated(u=u))
         assert clustering.labels.tolist() == [0, 1, 0, 1]
-        assert clustering.codes.tolist() == [0b10, 0b11, 0b10, 0b11]
+        assert clustering.cluster_codes[clustering.labels].tolist() == [0b10, 0b11, 0b10, 0b11]
 
 
     def test_matches_per_element_string_coding(self):
@@ -59,7 +59,7 @@ class TestUserSignClusters:
             for p in patterns:
                 first.setdefault(p, len(first))
             assert clustering.patterns == tuple(patterns)
-            assert clustering.codes.tolist() == [int(p, 2) for p in patterns]
+            assert clustering.cluster_codes[clustering.labels].tolist() == [int(p, 2) for p in patterns]
             assert clustering.labels.tolist() == [first[p] for p in patterns]
             assert clustering.n_clusters == len(first)
 
@@ -88,7 +88,7 @@ class TestSignStability:
         noisy = pk.SvdFactors(u=u, sigma=t.sigma, vt=vt)
         for build in (pk.user_sign_clusters, pk.item_sign_clusters):
             clean, moved = build(t), build(noisy)
-            assert clean.codes.tolist() == moved.codes.tolist()
+            assert clean.cluster_codes[clean.labels].tolist() == moved.cluster_codes[moved.labels].tolist()
             assert clean.labels.tolist() == moved.labels.tolist()
 
 

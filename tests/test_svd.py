@@ -128,23 +128,6 @@ class TestTruncate:
             assert abs(residual - expected) <= 1e-8 * max(1.0, expected)
 
 
-class TestScree:
-    def test_orders_pairs_one_based(self):
-        f = pk.svd(np.diag([5.0, 1.0, 0.0]))
-        assert pk.scree(f) == [(1, 5.0), (2, 1.0), (3, 0.0)]
-
-    def test_identity(self):
-        assert pk.scree(pk.svd(np.eye(3))) == [(1, 1.0), (2, 1.0), (3, 1.0)]
-
-    def test_survey_scale_non_increasing(self, survey):
-        prefs, _, _ = survey
-        pairs = pk.scree(pk.svd(prefs.data.astype(float)))
-        assert len(pairs) == 20
-        assert [rank for rank, _ in pairs] == list(range(1, 21))
-        sigmas = [s for _, s in pairs]
-        assert all(a >= b - 1e-12 for a, b in zip(sigmas, sigmas[1:]))
-
-
 class TestWeightedSvd:
     """``svd(rows, weights)`` against the SVD of the matrix with each row repeated."""
 

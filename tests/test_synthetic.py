@@ -27,7 +27,7 @@ class TestRandomKits:
         kits = pk.random_kits(catalog20, constraint, 8, seed=5)
         assert len({kit.items for kit in kits}) == 8
         for kit in kits:
-            pk.validate_kit(kit, catalog20, constraint, constrained=True)
+            pk.validate_kit(kit, catalog20, constraint)
 
     def test_deterministic(self, catalog20, constraint):
         a = pk.random_kits(catalog20, constraint, 8, seed=5)
@@ -36,7 +36,7 @@ class TestRandomKits:
 
     def test_impossible_count_raises(self, catalog_factory):
         catalog = catalog_factory(1, 1)
-        constraint = pk.SelectionConstraint(total=2, expensive_quota=1, cheap_quota=1)
+        constraint = pk.SelectionConstraint(expensive_quota=1, cheap_quota=1)
         with pytest.raises(ValueError):
             pk.random_kits(catalog, constraint, 2, seed=0)
 
@@ -100,7 +100,7 @@ class TestGenerateSynthetic:
         # Six expensive items and a quota of 6: every expensive swap draws
         # the item to drop, finds an empty pool and changes nothing.
         catalog = catalog_factory(6, 8)
-        constraint = pk.SelectionConstraint(total=10, expensive_quota=6, cheap_quota=4)
+        constraint = pk.SelectionConstraint(expensive_quota=6, cheap_quota=4)
         kits = pk.random_kits(catalog, constraint, 5, seed=1)
         for noise in range(5):
             spec = pk.SyntheticSpec(n_users=200, planted_kits=kits, noise_swaps=noise, seed=noise)
@@ -162,28 +162,3 @@ class TestGenerateSynthetic:
         spec = pk.SyntheticSpec(n_users=5, planted_kits=(bad,), noise_swaps=0, seed=0)
         with pytest.raises(ValueError):
             pk.generate_synthetic(spec, catalog20, constraint)
-
-
-class TestGroundTruthIo:
-    def test_round_trip(self, tmp_path, catalog20, constraint):
-        prefs, planted, _ = planted_fixture(catalog20, constraint, n_users=12)
-        path = tmp_path / "truth.csv"
-        pk.write_ground_truth(prefs.user_ids, planted, path)
-        user_ids, loaded = pk.load_ground_truth(path)
-        assert user_ids == prefs.user_ids
-        assert (loaded == planted).all()
-
-    @pytest.mark.parametrize(
-        "body, error",
-        [
-            ("u1,0\nu2\n", pk.MalformedRowError),
-            ("u1,0\nu2,first\n", pk.MalformedRowError),
-            ("u1,0\nu1,1\n", pk.DuplicateUserIdError),
-        ],
-        ids=["short-row", "non-integer-kit", "duplicate-user"],
-    )
-    def test_bad_row_names_its_line(self, tmp_path, body, error):
-        path = tmp_path / "truth.csv"
-        path.write_text("user_id,planted_kit\n" + body, encoding="utf-8")
-        with pytest.raises(error, match="truth.csv:3: "):
-            pk.load_ground_truth(path)
