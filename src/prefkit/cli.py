@@ -6,12 +6,15 @@ selection quotas, ``synth`` emits a seeded planted-kit population,
 ``cluster-signs`` / ``design-kits`` / ``reassign`` / ``pipeline`` run the
 factorization route through kit design and loss reporting.
 
-Every subcommand runs :func:`run_command`: load the inputs, refuse existing
-outputs, check the flags against the inputs, run every stage its files need,
+Every subcommand runs :func:`run_command`: refuse existing outputs, load the
+inputs, check the flags against the inputs, run every stage its files need,
 and only then create ``--out`` and write, so a command that fails writes nothing.
+A refused command reads no input unless ``--strict`` is given, since the
+quota check comes first.
 
 Exit codes: 0 success, 1 strict-mode validation failure, 2 usage error,
-3 I/O or numeric failure.  Existing output files are only overwritten under
+3 I/O or numeric failure.  A missing input and an existing output are both
+exit 3; when both hold, the existing output is the one reported.  Existing output files are only overwritten under
 ``--force``.  All commands are deterministic given their flags; randomness
 derives from ``--seed`` via :func:`prefkit.seeding.derive_seed`.
 """
@@ -34,7 +37,7 @@ from .errors import PrefkitError
 from .io import load_catalog, load_preferences, write_csv, write_preferences
 from .kits import Kit, design_all
 from .kmeans import KMeansConfig, SweepTable, sweep
-from .model import PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
+from .model import ItemCatalog, PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
 from .seeding import derive_seed
 from .signs import SignClustering, cluster_count_table, item_sign_clusters, user_sign_clusters
 from .svd import SvdFactors, svd, truncate
@@ -48,7 +51,7 @@ class UsageError(Exception):
 
 
 class Stages:
-    """One command's inputs and stages; each stage runs once, on first use.
+    """One command's inputs and stages; each is loaded or run once, on first use.
 
     The factorization route is svd -> truncate -> user (and item) sign
     clusters -> one kit per user cluster -> initial assignment ->
@@ -59,8 +62,14 @@ class Stages:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.catalog = load_catalog(args.catalog)
-        self.prefs = load_preferences(args.prefs, self.catalog) if "prefs" in args else None
+
+    @cached_property
+    def catalog(self) -> ItemCatalog:
+        return load_catalog(self.args.catalog)
+
+    @cached_property
+    def prefs(self) -> PreferenceMatrix:
+        return load_preferences(self.args.prefs, self.catalog)
 
     @cached_property
     def violations(self) -> list[RowViolation]:
@@ -284,7 +293,7 @@ def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
         if sigma[a.rank - 1] <= tol:
             yield f"--rank {a.rank} is past the numerical rank: sigma_{a.rank} = {sigma[a.rank - 1]:.2g} <= {tol:.2g}"
     if "n_users" in a:  # synth
-        kits, swaps = kit_count(s.catalog, QUOTAS), min(QUOTAS.expensive_quota, QUOTAS.cheap_quota)
+        kits, swaps = kit_count(s.catalog, QUOTAS), min(quota for _, _, quota in QUOTAS.tiers(s.catalog))
         if a.n_users < 1:
             yield "--n-users must be at least 1"
         if not 1 <= a.n_kits <= kits:
@@ -294,9 +303,10 @@ def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
 
 
 def run_command(args: argparse.Namespace) -> int:
-    """Load inputs, refuse existing outputs, check flags against the data, run every stage, then write.
+    """Refuse existing outputs, load inputs, check flags against the data, run every stage, then write.
 
-    Nothing is written before every stage the files need has run.  Each file
+    Under ``--strict`` the quota check runs first; otherwise a refused
+    command reads no input.  Nothing is written before every stage the files need has run.  Each file
     is written under a temporary name in ``--out`` and renamed into place
     only after every writer has succeeded, so a command that fails, in a
     stage or in a write, leaves no new file, no ``--out`` it created, and
@@ -316,6 +326,9 @@ def run_command(args: argparse.Namespace) -> int:
     existing = [str(out / name) for name in files if (out / name).exists()]
     if existing and not args.force:
         raise FileExistsError(f"output exists (use --force to overwrite): {', '.join(existing)}")
+    stages.catalog  # load the inputs, so a bad input (exit 3) is reported before a bad flag (exit 2)
+    if "prefs" in args:
+        stages.prefs
     problem = next(_flag_problems(args, stages), None)
     if problem:
         raise UsageError(problem)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Category, ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,10 @@ def validate_kit(kit: Kit, catalog: ItemCatalog, constraint: SelectionConstraint
         raise ValueError(
             f"kit {kit.kit_id}: has {len(kit.items)} items, expected {constraint.total}"
         )
-    n_exp = int(indicator[list(catalog.ids_in(Category.EXPENSIVE))].sum())
-    if n_exp != constraint.expensive_quota:
-        raise ValueError(
-            f"kit {kit.kit_id}: {n_exp} expensive items, "
-            f"expected {constraint.expensive_quota}"
-        )
+    for category, ids, quota in constraint.tiers(catalog):
+        count = int(indicator[ids].sum())
+        if count != quota:
+            raise ValueError(f"kit {kit.kit_id}: {count} {category.value} items, expected {quota}")
 
 
 def top_items(values: np.ndarray, count: int) -> list[int]:
@@ -65,14 +63,8 @@ def select_items(
     """A flat top ``constraint.total`` of ``values``, or each category's quota when constrained."""
     if not constrained:
         return top_items(values, constraint.total)
-    chosen: list[int] = []
-    for category, quota in (
-        (Category.EXPENSIVE, constraint.expensive_quota),
-        (Category.CHEAP, constraint.cheap_quota),
-    ):
-        ids = np.array(catalog.ids_in(category))
-        chosen.extend(int(ids[q]) for q in top_items(np.asarray(values)[ids], quota))
-    return sorted(chosen)
+    values = np.asarray(values)
+    return sorted(int(ids[q]) for _, ids, quota in constraint.tiers(catalog) for q in top_items(values[ids], quota))
 
 
 def design_all(

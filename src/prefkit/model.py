@@ -52,12 +52,6 @@ class ItemCatalog:
         """Item ids of one category, in catalog order."""
         return tuple(it.item_id for it in self.items if it.category == category)
 
-    def category_mask(self, category: Category) -> np.ndarray:
-        """Boolean length-m mask selecting one category's columns."""
-        mask = np.zeros(self.m, dtype=bool)
-        mask[list(self.ids_in(category))] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class SelectionConstraint:
@@ -78,10 +72,19 @@ class SelectionConstraint:
         """Raise unless the catalog can satisfy every quota."""
         if self.total > catalog.m:
             raise ValueError(f"total {self.total} exceeds catalog size {catalog.m}")
-        if self.expensive_quota > len(catalog.ids_in(Category.EXPENSIVE)):
-            raise ValueError("expensive_quota exceeds expensive item count")
-        if self.cheap_quota > len(catalog.ids_in(Category.CHEAP)):
-            raise ValueError("cheap_quota exceeds cheap item count")
+        for category, ids, quota in self.tiers(catalog):
+            if quota > len(ids):
+                raise ValueError(f"{category.value}_quota exceeds {category.value} item count")
+
+    def tiers(self, catalog: ItemCatalog) -> list[tuple[Category, np.ndarray, int]]:
+        """Each price tier's category, item ids (an index array in catalog order) and quota.
+
+        Tiers come in ``Category`` order, expensive first.  That is the order
+        in which the synthetic generator steps its RNG, so a caller that
+        draws per tier must keep it.
+        """
+        quotas = (self.expensive_quota, self.cheap_quota)
+        return [(category, np.array(catalog.ids_in(category)), quota) for category, quota in zip(Category, quotas)]
 
 
 def _unique_by_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,10 +186,7 @@ def validate_constraint(
     """
     if prefs.m != catalog.m:
         raise ValueError(f"matrix has {prefs.m} columns but catalog has {catalog.m} items")
-    exp_counts = prefs.data[:, catalog.category_mask(Category.EXPENSIVE)].sum(axis=1, dtype=np.int64)
-    cheap_counts = prefs.data[:, catalog.category_mask(Category.CHEAP)].sum(axis=1, dtype=np.int64)
-    bad = (exp_counts != constraint.expensive_quota) | (cheap_counts != constraint.cheap_quota)
-    return [
-        RowViolation(i, prefs.user_ids[i], int(exp_counts[i]), int(cheap_counts[i]))
-        for i in np.flatnonzero(bad).tolist()
-    ]
+    tiers = constraint.tiers(catalog)
+    counts = np.stack([prefs.data[:, ids].sum(axis=1, dtype=np.int64) for _, ids, _ in tiers], axis=1)
+    bad = (counts != [quota for _, _, quota in tiers]).any(axis=1)
+    return [RowViolation(i, prefs.user_ids[i], *counts[i].tolist()) for i in np.flatnonzero(bad).tolist()]

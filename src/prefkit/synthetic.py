@@ -4,9 +4,10 @@ Generation is a pure function of (spec, catalog, constraint).  The PRNG is
 PCG64 (see :mod:`prefkit.seeding`) and the stepping rule is fixed:
 
 1. For each user, in order: draw ``integers(n_kits)`` to pick a planted kit.
-2. Then, for expensive items first and cheap items second, apply
-   ``noise_swaps`` swaps.  Each swap draws ``integers(len(selected))`` to drop
-   one currently selected item of the category, then ``integers(len(pool))``
+2. Then, for each price tier in ``SelectionConstraint.tiers`` order
+   (expensive items first, cheap items second), apply ``noise_swaps``
+   swaps.  Each swap draws ``integers(len(selected))`` to drop one
+   currently selected item of the category, then ``integers(len(pool))``
    to add one from the category's unselected items (the dropped item is not
    in the pool, so a swap only degenerates to a no-op when the category has
    no alternative item; that swap makes no pool draw).  Candidate lists are
@@ -24,12 +25,12 @@ Every generated row satisfies the selection constraint by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .kits import Kit, validate_kit
-from .model import Category, ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
 from .seeding import generator
 
 
@@ -54,9 +55,7 @@ class SyntheticSpec:
 def kit_count(catalog: ItemCatalog, constraint: SelectionConstraint) -> int:
     """How many distinct constraint-valid kits the catalog holds."""
     constraint.check_catalog(catalog)
-    return comb(len(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota) * comb(
-        len(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota
-    )
+    return prod(comb(len(ids), quota) for _, ids, quota in constraint.tiers(catalog))
 
 
 def random_kits(
@@ -68,13 +67,13 @@ def random_kits(
 ) -> tuple[Kit, ...]:
     """Draw ``count`` constraint-valid kits uniformly per category.
 
-    Per kit: choose ``expensive_quota`` of the expensive ids, then
-    ``cheap_quota`` of the cheap ids, both without replacement.  A candidate
-    is redrawn (deterministically) while its Hamming distance to any accepted
-    kit is below ``min_separation``; the default of 1 only rules out exact
-    duplicates.  Recovery benchmarks want the planted kits separated well
-    beyond the noise radius, e.g. ``min_separation = 10`` against
-    single-swap noise, whose rows sit at distance 4 from their kit.
+    Per kit, for each price tier in ``constraint.tiers`` order (expensive
+    first): choose the tier's quota of its ids without replacement.  A
+    candidate is redrawn (deterministically) while its Hamming distance to
+    any accepted kit is below ``min_separation``; the default of 1 only rules
+    out exact duplicates.  Recovery benchmarks want the planted kits
+    separated well beyond the noise radius, e.g. ``min_separation = 10``
+    against single-swap noise, whose rows sit at distance 4 from their kit.
     """
     limit = kit_count(catalog, constraint)
     if count > limit:
@@ -82,8 +81,7 @@ def random_kits(
     if min_separation < 1:
         raise ValueError("min_separation must be at least 1")
     rng = generator(seed)
-    expensive = np.array(catalog.ids_in(Category.EXPENSIVE))
-    cheap = np.array(catalog.ids_in(Category.CHEAP))
+    tiers = constraint.tiers(catalog)
     kits: list[Kit] = []
     accepted: set[frozenset[int]] = set()
     attempts = 0
@@ -93,15 +91,7 @@ def random_kits(
             raise ValueError(
                 f"could not draw {count} kits separated by {min_separation} from this catalog"
             )
-        picked = frozenset(
-            int(q)
-            for q in np.concatenate(
-                [
-                    rng.choice(expensive, size=constraint.expensive_quota, replace=False),
-                    rng.choice(cheap, size=constraint.cheap_quota, replace=False),
-                ]
-            )
-        )
+        picked = frozenset(int(q) for _, ids, quota in tiers for q in rng.choice(ids, size=quota, replace=False))
         if picked in accepted or (
             min_separation > 1 and any(len(picked ^ kit.items) < min_separation for kit in kits)
         ):
@@ -123,15 +113,12 @@ def generate_synthetic(
     """
     for kit in spec.planted_kits:
         validate_kit(kit, catalog, constraint)
-    if spec.noise_swaps > min(constraint.expensive_quota, constraint.cheap_quota):
+    tiers = constraint.tiers(catalog)
+    if spec.noise_swaps > min(quota for _, _, quota in tiers):
         raise ValueError("noise_swaps must not exceed the smaller category quota")
 
-    categories = [
-        (np.array(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota),
-        (np.array(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota),
-    ]
     bounds = [len(spec.planted_kits)]
-    for ids, quota in categories:
+    for _, ids, quota in tiers:
         pool = len(ids) - quota
         bounds += ([quota, pool] if pool else [quota]) * spec.noise_swaps
     draws = generator(spec.seed).integers(0, np.tile(bounds, spec.n_users)).reshape(spec.n_users, -1)
@@ -140,7 +127,7 @@ def generate_synthetic(
     data = np.stack([kit.indicator(catalog.m) for kit in spec.planted_kits])[planted]
     users = np.arange(spec.n_users)
     col = 1
-    for ids, quota in categories:
+    for _, ids, quota in tiers:
         pool = len(ids) - quota
         for _ in range(spec.noise_swaps):
             if pool:

@@ -22,6 +22,14 @@ def catalog20() -> pk.ItemCatalog:
 
 
 @pytest.fixture(scope="session")
+def catalog20_interleaved(catalog20) -> pk.ItemCatalog:
+    """The items of ``catalog20`` reordered so the expensive ones sit at the even ids."""
+    tiers = [[it for it in catalog20.items if it.category == cat] for cat in pk.Category]
+    items = [it for pair in zip(*tiers) for it in pair]
+    return pk.ItemCatalog(tuple(pk.Item(i, it.name, it.category) for i, it in enumerate(items)))
+
+
+@pytest.fixture(scope="session")
 def constraint() -> pk.SelectionConstraint:
     return pk.SelectionConstraint()
 

@@ -445,6 +445,11 @@ class TestCliContract:
             "svd", "--catalog", str(CATALOG_PATH),
             "--prefs", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"),
         ]) == 3
+        # The inputs load before the flags are checked, even by a check that does not read them.
+        assert main([
+            "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o"), "--lambda", "1.5",
+        ]) == 3
 
     def test_existing_output_needs_force(self, tmp_path):
         out = run_synth(tmp_path)
@@ -496,6 +501,20 @@ class TestCliContract:
             raise AssertionError("svd ran for a refused command")
 
         monkeypatch.setattr("prefkit.cli.svd", fail)
+        assert main(argv) == 3
+        assert "output exists" in capsys.readouterr().err
+
+    def test_existing_output_is_refused_before_the_inputs_are_read(self, tmp_path, monkeypatch, capsys):
+        argv = ["pipeline", "--catalog", str(CATALOG_PATH), "--prefs", str(run_synth(tmp_path) / "preferences.csv"),
+                "--out", str(tmp_path / "pipe"), "--rank", "4"]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a refused command read its inputs")
+
+        monkeypatch.setattr("prefkit.cli.load_catalog", fail)
+        monkeypatch.setattr("prefkit.cli.load_preferences", fail)
         assert main(argv) == 3
         assert "output exists" in capsys.readouterr().err
 

@@ -132,7 +132,7 @@ class TestDesignAll:
             with pytest.raises(ValueError):
                 pk.design_all(prefs, labels, catalog20, constraint)
 
-    def test_matches_cluster_by_cluster_loop(self, survey, catalog20, constraint):
+    def test_matches_cluster_by_cluster_loop(self, survey, catalog20, catalog20_interleaved, constraint):
         prefs, _, _ = survey
         rng = np.random.default_rng(67)
         for trial in range(60):
@@ -142,9 +142,9 @@ class TestDesignAll:
             ids = rng.choice(10**6, size=int(rng.integers(1, 12)), replace=False)  # sparse cluster ids
             labels = ids[rng.integers(0, len(ids), size=n)].astype(np.uint32 if trial % 3 == 0 else np.int64)
             labels[-1] = ids.max() + 1  # a one-member cluster
-            for constrained in (False, True):
-                got = pk.design_all(sub, labels, catalog20, constraint, constrained)
-                assert got == design_all_loop(sub, labels, catalog20, constraint, constrained)
+            for catalog, constrained in ((catalog20, False), (catalog20, True), (catalog20_interleaved, True)):
+                got = pk.design_all(sub, labels, catalog, constraint, constrained)
+                assert got == design_all_loop(sub, labels, catalog, constraint, constrained)
 
     def test_negative_label_rejected(self, catalog20, constraint):
         prefs = prefs_from([toy_selection(20, range(6))] * 3)
@@ -163,7 +163,7 @@ class TestValidateKit:
 
     def test_quota_mismatch_rejected(self, catalog20, constraint):
         five_five = pk.Kit(0, frozenset([0, 1, 2, 3, 4, 10, 11, 12, 13, 14]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kit 0: 5 expensive items, expected 6$"):
             pk.validate_kit(five_five, catalog20, constraint)
 
 

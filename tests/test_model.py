@@ -296,6 +296,19 @@ class TestSelectionConstraint:
         with pytest.raises(ValueError):
             pk.SelectionConstraint().check_catalog(catalog_factory(4, 4))
 
+    def test_check_catalog_names_the_short_tier(self, catalog_factory):
+        for sizes, tier in (((5, 9), "expensive"), ((9, 3), "cheap")):
+            with pytest.raises(ValueError, match=f"^{tier}_quota exceeds {tier} item count$"):
+                pk.SelectionConstraint().check_catalog(catalog_factory(*sizes))
+
+    def test_tiers_pair_each_category_with_its_ids_and_quota(self, catalog20_interleaved):
+        tiers = pk.SelectionConstraint(expensive_quota=5, cheap_quota=3).tiers(catalog20_interleaved)
+        assert [(category, ids.tolist(), quota) for category, ids, quota in tiers] == [
+            (pk.Category.EXPENSIVE, list(range(0, 20, 2)), 5),
+            (pk.Category.CHEAP, list(range(1, 20, 2)), 3),
+        ]
+        assert all(ids.dtype.kind == "i" for _, ids, _ in tiers)
+
 
 class TestValidateConstraint:
     def make_prefs(self, rows):
@@ -320,16 +333,19 @@ class TestValidateConstraint:
         assert len(violations) == 1
         assert (violations[0].expensive_count, violations[0].cheap_count) == (6, 5)
 
-    def test_matches_row_by_row_counting(self, catalog20, constraint):
+    def test_matches_row_by_row_counting(self, catalog20, catalog20_interleaved, constraint):
         rng = np.random.default_rng(59)
         prefs = self.make_prefs(rng.integers(0, 2, size=(300, 20)).tolist())
-        expected = []
-        for i, row in enumerate(prefs.data.tolist()):
-            e, c = sum(row[:10]), sum(row[10:])
-            if (e, c) != (constraint.expensive_quota, constraint.cheap_quota):
-                expected.append(pk.RowViolation(i, f"u{i}", e, c))
-        assert 0 < len(expected) < prefs.n
-        assert pk.validate_constraint(prefs, catalog20, constraint) == expected
+        for catalog in (catalog20, catalog20_interleaved):
+            expensive = set(catalog.ids_in(pk.Category.EXPENSIVE))
+            expected = []
+            for i, row in enumerate(prefs.data.tolist()):
+                e = sum(v for j, v in enumerate(row) if j in expensive)
+                c = sum(row) - e
+                if (e, c) != (constraint.expensive_quota, constraint.cheap_quota):
+                    expected.append(pk.RowViolation(i, f"u{i}", e, c))
+            assert 0 < len(expected) < prefs.n
+            assert pk.validate_constraint(prefs, catalog, constraint) == expected
 
     def test_width_mismatch_raises(self, catalog20, constraint):
         with pytest.raises(ValueError):
@@ -338,9 +354,9 @@ class TestValidateConstraint:
     def test_every_fixture_row_is_clean(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         assert pk.validate_constraint(prefs, catalog20, constraint) == []
-        exp_mask = catalog20.category_mask(pk.Category.EXPENSIVE)
+        expensive = list(catalog20.ids_in(pk.Category.EXPENSIVE))
         assert (prefs.data.sum(axis=1) == constraint.total).all()
-        assert (prefs.data[:, exp_mask].sum(axis=1) == constraint.expensive_quota).all()
+        assert (prefs.data[:, expensive].sum(axis=1) == constraint.expensive_quota).all()
 
 
 def test_package_exports_each_imported_name_once():

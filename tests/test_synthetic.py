@@ -52,9 +52,12 @@ class TestRandomKits:
     @pytest.mark.parametrize(
         "count, min_separation", [(1, 1), (50, 1), (400, 1), (8, 10), (60, 4)]
     )
-    def test_matches_scan_over_accepted_kits(self, catalog20, constraint, count, min_separation):
-        kits = pk.random_kits(catalog20, constraint, count, seed=3, min_separation=min_separation)
-        assert kits == random_kits_scan(catalog20, constraint, count, 3, min_separation)
+    def test_matches_scan_over_accepted_kits(
+        self, catalog20, catalog20_interleaved, constraint, count, min_separation
+    ):
+        for catalog in (catalog20, catalog20_interleaved):
+            kits = pk.random_kits(catalog, constraint, count, seed=3, min_separation=min_separation)
+            assert kits == random_kits_scan(catalog, constraint, count, 3, min_separation)
 
     def test_sixteen_thousand_kits_take_linear_time(self, catalog20, constraint):
         # The scan over accepted kits took about two minutes for this count.
@@ -89,12 +92,13 @@ class TestDrawStream:
 
 class TestGenerateSynthetic:
     @pytest.mark.parametrize("noise", range(5))
-    def test_matches_per_user_loop(self, catalog20, constraint, noise):
-        kits = pk.random_kits(catalog20, constraint, 8, seed=noise)
-        spec = pk.SyntheticSpec(n_users=300, planted_kits=kits, noise_swaps=noise, seed=noise + 20)
-        assert_same_population(
-            pk.generate_synthetic(spec, catalog20, constraint), generate_synthetic_loop(spec, catalog20)
-        )
+    def test_matches_per_user_loop(self, catalog20, catalog20_interleaved, constraint, noise):
+        for catalog in (catalog20, catalog20_interleaved):
+            kits = pk.random_kits(catalog, constraint, 8, seed=noise)
+            spec = pk.SyntheticSpec(n_users=300, planted_kits=kits, noise_swaps=noise, seed=noise + 20)
+            assert_same_population(
+                pk.generate_synthetic(spec, catalog, constraint), generate_synthetic_loop(spec, catalog)
+            )
 
     def test_matches_per_user_loop_without_alternative_item(self, catalog_factory):
         # Six expensive items and a quota of 6: every expensive swap draws
