@@ -34,7 +34,7 @@ import numpy as np
 
 from .assignment import Assignment, LossReport, assignment_from_clusters, reassign
 from .errors import PrefkitError
-from .io import load_catalog, load_preferences, write_csv, write_preferences
+from .io import load_catalog, load_preferences, write_csv, write_preferences, write_user_csv
 from .kits import Kit, design_all
 from .kmeans import KMeansConfig, SweepTable, sweep
 from .model import ItemCatalog, PreferenceMatrix, RowViolation, SelectionConstraint, validate_constraint
@@ -108,11 +108,15 @@ class Stages:
         return truncate(self.factors, self.args.rank)
 
     @cached_property
+    def row_users(self) -> SignClustering:
+        """One code per distinct row, numbered in user order."""
+        return user_sign_clusters(self.truncated)
+
+    @cached_property
     def users(self) -> SignClustering:
-        by_row = user_sign_clusters(self.truncated)  # one code per distinct row, numbered in user order
-        labels = by_row.labels[self.prefs.distinct.inverse]
+        labels = self.row_users.labels[self.prefs.distinct.inverse]
         labels.flags.writeable = False
-        return replace(by_row, labels=labels)
+        return replace(self.row_users, labels=labels)
 
     @cached_property
     def items(self) -> SignClustering:
@@ -158,8 +162,13 @@ def _sweep_cells(table: SweepTable, *columns: np.ndarray) -> list[np.ndarray]:
 MEMBERSHIP = ["element_id", "cluster_id", "pattern_bits"]
 
 
-def _membership(element_ids: Iterable[object], clustering: SignClustering):
-    return _csv(MEMBERSHIP, [element_ids, clustering.labels, clustering.patterns])
+def _by_row(s: Stages, header: list[str], columns: Sequence[np.ndarray]) -> Callable[[Path], None]:
+    """A per-user file whose columns after the user id hold one cell per distinct row.
+
+    Each user's line is its id and its row's cells, so the cells are
+    formatted once per distinct row (see ``write_user_csv``).
+    """
+    return partial(write_user_csv, header=header, prefs=s.prefs, columns=columns, keys=s.prefs.distinct.inverse)
 
 
 def _loss_clusters(s: Stages):
@@ -176,8 +185,13 @@ def _loss_clusters(s: Stages):
 
 def _loss_users(s: Stages):
     final, before, after = s.reassigned
-    return _csv(["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], [
-        s.prefs.user_ids, s.initial.kit_index, final.kit_index, before.per_user_loss, after.per_user_loss,
+    # Users with equal rows share their kits and losses, so one user per
+    # distinct row gives the row's cells.
+    inverse = s.prefs.distinct.inverse
+    user = np.empty(len(s.prefs.distinct.rows), dtype=np.int64)
+    user[inverse] = np.arange(len(inverse))
+    return _by_row(s, ["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], [
+        column[user] for column in (s.initial.kit_index, final.kit_index, before.per_user_loss, after.per_user_loss)
     ])
 
 
@@ -206,8 +220,8 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
     "scree.csv": lambda s: _csv(["rank", "sigma"], [range(1, s.factors.p + 1), s.factors.sigma]),
     "user_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.users)),
     "item_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.items)),
-    "user_membership.csv": lambda s: _membership(s.prefs.user_ids, s.users),
-    "item_membership.csv": lambda s: _membership(range(s.catalog.m), s.items),
+    "user_membership.csv": lambda s: _by_row(s, MEMBERSHIP, [s.row_users.labels, s.row_users.patterns]),
+    "item_membership.csv": lambda s: _csv(MEMBERSHIP, [range(s.catalog.m), s.items.labels, s.items.patterns]),
     "kits.csv": lambda s: _rows(
         ["kit_id", "item_id"], ([kit.kit_id, q] for kit in s.kits for q in kit.sorted_items())
     ),

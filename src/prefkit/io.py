@@ -9,9 +9,16 @@ the CSV reader cannot split into rows, raises ``TextFormatError`` naming
 * catalog:      ``item_id,name,category`` with category in {expensive, cheap}
 * preferences:  ``user_id,<one label per item>`` with data cells strictly 0 or 1
 
+A plain-form preference file is read as one byte buffer, and its user ids
+stay bytes (a ``ByteBlock``) from the reader to the per-user writers; they
+are decoded to str only when ``PreferenceMatrix.user_ids`` is read.
+
 Writers work a column at a time: ``write_csv`` turns each column into its
-fields once and writes the joined rows in blocks, and ``write_preferences``
-writes the plain form from one byte block of cells.  A field is quoted only
+fields once and writes the joined rows in blocks.  The per-user files are
+built as bytes: ``write_user_csv`` formats the cells after the user id once
+per key (on the SVD route, once per distinct row) and writes each line as
+the id's bytes and its key's suffix, and ``write_preferences`` writes each
+user's id and row of an n x (2m + 1) cell block.  A field is quoted only
 when it holds a comma, a quote, a CR or an LF.
 """
 
@@ -25,6 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DuplicateItemIdError,
@@ -36,7 +44,7 @@ from .errors import (
     UnknownCategoryError,
     WidthMismatchError,
 )
-from .model import Category, Item, ItemCatalog, PreferenceMatrix
+from .model import ByteBlock, Category, Item, ItemCatalog, PreferenceMatrix, _byte_keys
 
 CATALOG_HEADER = ["item_id", "name", "category"]
 
@@ -112,32 +120,59 @@ def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
 
     Plain form: LF line endings, no quote character or NUL byte, a header
     of m + 1 fields, and data lines that each hold a unique, comma-free user
-    id and then m cells written as ``,0`` or ``,1``.  The last 2m bytes of every
-    data line form one n x 2m byte block, checked column by column.
+    id and then m cells written as ``,0`` or ``,1``.  The file is one byte
+    buffer: the last 2m bytes of every data line form one n x 2m cell block,
+    checked column by column, and the ids stay bytes, kept as one
+    ``ByteBlock`` and checked for uniqueness on ``_byte_keys``.
     """
     raw = _strip_bom(raw)
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
-    lines = raw.rstrip(b"\n").split(b"\n")
-    header, body = lines[0], lines[1:]
-    width = 2 * m
-    cells = b"".join([line[-width:] for line in body])
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    lf = np.flatnonzero(buf == ord("\n"))
+    # Blank lines at the end are the LFs after the last other byte: exactly
+    # there lf[i] - i takes its largest possible value, buf.size - lf.size.
+    blank = np.count_nonzero(lf - np.arange(lf.size) == buf.size - lf.size)
+    size = buf.size - blank
+    line_ends = np.append(lf[: lf.size - blank], size)  # each line's LF, or the end of the text
+    n, width = line_ends.size - 1, 2 * m
+    starts, ends = line_ends[:-1] + 1, line_ends[1:]  # the data lines
+    lengths = ends - width - starts  # of each user id
     # Every line holds m commas in its cells, so this count leaves none for
     # the user ids once the header has its m.
-    if not body or len(cells) != width * len(body) or raw.count(b",") != m * len(lines):
+    if not n or (lengths < 0).any() or raw.count(b",") != m * (n + 1):
         return None
-    block = np.frombuffer(cells, dtype=np.uint8).reshape(len(body), width)
-    bits = block[:, 1::2]
-    if not ((block[:, 0::2] == ord(",")).all() and ((bits | 1) == ord("1")).all()):
+    cells = sliding_window_view(buf, width)[ends - width]
+    bits = cells[:, 1::2]
+    if not ((cells[:, 0::2] == ord(",")).all() and ((bits | 1) == ord("1")).all()):
         return None
-    try:
-        labels = header.decode("utf-8").split(",")
-        user_ids = [line[:-width].decode("utf-8") for line in body]
-    except UnicodeDecodeError:
+    # Past the header the text is each line's id, then its cells and LF
+    # (the last line has no LF).
+    after_id = np.full(n, width + 1)
+    after_id[-1] = width
+    ids = ByteBlock(buf[starts[0] : size][_first_of_pairs(lengths, after_id)], np.r_[0, np.cumsum(lengths)])
+    # Zero padding keeps ids apart, as the plain form has no NUL.  A padded
+    # block larger than the file (one very long id) is left to the row reader.
+    if n * int(lengths.max()) > buf.size:
         return None
-    if len(labels) != m + 1 or len(set(user_ids)) != len(user_ids):
+    keys = np.sort(_byte_keys(ids.padded()))
+    if (keys[1:] == keys[:-1]).any():
         return None
-    return PreferenceMatrix(tuple(user_ids), bits == ord("1"), tuple(labels[1:]))
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    labels = raw[: line_ends[0]].decode("utf-8").split(",")
+    if len(labels) != m + 1:
+        return None
+    return PreferenceMatrix(ids, bits == ord("1"), tuple(labels[1:]))
+
+
+def _first_of_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """A mask over pieces laid out first[0], second[0], first[1], second[1], ...
+    of the given byte sizes: True on each first piece."""
+    return np.repeat(np.tile([True, False], len(first)), np.column_stack([first, second]).ravel())
 
 
 def _preferences_from_rows(path: str | Path, rows: list[list[str]], m: int) -> PreferenceMatrix:
@@ -225,20 +260,66 @@ def write_csv(
             fh.write("\n".join(chunk) + "\n")
 
 
+def _id_fields(prefs: PreferenceMatrix) -> ByteBlock:
+    """Each user id as its CSV field: the block of a plain-form file as read,
+    or the str ids through ``_fields``, encoded once."""
+    block = prefs.id_block
+    if block is None or np.isin(block.data, list(b',"\r\n')).any():
+        return ByteBlock.encode(_fields(prefs.user_ids))
+    return block
+
+
+def _write_lines(
+    path: str | Path, header: Sequence[object], ids: ByteBlock, table: np.ndarray, sizes: np.ndarray, keys: np.ndarray
+) -> None:
+    """Write a header, then line i: id field i and row ``keys[i]`` of a suffix table.
+
+    Row j of the ``table`` holds suffix j's ``sizes[j]`` bytes, zero-padded.
+    Lines are gathered as bytes in blocks of ``_BLOCK_ROWS``.
+    """
+    id_sizes = ids.lengths
+    with open(path, "wb") as fh:
+        fh.write((",".join(_fields(header)) + "\n").encode("utf-8"))
+        for start in range(0, len(keys), _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, len(keys))
+            rows = keys[start:stop]
+            suffix_sizes = sizes[rows]
+            is_id = _first_of_pairs(id_sizes[start:stop], suffix_sizes)
+            lines = np.empty(is_id.size, dtype=np.uint8)
+            lines[is_id] = ids.data[ids.offsets[start] : ids.offsets[stop]]
+            lines[~is_id] = table[rows][np.arange(table.shape[1]) < suffix_sizes[:, None]]
+            fh.write(lines)
+
+
+def write_user_csv(
+    path: str | Path,
+    header: Sequence[object],
+    prefs: PreferenceMatrix,
+    columns: Sequence[Sequence[object] | np.ndarray],
+    keys: np.ndarray,
+) -> None:
+    """Write a header, then one line per user: its id, then the cells of ``columns`` at its key.
+
+    ``columns`` hold one cell per key, and user i's line ends with the cells
+    at ``keys[i]``.  Each key's suffix is formatted by the rules of
+    ``_fields`` and encoded once, and each line is the bytes of the user's id
+    field and of its key's suffix, so the file is ``write_csv``'s for the
+    columns ``[prefs.user_ids, *(column[keys] for column in columns)]``.
+    """
+    cells = map(",".join, zip(*map(_fields, columns), strict=True))
+    suffixes = ByteBlock.encode([f",{line}\n" for line in cells])
+    _write_lines(path, header, _id_fields(prefs), suffixes.padded(), suffixes.lengths, np.asarray(keys))
+
+
 def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
     """Write the plain form ``_plain_preferences`` reads, as ``write_csv`` would.
 
     One n x (2m + 1) byte block holds every line's cells as ``,0``/``,1`` and
-    its LF; each line is its quoted, encoded user id and its row of the block.
+    its LF; line i is user i's id field and row i of the block.
     """
     width = 2 * prefs.m + 1
     block = np.full((prefs.n, width), ord(","), dtype=np.uint8)
     block[:, 1::2] = prefs.data + ord("0")
     block[:, -1] = ord("\n")
-    ids = [uid.encode("utf-8") for uid in _fields(prefs.user_ids)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(_fields(["user_id", *prefs.column_labels])) + "\n").encode("utf-8"))
-        for start in range(0, prefs.n, _BLOCK_ROWS):
-            cells = block[start : start + _BLOCK_ROWS].tobytes()
-            rows = [cells[i : i + width] for i in range(0, len(cells), width)]
-            fh.write(b"".join(map(bytes.__add__, ids[start : start + _BLOCK_ROWS], rows)))
+    header = ["user_id", *prefs.column_labels]
+    _write_lines(path, header, _id_fields(prefs), block, np.full(prefs.n, width), np.arange(prefs.n))

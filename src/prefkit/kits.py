@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import Category, ItemCatalog, PreferenceMatrix, SelectionConstraint
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,23 @@ def validate_kit(kit: Kit, catalog: ItemCatalog, constraint: SelectionConstraint
             raise ValueError(f"kit {kit.kit_id}: {count} {category.value} items, expected {quota}")
 
 
+def _top(values: np.ndarray, count: int) -> np.ndarray:
+    """Per row of a 2-d array, the indices of its ``count`` largest values in
+    ascending order; ties go to the lowest index."""
+    order = np.argsort(-np.asarray(values, dtype=np.float64), axis=1, kind="stable")
+    return np.sort(order[:, :count], axis=1)
+
+
+def _kit_items(counts: np.ndarray, total: int, tiers: list[tuple[Category, np.ndarray, int]] | None) -> np.ndarray:
+    """Per row of a 2-d array, its top ``total`` item ids, or each tier's top quota when ``tiers`` are given."""
+    if tiers is None:
+        return _top(counts, total)
+    return np.sort(np.concatenate([ids[_top(counts[:, ids], quota)] for _, ids, quota in tiers], axis=1), axis=1)
+
+
 def top_items(values: np.ndarray, count: int) -> list[int]:
     """Indices of the ``count`` largest values; ties go to the lowest index."""
-    order = np.argsort(-np.asarray(values, dtype=np.float64), kind="stable")
-    return sorted(int(q) for q in order[:count])
+    return _top(np.asarray(values)[None], count)[0].tolist()
 
 
 def select_items(
@@ -61,10 +74,8 @@ def select_items(
     constrained: bool = False,
 ) -> list[int]:
     """A flat top ``constraint.total`` of ``values``, or each category's quota when constrained."""
-    if not constrained:
-        return top_items(values, constraint.total)
-    values = np.asarray(values)
-    return sorted(int(ids[q]) for _, ids, quota in constraint.tiers(catalog) for q in top_items(values[ids], quota))
+    tiers = constraint.tiers(catalog) if constrained else None
+    return _kit_items(np.asarray(values)[None], constraint.total, tiers)[0].tolist()
 
 
 def design_all(
@@ -94,7 +105,5 @@ def design_all(
     cluster, row = np.divmod(keys, len(rows))
     starts = np.r_[0, np.flatnonzero(np.diff(cluster)) + 1]
     counts = np.add.reduceat(rows[row] * users[:, None], starts, axis=0)
-    return [
-        Kit(kit_id=j, items=frozenset(select_items(row, catalog, constraint, constrained)))
-        for j, row in enumerate(counts)
-    ]
+    items = _kit_items(counts, constraint.total, constraint.tiers(catalog) if constrained else None)
+    return [Kit(kit_id=j, items=frozenset(row)) for j, row in enumerate(items.tolist())]

@@ -8,10 +8,10 @@ one row against one kit by comparing every position, as the brute-force
 reference for ``reassign``.  The per-user silhouette
 loop, the masked-mean k-means update, the per-user synthetic generator, the
 scanning kit sampler, the broadcast mismatch count, the row-at-a-time CSV
-writer, the cluster-by-cluster kit design, and the per-user SVD, kit counts,
-mismatch count and per-kit loss loop that the distinct-row route replaced
-are kept here too, so the replacements are checked against what they
-replaced.
+writer, the cluster-by-cluster kit design, the stable-sort distinct values,
+and the per-user SVD, kit counts, mismatch count and per-kit loss loop that
+the distinct-row route replaced are kept here too, so the replacements are
+checked against what they replaced.
 """
 
 from __future__ import annotations
@@ -329,6 +329,16 @@ def reassign_rows(prefs, kits, initial):
     mismatches = mismatches_rows(prefs, kits)
     reassigned = Assignment(kit_index=np.argmin(mismatches, axis=1))
     return reassigned, _report_rows(mismatches, initial), _report_rows(mismatches, reassigned)
+
+
+def unique_by_first_np(keys):
+    """First occurrences, value numbers and counts by first occurrence, from
+    one stable ``np.unique`` (the replaced ``_unique_by_first``)."""
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    by_first = np.empty(order.size, dtype=np.int64)
+    by_first[order] = np.arange(order.size)
+    return first[order], by_first[inverse], counts[order]
 
 
 # ---------------------------------------------------------------------------

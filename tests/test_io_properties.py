@@ -106,6 +106,28 @@ def test_write_preferences_gives_the_row_writers_bytes(path, data, ids, labels):
     assert written(lambda p: pk.write_preferences(prefs, p), path) == expected
 
 
+@pytest.mark.parametrize("n", [1, 100, pio._BLOCK_ROWS, 2 * pio._BLOCK_ROWS + 5])
+@pytest.mark.parametrize("source", ["plain", "quoted", "str"])
+def test_keyed_writer_gives_write_csvs_bytes(tmp_path, n, source):
+    # The per-user writer builds each line from the id's bytes and its key's
+    # suffix; the file must be write_csv's of the full per-user columns.
+    rng = np.random.default_rng(n)
+    ids = [f"u{i}" if i % 3 else f"\u00fc\u7528{i}" for i in range(n)]
+    if source == "quoted":
+        ids[::4] = [f'q,"{i}"' for i in range(0, n, 4)]
+    prefs = pk.PreferenceMatrix(tuple(ids), rng.integers(0, 2, size=(n, M)))
+    if source != "str":  # loaded ids: a plain file's id block, or str ids from the per-row reader
+        pk.write_preferences(prefs, tmp_path / "prefs.csv")
+        prefs = pk.load_preferences(tmp_path / "prefs.csv", CATALOG)
+        assert (prefs.id_block is not None) == (source == "plain")
+    keys = rng.integers(0, 7, size=n)
+    columns = [np.arange(7) * 1000 - 3, [f"c{k}" if k % 2 else f"c,{k}" for k in range(7)], np.arange(7) / 4]
+    header = ["user_id", "a", "b", "c"]
+    per_user = [prefs.user_ids, *(np.asarray(column, dtype=object)[keys] for column in columns)]
+    expected = written(pio.write_csv, tmp_path / "expected.csv", header, per_user)
+    assert written(pio.write_user_csv, tmp_path / "keyed.csv", header, prefs, columns, keys) == expected
+
+
 @st.composite
 def mutated_files(draw):
     data = draw(rows)

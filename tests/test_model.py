@@ -6,9 +6,11 @@ import pytest
 
 import prefkit as pk
 from prefkit import io as pio
+from prefkit import model
 from prefkit.cli import main
 
 from conftest import CATALOG_PATH
+from oracles import unique_by_first_np
 
 
 def write(path, text):
@@ -213,6 +215,65 @@ class TestPlainFormReader:
         assert prefs.n == 500 and prefs.user_ids[-1] == "u0499"
 
 
+def outcome(load, path):
+    """The matrix a reader gives, or the type and message of its error."""
+    try:
+        prefs = load(path)
+    except pk.PrefkitError as exc:
+        return type(exc), str(exc)
+    return prefs.user_ids, prefs.column_labels, prefs.data.tolist()
+
+
+class TestPlainFormIds:
+    """The plain-form reader keeps the ids as bytes and checks them for
+    uniqueness on uint64 keys (ids up to 8 bytes) or void keys (longer).
+    Either way a file loads as the per-row reader loads it, or fails with
+    its error."""
+
+    @pytest.mark.parametrize(
+        "ids, plain",
+        [
+            (["user_0001x", "user_0001y", "user_0001"], True),
+            (["u1", "u2", "u1"], False),
+            (["user_000000001", "u2", "user_000000001"], False),
+            (["12345678", "1234567", "12345679"], True),
+            (["", "u2", "u3"], True),
+            (["", "u2", ""], False),
+            (["\u00fc\u00fc\u00fc\u00fc\u00fc", "\u00fc\u00fc\u00fc\u00fc", "\u7528"], True),
+        ],
+        ids=["long-shared-prefix", "short-duplicate", "long-duplicate", "at-8-bytes", "one-empty",
+             "two-empty", "non-ascii"],
+    )
+    def test_loads_or_fails_as_the_row_reader_does(self, tmp_path, small_catalog, ids, plain):
+        cells = ["1,0,1,0", "0,1,0,1", "1,1,0,0"]
+        path = write(tmp_path / "prefs.csv", HEADER + "".join(f"{uid},{row}\n" for uid, row in zip(ids, cells)))
+        raw = path.read_bytes()
+        fast = pio._plain_preferences(raw, small_catalog.m)
+        assert (fast is not None) == plain
+        if plain:
+            assert fast.id_block is not None and fast.user_ids == tuple(ids)
+        def per_row(p):
+            return pio._preferences_from_rows(p, pio._csv_rows(p, p.read_bytes()), small_catalog.m)
+
+        assert outcome(lambda p: pk.load_preferences(p, small_catalog), path) == outcome(per_row, path)
+
+    def test_invalid_utf8_in_an_id_fails_as_the_row_reader_does(self, tmp_path, small_catalog):
+        path = tmp_path / "prefs.csv"
+        path.write_bytes(HEADER.encode() + b"u1,1,0,1,0\nu\xc3,0,1,0,1\n\xbcu,1,1,0,0\n")
+        assert pio._plain_preferences(path.read_bytes(), small_catalog.m) is None
+        with pytest.raises(pk.TextFormatError, match=r"prefs\.csv:3: byte 0xc3 is not valid UTF-8"):
+            pk.load_preferences(path, small_catalog)
+
+    def test_user_ids_are_decoded_once_and_only_when_read(self, tmp_path, small_catalog):
+        path = write(tmp_path / "prefs.csv", HEADER + "u1,1,0,1,0\nu\u00e92,1,1,0,0\nu3,0,1,0,1\n")
+        prefs = pk.load_preferences(path, small_catalog)
+        constraint = pk.SelectionConstraint(expensive_quota=1, cheap_quota=1)
+        violations = pk.validate_constraint(prefs, small_catalog, constraint)
+        assert [v.user_id for v in violations] == ["u\u00e92"]
+        assert "user_ids" not in vars(prefs)  # the violation decoded only its own id
+        assert prefs.user_ids == ("u1", "u\u00e92", "u3") and prefs.user_ids is prefs.user_ids
+
+
 class TestTextErrors:
     @pytest.mark.parametrize("kind", ["catalog", "preferences"])
     def test_invalid_utf8_names_file_and_line(self, tmp_path, small_catalog, kind):
@@ -271,6 +332,40 @@ class TestDistinctRows:
         assert np.array_equal(weights, np.bincount(inverse))
         firsts = np.unique(inverse, return_index=True)[1]
         assert (np.diff(firsts) > 0).all()  # numbered in order of first occurrence
+
+    @pytest.mark.parametrize("m", [1, 20, 64])
+    def test_uint64_and_void_keys_give_the_same_rows(self, m):
+        rng = np.random.default_rng(m)
+        data = rng.integers(0, 2, size=(12, m))[rng.integers(0, 12, size=400)]
+        packed = np.packbits(data, axis=1)
+        wide = np.zeros((len(data), 9), dtype=np.uint8)  # the same rows, one byte too wide for a uint64
+        wide[:, : packed.shape[1]] = packed
+        narrow, void = model._byte_keys(packed), model._byte_keys(wide)
+        assert narrow.dtype == np.uint64 and void.dtype.kind == "V"
+        for by_uint64, by_void in zip(model._unique_by_first(narrow), model._unique_by_first(void)):
+            assert np.array_equal(by_uint64, by_void)
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "void", "object"])
+    @pytest.mark.parametrize("n", [0, 1, 2000])
+    def test_first_occurrence_numbering_matches_np_unique(self, dtype, n):
+        values = np.random.default_rng(n).integers(0, 50, size=n)
+        keys = {
+            "int64": values,
+            "uint64": values.astype(np.uint64) << np.uint64(40),
+            "void": model._byte_keys(np.c_[np.zeros((n, 8), dtype=np.uint8), values.astype(np.uint8)]),
+            "object": np.array([v << 70 for v in values.tolist()], dtype=object).reshape(n),
+        }[dtype]
+        for ours, reference in zip(model._unique_by_first(keys), unique_by_first_np(keys)):
+            assert ours.dtype == np.int64 and np.array_equal(ours, reference)
+
+    def test_same_rows_either_side_of_the_64_column_boundary(self):
+        rng = np.random.default_rng(64)
+        data = rng.integers(0, 2, size=(12, 64))[rng.integers(0, 12, size=400)]
+        ids = tuple(map(str, range(400)))
+        at_64 = pk.PreferenceMatrix(ids, data).distinct
+        at_65 = pk.PreferenceMatrix(ids, np.c_[data, np.zeros(400, dtype=int)]).distinct
+        assert np.array_equal(at_65.rows[:, :64], at_64.rows) and not at_65.rows[:, 64].any()
+        assert np.array_equal(at_65.weights, at_64.weights) and np.array_equal(at_65.inverse, at_64.inverse)
 
     def test_computed_once_read_only_and_still_frozen(self):
         prefs = pk.PreferenceMatrix(("u1", "u2"), np.array([[0, 1], [0, 1]]))
