@@ -24,15 +24,25 @@ full pass would give; near-ties go through the full pass and its lowest-index
 decay never leaves a positive bound where the exact one is zero.
 
 Silhouette reads an n x n distance matrix built in row blocks, so its memory
-is O(n^2), not O(n^2 * m); a sweep builds it once for all its cells.
+is O(n^2), not O(n^2 * m); a sweep builds it once for all its cells.  It then
+scores its (k, trial) cells in up to one process per usable CPU, forked after
+the matrix is built: each worker holds only its own k-means temporaries and
+shares the matrix copy-on-write, and every cell runs the same code on the
+same inputs, so the table is byte-identical to a one-process sweep.  Where
+``os.fork`` or the CPU affinity is missing, the sweep runs in-process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
+from typing import Callable, NoReturn
 
 import numpy as np
 
+from .errors import PrefkitError
 from .model import PreferenceMatrix
 from .seeding import derive_seed, generator
 
@@ -238,6 +248,91 @@ class SweepTable:
         return self.scores.shape[1]
 
 
+def _worker(parent: int, read: int, write: int, score: Callable, cells: list) -> NoReturn:
+    """A forked worker: pickle its cells' results, or its exception, into its pipe and exit.
+
+    It never returns into its caller, so no atexit handler, inherited output
+    buffer or caller's code runs twice, and it exits before a cell once its
+    parent is gone.
+    """
+    code = 1
+    try:
+        os.close(read)  # so a write fails, not blocks, once the parent is gone
+        try:
+            results = []
+            for cell in cells:
+                if os.getppid() != parent:
+                    os._exit(1)
+                results.append(score(cell))
+            message = (True, results)
+        except BaseException as exc:
+            try:  # the parent must be able to rebuild the exception it raises
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = PrefkitError(f"{type(exc).__name__}: {exc}")
+            message = (False, exc)
+        with os.fdopen(write, "wb") as fh:
+            pickle.dump(message, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(data: bytes, status: int) -> list:
+    """A reaped worker's results, or its failure raised."""
+    if os.WIFSIGNALED(status):
+        raise PrefkitError(f"a sweep worker was killed by {signal.Signals(os.WTERMSIG(status)).name}")
+    if not data:
+        raise PrefkitError(f"a sweep worker exited with code {os.waitstatus_to_exitcode(status)} and sent no result")
+    ok, payload = pickle.loads(data)
+    if not ok:
+        raise payload
+    return payload
+
+
+def _in_workers(score: Callable, cells: list) -> list:
+    """``[score(cell) for cell in cells]`` in w workers, one per usable CPU and at most one per cell.
+
+    Worker s scores ``cells[s::w]``.  The caller is worker 0 and workers
+    1..w-1 are forked children, so where the platform cannot fork, w is 1.
+    Every child is reaped on every path: on any failure the ones still
+    running are killed and waited for before the failure is raised.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    w = min(len(os.sched_getaffinity(0)), len(cells)) if can_fork else 1
+    parent, running = os.getpid(), {}  # child pid -> (its share, the read end of its pipe)
+    results = [None] * len(cells)
+    try:
+        for s in range(1, w):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(parent, read, write, score, cells[s::w])
+            os.close(write)
+            running[pid] = (s, os.fdopen(read, "rb"))
+        results[::w] = [score(cell) for cell in cells[::w]]
+        for pid, (s, pipe) in list(running.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            results[s::w] = _received(data, status)
+    except BaseException:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, (_, pipe) in running.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+    return results
+
+
 def sweep(
     prefs: PreferenceMatrix,
     config: KMeansConfig,
@@ -247,7 +342,8 @@ def sweep(
     """Run independent seeded trials for every k from ``config.k`` to ``k_max``.
 
     Cell (k, t) uses the seed ``derive_seed(config.seed, "sweep", k, t)`` so
-    the whole table is a pure function of the config seed.
+    the whole table is a pure function of the config seed.  The cells, in
+    k-major order, are dealt round-robin to one worker per usable CPU.
     """
     if not 2 <= config.k <= k_max <= prefs.n:
         raise ValueError(f"need 2 <= config.k <= k_max <= n, got {config.k}..{k_max} with n={prefs.n}")
@@ -255,13 +351,15 @@ def sweep(
         raise ValueError("trials must be at least 1")
     k_values = tuple(range(config.k, k_max + 1))
     dist = _pairwise_distances(prefs.data)
-    cells = []
-    for k in k_values:
-        for t in range(trials):
-            run = run_kmeans(prefs, replace(config, k=k, seed=derive_seed(config.seed, "sweep", k, t)))
-            score = _silhouette(dist, run.idx, k).macro_average
-            cells.append((score, run.iterations_used, run.converged, run.wcss_trace[-1]))
-    columns = [np.array(column).reshape(len(k_values), trials) for column in zip(*cells)]
+
+    def score(cell: tuple[int, int]) -> tuple[float, int, bool, float]:
+        k, seed = cell
+        run = run_kmeans(prefs, replace(config, k=k, seed=seed))
+        return _silhouette(dist, run.idx, k).macro_average, run.iterations_used, run.converged, run.wcss_trace[-1]
+
+    cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)]
+    results = _in_workers(score, cells)
+    columns = [np.array(column).reshape(len(k_values), trials) for column in zip(*results)]
     for arr in columns:
         arr.flags.writeable = False
     return SweepTable(k_values, *columns)

@@ -1,8 +1,13 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ import prefkit as pk
 from oracles import svd_rows
 from prefkit.cli import Stages, build_parser, main
 
-from conftest import CATALOG_PATH
+from conftest import CATALOG_PATH, REPO_ROOT
 
 
 def read_csv(path):
@@ -534,17 +539,44 @@ class TestCliContract:
         assert capsys.readouterr().err.startswith(f"error: {flag} ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("error, line", [
-        (MemoryError(), "error: MemoryError"),
-        (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB"),
+    # where: "sweep" fails the whole sweep call, "fork" the forking of a worker;
+    # "worker" and "parent" fail the first cell of a forked worker's share or of
+    # the parent's own share.  A signal kills that worker and an int is the code
+    # it exits with, sending nothing.
+    @pytest.mark.parametrize("error, line, where", [
+        (MemoryError(), "error: MemoryError", "sweep"),
+        (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB", "sweep"),
+        (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB", "worker"),
+        (MemoryError(), "error: MemoryError", "parent"),
+        (signal.SIGKILL, "error: a sweep worker was killed by SIGKILL", "worker"),
+        (0, "error: a sweep worker exited with code 0 and sent no result", "worker"),
+        (OSError(11, "Resource temporarily unavailable"), "error: [Errno 11] Resource temporarily unavailable", "fork"),
     ])
-    def test_memory_error_exits_three_with_error_line(self, tmp_path, monkeypatch, capsys, error, line):
+    def test_memory_error_exits_three_with_error_line(self, tmp_path, monkeypatch, capsys, error, line, where):
+        if where != "sweep" and not hasattr(os, "fork"):
+            pytest.skip("no os.fork: the sweep runs in-process")
         out = run_synth(tmp_path)
+        parent, run_kmeans = os.getpid(), pk.kmeans.run_kmeans
 
         def fail(*args, **kwargs):
+            in_parent = os.getpid() == parent
+            if (where == "worker" and in_parent) or (where == "parent" and not in_parent):
+                return run_kmeans(*args, **kwargs)
+            if isinstance(error, signal.Signals):
+                os.kill(os.getpid(), error)
+            if isinstance(error, int):
+                os._exit(error)
             raise error
 
-        monkeypatch.setattr("prefkit.cli.sweep", fail)
+        if where == "sweep":
+            monkeypatch.setattr("prefkit.cli.sweep", fail)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            monkeypatch.setattr("os.fork" if where == "fork" else "prefkit.kmeans.run_kmeans", fail)
+        def open_fds():
+            return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+        fds = open_fds()
         sweep_dir = tmp_path / "sweep"
         assert main([
             "kmeans-sweep", "--catalog", str(CATALOG_PATH),
@@ -552,6 +584,48 @@ class TestCliContract:
         ]) == 3
         assert capsys.readouterr().err == line + "\n"
         assert not sweep_dir.exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds  # and every pipe was closed
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "fork") and Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()),
+        reason="needs os.fork and /proc/<pid>/task/<tid>/children",
+    )
+    def test_no_worker_outlives_a_killed_sweep(self, tmp_path):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: the sweep forks no worker")
+        out = run_synth(tmp_path, **{"--n-users": 700, "--n-kits": 8, "--seed": 0})
+        path = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.Popen([
+            sys.executable, "-m", "prefkit.cli", "kmeans-sweep", "--catalog", str(CATALOG_PATH),
+            "--prefs", str(out / "preferences.csv"), "--out", str(tmp_path / "sweep"), "--trials", "40",
+        ], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        def running(pid):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+        try:
+            listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            workers = []
+            while not workers and proc.poll() is None:
+                workers = listing.read_text().split()
+                time.sleep(0.002)
+            assert workers, "the sweep ended before it forked a worker"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 2
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not any(map(running, workers))
+        finally:
+            proc.kill()
+            proc.wait()
 
     def test_invalid_utf8_exits_three_naming_file_and_line(self, tmp_path, capsys):
         prefs = run_synth(tmp_path) / "preferences.csv"

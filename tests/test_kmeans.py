@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +26,15 @@ def two_clouds():
             rows.append(row)
     labels = [0] * 6 + [1] * 6
     return prefs_from(rows), np.array(labels)
+
+
+@pytest.fixture(scope="module")
+def survey700(catalog20, constraint):
+    """The 700-user seed-0 survey that ``synth`` writes, and the config ``kmeans-sweep --seed 0`` sweeps it with."""
+    kits = pk.random_kits(catalog20, constraint, 8, pk.derive_seed(0, "synth", "kits"))
+    spec = pk.SyntheticSpec(700, kits, 1, pk.derive_seed(0, "synth", "population"))
+    prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
+    return prefs, pk.KMeansConfig(k=4, seed=pk.derive_seed(0, "kmeans-sweep"))
 
 
 class TestInitCentroids:
@@ -221,14 +231,11 @@ class TestBoundedAssignment:
         for seed, (p, k, max_iters) in enumerate(cases):
             assert_matches_loop(p, pk.KMeansConfig(k=k, damping=damping, max_iters=max_iters, seed=seed))
 
-    def test_default_sweep_cells_on_seven_hundred_users(self, catalog20, constraint):
-        kits = pk.random_kits(catalog20, constraint, 8, pk.derive_seed(0, "synth", "kits"))
-        spec = pk.SyntheticSpec(700, kits, 1, pk.derive_seed(0, "synth", "population"))
-        prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
-        base = pk.derive_seed(0, "kmeans-sweep")
+    def test_default_sweep_cells_on_seven_hundred_users(self, survey700):
+        prefs, config = survey700
         for k in range(4, 16):
             for t in range(3):
-                assert_matches_loop(prefs, pk.KMeansConfig(k=k, seed=pk.derive_seed(base, "sweep", k, t)))
+                assert_matches_loop(prefs, pk.KMeansConfig(k=k, seed=pk.derive_seed(config.seed, "sweep", k, t)))
 
     def test_bounds_skip_most_distance_passes(self, survey, monkeypatch):
         prefs, _, _ = survey
@@ -421,6 +428,40 @@ class TestSweep:
                 assert table.iterations[row, t] == run.iterations_used
                 assert table.converged[row, t] == run.converged
                 assert table.wcss[row, t] == run.wcss_trace[-1]
+
+    def test_worker_count_never_changes_the_table(self, survey700, monkeypatch):
+        prefs, config = survey700
+        fork, forks = getattr(os, "fork", None), []
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        tables = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            if fork is not None:
+                monkeypatch.setattr(os, "fork", counted_fork)
+            forks.clear()
+            tables.append(pk.sweep(prefs, config))
+            assert len(forks) == (cpus - 1 if fork is not None else 0)
+        for table in tables[1:]:
+            for name in ("scores", "iterations", "converged", "wcss"):
+                assert np.array_equal(getattr(table, name), getattr(tables[0], name))
+
+    def test_fewer_cells_than_cpus_forks_nothing(self, survey700, monkeypatch):
+        prefs, config = survey700
+
+        def no_fork():
+            raise AssertionError("a one-cell sweep forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        table = pk.sweep(prefs, config, k_max=config.k, trials=1)
+        run = pk.run_kmeans(prefs, replace(config, seed=pk.derive_seed(config.seed, "sweep", config.k, 0)))
+        assert table.scores[0, 0] == pk.silhouette(prefs, run).macro_average
+        assert (table.iterations[0, 0], table.converged[0, 0]) == (run.iterations_used, run.converged)
+        assert table.wcss[0, 0] == run.wcss_trace[-1]
 
     def test_bounds_validation(self, survey):
         prefs, _, _ = survey
