@@ -298,7 +298,7 @@ def _flag_problems(a: argparse.Namespace, s: Stages) -> Iterator[str]:
             yield "--lambda must lie in (0, 1]"
         if a.max_iters < 1:
             yield "--max-iters must be at least 1"
-        if (s.prefs.data == s.prefs.data[0]).all():
+        if len(s.prefs.distinct.rows) < 2:
             yield f"all {s.prefs.n} survey rows are equal (1 distinct row); silhouette needs 2"
     if "rank" in a and not 1 <= a.rank <= min(s.prefs.n, s.prefs.m):
         yield f"--rank must lie in 1..{min(s.prefs.n, s.prefs.m)} for this matrix"

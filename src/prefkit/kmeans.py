@@ -23,13 +23,21 @@ full pass would give; near-ties go through the full pass and its lowest-index
 ``argmin``.  The shifts are widened by the same eps, so rounding in the
 decay never leaves a positive bound where the exact one is zero.
 
-Silhouette reads an n x n distance matrix built in row blocks, so its memory
-is O(n^2), not O(n^2 * m); a sweep builds it once for all its cells.  It then
-scores its (k, trial) cells in up to one process per usable CPU, forked after
-the matrix is built: each worker holds only its own k-means temporaries and
-shares the matrix copy-on-write, and every cell runs the same code on the
-same inputs, so the table is byte-identical to a one-process sweep.  Where
-``os.fork`` or the CPU affinity is missing, the sweep runs in-process.
+Silhouette scores 0/1 survey rows on their d distinct rows.  A sweep builds
+one d x d Hamming matrix in row blocks, in bytes while m <= 255 (0.4 MB at
+d = 642), and each cell totals a distinct row's distances to every cluster as
+``sqrt(hamming) @ members``, where ``members[j, c]`` counts the users of row j
+in cluster c.  Between 0/1 rows sqrt(hamming) is exactly the Euclidean
+distance, so a cell is within 1e-12 of the dense n x n sums; only the order
+of the additions differs.  Labels may split identical rows, so each
+(distinct row, label) pair is scored and weighed by its users.  The sweep
+then scores its (k, trial) cells in up to one process per usable CPU, forked
+after the matrix is built: each worker holds only its own k-means and
+silhouette temporaries and shares the matrix copy-on-write, and every cell
+runs the same code on the same inputs, so the table is byte-identical to a
+one-process sweep.  Where ``os.fork`` or the CPU affinity is missing, the
+sweep runs in-process.  ``silhouette_from_labels`` takes any real data, so
+it keeps an n x n distance matrix.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .errors import PrefkitError
 from .model import PreferenceMatrix
 from .seeding import derive_seed, generator
 
-_BLOCK_FLOATS = 2**20  # row differences per block (8 MB), never all n x n x m
+_BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of row differences or of d x d rows
 _EPS = 1e-9  # relative slack of the assignment bounds
 _TOL = 1e-6  # convergence: the largest centroid shift falls below this
 
@@ -189,29 +197,94 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
 def _pairwise_distances(data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     dist = np.empty((len(data), len(data)))
-    step = max(1, _BLOCK_FLOATS // max(1, data.size))
+    step = _block_rows(data.size)
     for lo in range(0, len(data), step):
         dist[lo : lo + step] = np.sqrt(_sq_distances(data[lo : lo + step], data))
     return dist
 
 
-def _silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
+def _block_rows(row_floats: int) -> int:
+    """Rows per block, so that a block of rows ``row_floats`` float64 wide stays within ``_BLOCK_FLOATS``."""
+    return max(1, _BLOCK_FLOATS // max(1, row_floats))
+
+
+def _hamming(rows: np.ndarray) -> np.ndarray:
+    """d x d Hamming distances between 0/1 rows, in the smallest unsigned type that holds m: uint8 while m <= 255."""
+    x = rows.astype(np.float64)
+    ones = x.sum(axis=1)
+    ham = np.empty((len(x), len(x)), dtype=np.min_scalar_type(x.shape[1]))
+    step = _block_rows(len(x))
+    for lo in range(0, len(x), step):
+        # |x| + |y| - 2 x.y, exact in float64 for 0/1 rows
+        block = x[lo : lo + step] @ x.T
+        block *= -2.0
+        block += ones
+        block += ones[lo : lo + step, None]
+        ham[lo : lo + step] = block
+    return ham
+
+
+def _checked_labels(labels: np.ndarray, n: int, k: int) -> np.ndarray:
     labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {n} integer cluster ids, got {labels.dtype} of shape {labels.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < k:
+        raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
+    return labels.astype(np.intp, copy=False)  # uint64 plus int64 would be float64
+
+
+def _sizes(labels: np.ndarray, k: int) -> np.ndarray:
     sizes = np.bincount(labels, minlength=k)
     if int((sizes > 0).sum()) < 2:
         raise ValueError("silhouette needs at least 2 non-empty clusters")
-    onehot = labels[:, None] == np.arange(k)
-    sums = dist @ onehot  # sums[i, j]: total distance from user i to cluster j
+    return sizes
+
+
+def _widths(sums: np.ndarray, labels: np.ndarray, users: np.ndarray | int, sizes: np.ndarray) -> tuple:
+    """Silhouette widths of p groups of coincident users, and each cluster's mean width.
+
+    Group g holds ``users[g]`` users of cluster ``labels[g]``, and ``sums[g, c]``
+    totals the distances from one of them to every user of cluster c.
+    """
+    onehot = labels[:, None] == np.arange(len(sizes))
     own = sizes[labels]
     with np.errstate(divide="ignore", invalid="ignore"):
         a = sums[onehot] / np.maximum(own - 1, 1)
         b = np.where(onehot | (sizes == 0), np.inf, sums / sizes).min(axis=1)
         denom = np.maximum(a, b)
-        per_user = np.where((own == 1) | (denom == 0.0), 0.0, (b - a) / denom)
-        per_cluster = np.bincount(labels, weights=per_user, minlength=k) / sizes
+        width = np.where((own == 1) | (denom == 0.0), 0.0, (b - a) / denom)
+        per_cluster = np.bincount(labels, weights=width * users, minlength=len(sizes)) / sizes
+    return width, per_cluster
+
+
+def _report(per_user: np.ndarray, per_cluster: np.ndarray, sizes: np.ndarray) -> SilhouetteReport:
     for arr in (per_user, per_cluster):
         arr.flags.writeable = False
     return SilhouetteReport(per_user, per_cluster, float(per_cluster[sizes > 0].mean()))
+
+
+def _distinct_silhouette(prefs: PreferenceMatrix, ham: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
+    """Silhouette of the users scored on their d distinct rows, given the rows' d x d Hamming matrix.
+
+    Labels may split identical rows, so each (distinct row, label) pair is
+    scored once and weighs as many users as it holds.  The distance between
+    rows h items apart is sqrt(h), exactly what the dense sums read.
+    """
+    d, sizes = len(ham), _sizes(labels, k)
+    keys = prefs.distinct.inverse * k + labels
+    counts = np.bincount(keys, minlength=d * k)
+    members = counts.reshape(d, k).astype(np.float64)  # members[j, c]: users of row j in cluster c
+    roots = np.sqrt(np.arange(prefs.m + 1))
+    sums = np.empty((d, k))
+    step = _block_rows(d)
+    for lo in range(0, d, step):
+        sums[lo : lo + step] = roots[ham[lo : lo + step]] @ members
+    pairs = np.flatnonzero(counts)
+    row, label = np.divmod(pairs, k)
+    width, per_cluster = _widths(sums[row], label, counts[pairs], sizes)
+    by_key = np.zeros(d * k)
+    by_key[pairs] = width
+    return _report(by_key[keys], per_cluster, sizes)
 
 
 def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
@@ -221,16 +294,21 @@ def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> Silh
     cluster and b the smallest mean distance to another non-empty cluster.
     Singletons score 0, as does the 0/0 case of coincident points.
     """
-    labels, n = np.asarray(labels), len(data)
-    if labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be {n} integer cluster ids, got {labels.dtype} of shape {labels.shape}")
-    if labels.size and not 0 <= labels.min() <= labels.max() < k:
-        raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
-    return _silhouette(_pairwise_distances(data), labels, k)
+    labels = _checked_labels(labels, len(data), k)
+    dist = _pairwise_distances(data)
+    sizes = _sizes(labels, k)
+    sums = dist @ (labels[:, None] == np.arange(k))  # sums[i, c]: total distance from user i to cluster c
+    return _report(*_widths(sums, labels, 1, sizes), sizes)
 
 
 def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
-    return silhouette_from_labels(prefs.data, run.idx, run.k)
+    """Silhouette of a run's labels on the 0/1 survey rows, within 1e-12 of ``silhouette_from_labels``.
+
+    It scores the distinct rows with the same core and blocks as ``sweep``,
+    so a sweep cell equals this run's macro average exactly.
+    """
+    labels = _checked_labels(run.idx, prefs.n, run.k)
+    return _distinct_silhouette(prefs, _hamming(prefs.distinct.rows), labels, run.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,12 +428,13 @@ def sweep(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     k_values = tuple(range(config.k, k_max + 1))
-    dist = _pairwise_distances(prefs.data)
+    ham = _hamming(prefs.distinct.rows)
 
     def score(cell: tuple[int, int]) -> tuple[float, int, bool, float]:
         k, seed = cell
         run = run_kmeans(prefs, replace(config, k=k, seed=seed))
-        return _silhouette(dist, run.idx, k).macro_average, run.iterations_used, run.converged, run.wcss_trace[-1]
+        macro = _distinct_silhouette(prefs, ham, run.idx, k).macro_average
+        return macro, run.iterations_used, run.converged, run.wcss_trace[-1]
 
     cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)]
     results = _in_workers(score, cells)

@@ -348,6 +348,49 @@ class TestSilhouette:
             assert abs(report.macro_average - macro) <= 1e-12
         assert seen_empty and seen_singleton
 
+    @staticmethod
+    def assert_distinct_core_matches_bruteforce(data, labels, k):
+        prefs = prefs_from(data)
+        run = pk.KMeansRun(np.zeros((k, prefs.m)), np.asarray(labels), 1, True, (0.0,), pk.KMeansConfig(k=k))
+        report = pk.silhouette(prefs, run)
+        per_user, per_cluster, macro = silhouette_bruteforce(prefs.data, labels, k)
+        np.testing.assert_allclose(report.per_user, per_user, rtol=0, atol=1e-12)
+        per_cluster = [np.nan if v is None else v for v in per_cluster]
+        np.testing.assert_allclose(report.per_cluster, per_cluster, rtol=0, atol=1e-12)
+        assert abs(report.macro_average - macro) <= 1e-12
+        return report
+
+    def test_distinct_row_core_matches_bruteforce(self):
+        rng = np.random.default_rng(37)
+        seen_split = seen_empty = seen_singleton = False
+        for trial in range(40):
+            n, k = int(rng.integers(4, 40)), int(rng.integers(2, 7))
+            m = 300 if trial == 0 else int(rng.integers(1, 12))  # past 255 items the Hamming matrix is uint16
+            base = rng.integers(0, 2, size=(int(rng.integers(2, n // 2 + 2)), m))
+            data = base[rng.integers(0, len(base), size=n)]  # few distinct rows, each held by several users
+            used = k - 1 if trial % 3 == 0 and k > 2 else k  # cluster k - 1 left empty
+            labels = rng.integers(0, used, size=n)
+            labels[0], labels[1] = 0, 1
+            if trial % 4 == 1:
+                labels[labels == used - 1] = 0
+                labels[-1] = used - 1  # a singleton
+            rows = np.unique(data, axis=0, return_inverse=True)[1].ravel()
+            seen_split |= len(np.unique(rows * k + labels)) > len(np.unique(rows))
+            sizes = np.bincount(labels, minlength=k)
+            seen_empty |= bool((sizes == 0).any())
+            seen_singleton |= bool((sizes == 1).any())
+            if trial % 5 == 2:
+                labels = labels.astype(np.uint64)  # the pair keys must stay integers
+            self.assert_distinct_core_matches_bruteforce(data, labels, k)
+        assert seen_split and seen_empty and seen_singleton
+
+    def test_distinct_row_core_scores_coincident_rows_in_two_clusters_zero(self):
+        # Clusters 0 and 1 hold copies of one row, so their users have a = b = 0.
+        data = [[1, 0, 1]] * 4 + [[0, 1, 0], [0, 1, 1]]
+        report = self.assert_distinct_core_matches_bruteforce(data, np.array([0, 0, 1, 1, 2, 2]), 4)
+        assert report.per_user[:4].tolist() == [0.0] * 4
+        assert np.isnan(report.per_cluster[3])
+
     def test_peak_memory_is_quadratic_not_cubic(self):
         # The n x n distances take 32 MB; an n x n x m difference tensor would take 640 MB.
         n = 2000
@@ -462,6 +505,21 @@ class TestSweep:
         assert table.scores[0, 0] == pk.silhouette(prefs, run).macro_average
         assert (table.iterations[0, 0], table.converged[0, 0]) == (run.iterations_used, run.converged)
         assert table.wcss[0, 0] == run.wcss_trace[-1]
+
+    def test_builds_no_n_by_n_array(self, catalog20, constraint):
+        kits = pk.random_kits(catalog20, constraint, 8, pk.derive_seed(0, "synth", "kits"))
+        spec = pk.SyntheticSpec(3000, kits, 1, pk.derive_seed(0, "synth", "population"))
+        prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
+        d = len(prefs.distinct.rows)
+        tracemalloc.start()
+        try:
+            pk.sweep(prefs, pk.KMeansConfig(k=4, seed=0), k_max=4, trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The d x d uint8 Hamming matrix, plus 4 MB for the k-means temporaries
+        # and the 512 KB blocks; less than even an n x n uint8 matrix would take.
+        assert peak < d * d + 4 * 2**20 < prefs.n**2
 
     def test_bounds_validation(self, survey):
         prefs, _, _ = survey
