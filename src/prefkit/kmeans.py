@@ -240,7 +240,9 @@ def _sizes(labels: np.ndarray, k: int) -> np.ndarray:
     return sizes
 
 
-def _widths(sums: np.ndarray, labels: np.ndarray, users: np.ndarray | int, sizes: np.ndarray) -> tuple:
+def _widths(
+    sums: np.ndarray, labels: np.ndarray, users: np.ndarray | int, sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Silhouette widths of p groups of coincident users, and each cluster's mean width.
 
     Group g holds ``users[g]`` users of cluster ``labels[g]``, and ``sums[g, c]``
