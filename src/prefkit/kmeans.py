@@ -5,23 +5,39 @@ The update rule for a non-empty cluster j is
     m_j <- (1 - damping) * m_j + damping * mean(rows assigned to j)
 
 so ``damping = 1`` recovers textbook Lloyd.  Clusters left empty by an
-assignment pass are reseeded to the row currently farthest from its own
-(freshly updated) centroid; a row donated this way is excluded from further
-reseeding within the same iteration, so k never shrinks.
+assignment pass are reseeded to the row of the user currently farthest from
+its own (freshly updated) centroid; a user donated this way is excluded from
+further reseeding within the same iteration, so k never shrinks.
 
 All ties break toward the lowest index: assignment prefers the lowest
-centroid, reseeding the lowest row.
+centroid, reseeding the lowest user.
+
+A run works on the survey's d distinct rows, since users with one row share
+every distance.  Each row carries one label for all its users, and each
+cluster keeps the weighted sums of its rows and its user count as exact
+integers, changed only for rows whose label moved, so the mean is bit for
+bit the mean of the cluster's user rows.  Each WCSS entry gathers the rows'
+distances to the users and sums them in user order, and reseeding picks its
+donor users the same way, so both read exactly what a run over all n user
+rows would.
 
 Assignment keeps, per row, a lower bound on its distance to every centroid
 other than its own (Hamerly 2010): after each update the bound drops by the
 largest shift among those centroids, the second largest for rows whose own
 centroid moved most.  Every iteration measures each row's own-centroid
-distance exactly, and only a row whose ``sqrt(own) * (1 + eps) < lower *
-(1 - eps)`` fails gets all k distances.  A row that skips has no other
-centroid within its bound, so no tie is possible and its label is what the
-full pass would give; near-ties go through the full pass and its lowest-index
-``argmin``.  The shifts are widened by the same eps, so rounding in the
-decay never leaves a positive bound where the exact one is zero.
+distance exactly, into one preallocated buffer, and only a row whose
+``sqrt(own) * (1 + eps) < lower * (1 - eps)`` fails goes through the full
+pass.  A row that skips has no other centroid within its bound, so no tie is
+possible and its label is what the full pass would give.  The shifts are
+widened by the same eps, so rounding in the decay never leaves a positive
+bound where the exact one is zero.  The full pass screens all k centroids
+with one GEMM of ``|c|^2 - 2 x.c``; with rows and centroids in the unit cube
+its rounding is far below a slack of ``eps * (m + 1)``, so every centroid
+more than 2 slack above a row's screened minimum is farther than its
+nearest.  A row with one centroid left takes it; a near-tie takes the
+lowest-index minimum of the exact distances of the centroids left.  So labels
+are the exact argmin, and the screened second distance, less the slack,
+bounds the row's distance to the others.
 
 Silhouette scores 0/1 survey rows on their d distinct rows.  A sweep builds
 one d x d Hamming matrix in row blocks, in bytes while m <= 255 (0.4 MB at
@@ -33,11 +49,13 @@ of the additions differs.  Labels may split identical rows, so each
 (distinct row, label) pair is scored and weighed by its users.  The sweep
 then scores its (k, trial) cells in up to one process per usable CPU, forked
 after the matrix is built: each worker holds only its own k-means and
-silhouette temporaries and shares the matrix copy-on-write, and every cell
-runs the same code on the same inputs, so the table is byte-identical to a
-one-process sweep.  Where ``os.fork`` or the CPU affinity is missing, the
-sweep runs in-process.  ``silhouette_from_labels`` takes any real data, so
-it keeps an n x n distance matrix.
+silhouette temporaries and shares the matrix copy-on-write.  The cells wait
+in one queue, largest k first since a run's cost grows with k, and each
+worker pulls the next one when it is free, so a faster CPU scores more of
+them.  Every cell runs the same code on the same inputs, so the table is
+byte-identical to a one-process sweep.  Where ``os.fork`` or the CPU affinity
+is missing, the sweep runs in-process.  ``silhouette_from_labels`` takes
+any real data, so it keeps an n x n distance matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +63,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable, NoReturn
 
@@ -57,6 +76,8 @@ from .seeding import derive_seed, generator
 _BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of row differences or of d x d rows
 _EPS = 1e-9  # relative slack of the assignment bounds
 _TOL = 1e-6  # convergence: the largest centroid shift falls below this
+_RECORD = struct.Struct("=I")  # one record of the sweep's cell queue
+_QUEUE_RECORDS = 1024  # records in the queue at most: 4 KiB, within the capacity of any pipe
 
 
 @dataclass(frozen=True)
@@ -119,36 +140,51 @@ def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("ikj,ikj->ik", diff, diff)
 
 
-def _update(rows: np.ndarray, idx: np.ndarray, centroids_prev: np.ndarray, damping: float) -> np.ndarray:
-    k = centroids_prev.shape[0]
-    counts = np.bincount(idx, minlength=k)
-    filled = counts > 0
-    # 0/1 rows sum exactly, so this is bit for bit each cluster's mean row.
-    means = ((idx == np.arange(k)[:, None]) @ rows)[filled] / counts[filled, None]
-    centroids = np.array(centroids_prev, dtype=np.float64, copy=True)
-    centroids[filled] = (1.0 - damping) * centroids[filled] + damping * means
-    empties = np.flatnonzero(~filled)
+def _nearest(rows: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid, lowest index on ties, and a lower bound on its distance to the others.
+
+    ``sq_norms`` holds each row's ``|x|^2``, which only the bound needs.  The
+    screen's rounding is far below ``slack``, so where the exact distances
+    pick another centroid than the screen does, the two screened values lie
+    within rounding of each other, and the screened second value, less the
+    slack, still bounds the distance to every centroid but the label.
+    """
+    slack = _EPS * (rows.shape[1] + 1)
+    approx = centroids @ rows.T
+    approx *= -2.0
+    approx += np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    labels = approx.argmin(axis=0)
+    cols = np.arange(len(rows))
+    best = approx[labels, cols]
+    approx[labels, cols] = np.inf
+    second = approx.min(axis=0)  # inf where k = 1
+    tied = np.flatnonzero(second <= best + 2 * slack)
+    if tied.size:  # the exact distances of the centroids within 2 slack of the minimum decide
+        approx[labels[tied], tied] = best[tied]
+        c, r = np.nonzero(approx[:, tied] <= best[tied] + 2 * slack)
+        diff = rows[tied[r]] - centroids[c]
+        exact = np.full((len(centroids), tied.size), np.inf)
+        exact[c, r] = np.einsum("ij,ij->i", diff, diff)
+        labels[tied] = exact.argmin(axis=0)
+    return labels, np.sqrt(np.maximum(second + sq_norms - slack, 0.0))
+
+
+def _update(
+    centroids: np.ndarray, sums: np.ndarray, damping: float, rows: np.ndarray, labels: np.ndarray, inverse: np.ndarray
+) -> np.ndarray:
+    """The damped step from each cluster's row sums, weighted by users, whose last column counts its users."""
+    counts = sums[:, -1:]
+    # The sums are exact integers, so a filled cluster's mean is bit for bit its mean user row.
+    new = (1.0 - damping) * centroids + damping * (sums[:, :-1] / np.maximum(counts, 1.0))
+    empties = np.flatnonzero(counts == 0)
     if empties.size:
-        dist_own = np.linalg.norm(rows - centroids[idx], axis=1)
-        donated = np.zeros(len(rows), dtype=bool)
+        dist_own = np.linalg.norm(rows - new[labels], axis=1)[inverse]
+        donated = np.zeros(len(inverse), dtype=bool)
         for j in empties:
-            masked = np.where(donated, -np.inf, dist_own)
-            donor = int(np.argmax(masked))
-            centroids[j] = rows[donor]
+            donor = int(np.argmax(np.where(donated, -np.inf, dist_own)))
+            new[j] = rows[inverse[donor]]
             donated[donor] = True
-    return centroids
-
-
-def _assign(rows: np.ndarray, centroids: np.ndarray, idx: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Relabel rows in idx and refresh their bounds in place; return each row's own squared distance."""
-    diff = rows[:, None, :] - centroids[idx][:, None, :]
-    own = np.einsum("ikj,ikj->ik", diff, diff)[:, 0]
-    full = np.flatnonzero(~(np.sqrt(own) * (1 + _EPS) < lower * (1 - _EPS)))
-    d2 = _sq_distances(rows[full], centroids)
-    idx[full] = np.argmin(d2, axis=1)
-    own[full] = d2[np.arange(full.size), idx[full]]
-    lower[full] = np.sqrt(np.partition(d2, 1, axis=1)[:, 1]) if len(centroids) > 1 else np.inf
-    return own
+    return new
 
 
 def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
@@ -162,26 +198,56 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     """
     if config.k > prefs.n:
         raise ValueError(f"k={config.k} exceeds number of users {prefs.n}")
-    rows = prefs.data.astype(np.float64)
-    centroids = init_centroids(prefs, config.k, config.seed)
-    idx = np.zeros(prefs.n, dtype=np.intp)
-    lower = np.zeros(prefs.n)  # a zero bound sends every row through the first full pass
+    distinct = prefs.distinct
+    rows = distinct.rows.astype(np.float64)
+    d, k = len(rows), config.k
+    centroids = init_centroids(prefs, k, config.seed)
+    labels = np.zeros(d, dtype=np.intp)
+    lower = np.zeros(d)  # a zero bound sends every row through the first full pass
+    own, diff = np.empty(d), np.empty_like(rows)
+    sq_norms = rows.sum(axis=1)  # |x|^2 of a 0/1 row
+    weighted = np.column_stack([rows, np.ones(d)]) * distinct.weights[:, None]
+    sums = np.zeros((k, weighted.shape[1]))
+    sums[0] = weighted.sum(axis=0)  # every row starts in cluster 0
+    clusters = np.arange(k)[:, None]
+
+    def assign() -> tuple[np.ndarray, np.ndarray]:
+        """Relabel the rows failing the bound test, refresh ``lower`` and ``own``; return the moved rows, old labels."""
+        np.take(centroids, labels, axis=0, out=diff, mode="clip")
+        np.subtract(rows, diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=own)
+        full = np.flatnonzero(np.sqrt(own) * (1 + _EPS) >= lower * (1 - _EPS))
+        if not full.size:
+            return full, full
+        near, lower[full] = _nearest(rows[full], sq_norms[full], centroids)
+        changed = near != labels[full]
+        moved, old = full[changed], labels[full[changed]]
+        labels[moved] = near[changed]
+        moved_diff = rows[moved] - centroids[near[changed]]
+        own[moved] = np.einsum("ij,ij->i", moved_diff, moved_diff)
+        return moved, old
+
     trace: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iters):
         iterations += 1
-        trace.append(float(_assign(rows, centroids, idx, lower).sum()))
-        new_centroids = _update(rows, idx, centroids, config.damping)
-        shifts = np.linalg.norm(new_centroids - centroids, axis=1)
+        moved, old = assign()
+        trace.append(float(own[distinct.inverse].sum()))
+        if moved.size:
+            sums += ((labels[moved] == clusters).astype(np.float64) - (old == clusters)) @ weighted[moved]
+        new_centroids = _update(centroids, sums, config.damping, rows, labels, distinct.inverse)
+        step = new_centroids - centroids
+        shifts = np.sqrt((step * step).sum(axis=1))  # bit for bit np.linalg.norm(step, axis=1)
         centroids = new_centroids
         top = int(np.argmax(shifts))
-        runner_up = np.partition(shifts, -2)[-2] if config.k > 1 else 0.0
-        lower -= np.where(idx == top, runner_up, shifts[top]) * (1 + _EPS)
+        runner_up = np.partition(shifts, -2)[-2] if k > 1 else 0.0
+        lower -= np.where(labels == top, runner_up, shifts[top]) * (1 + _EPS)
         if shifts[top] < _TOL:
             converged = True
             break
-    _assign(rows, centroids, idx, lower)
+    assign()
+    idx = labels[distinct.inverse]
     centroids.flags.writeable = False
     idx.flags.writeable = False
     return KMeansRun(
@@ -328,23 +394,33 @@ class SweepTable:
         return self.scores.shape[1]
 
 
-def _worker(parent: int, read: int, write: int, score: Callable, cells: list) -> NoReturn:
-    """A forked worker: pickle its cells' results, or its exception, into its pipe and exit.
+def _pulled(queue: int, score: Callable, cells: list, parent: int | None = None) -> list:
+    """``(i, score(cells[i]))`` for every cell i named by the records this process reads from the queue.
+
+    Of a queue of s records, record j names cells j, j + s, j + 2s, ...  A
+    forked worker, given its ``parent``, exits before a record once that
+    parent is gone.
+    """
+    stride, results = min(len(cells), _QUEUE_RECORDS), []
+    while record := os.read(queue, _RECORD.size):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        (first,) = _RECORD.unpack(record)
+        results += [(i, score(cells[i])) for i in range(first, len(cells), stride)]
+    return results
+
+
+def _worker(parent: int, queue: int, read: int, write: int, score: Callable, cells: list) -> NoReturn:
+    """A forked worker: pickle the results of the cells it pulls, or its exception, into its pipe and exit.
 
     It never returns into its caller, so no atexit handler, inherited output
-    buffer or caller's code runs twice, and it exits before a cell once its
-    parent is gone.
+    buffer or caller's code runs twice.
     """
     code = 1
     try:
         os.close(read)  # so a write fails, not blocks, once the parent is gone
         try:
-            results = []
-            for cell in cells:
-                if os.getppid() != parent:
-                    os._exit(1)
-                results.append(score(cell))
-            message = (True, results)
+            message = (True, _pulled(queue, score, cells, parent))
         except BaseException as exc:
             try:  # the parent must be able to rebuild the exception it raises
                 pickle.loads(pickle.dumps(exc))
@@ -373,17 +449,24 @@ def _received(data: bytes, status: int) -> list:
 def _in_workers(score: Callable, cells: list) -> list:
     """``[score(cell) for cell in cells]`` in w workers, one per usable CPU and at most one per cell.
 
-    Worker s scores ``cells[s::w]``.  The caller is worker 0 and workers
-    1..w-1 are forked children, so where the platform cannot fork, w is 1.
-    Every child is reaped on every path: on any failure the ones still
-    running are killed and waited for before the failure is raised.
+    The cells are queued in list order, as fixed-size records in one pipe
+    whose write end is closed before any fork, and every worker pulls the
+    next record until the queue is empty, so a fast worker scores more
+    cells than a slow one.  The caller is one worker and the other w - 1
+    are forked children, so where the platform cannot fork, w is 1.  Every
+    child is reaped on every path: on any failure the ones still running
+    are killed and waited for before the failure is raised.
     """
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     w = min(len(os.sched_getaffinity(0)), len(cells)) if can_fork else 1
-    parent, running = os.getpid(), {}  # child pid -> (its share, the read end of its pipe)
-    results = [None] * len(cells)
+    parent, running = os.getpid(), {}  # child pid -> the read end of its pipe
+    queue, write = os.pipe()
     try:
-        for s in range(1, w):
+        try:  # at most 4 KiB, which an empty pipe takes without blocking
+            os.write(write, b"".join(map(_RECORD.pack, range(min(len(cells), _QUEUE_RECORDS)))))
+        finally:
+            os.close(write)  # so a read meets the end of the queue once it is empty
+        for _ in range(1, w):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -392,24 +475,28 @@ def _in_workers(score: Callable, cells: list) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _worker(parent, read, write, score, cells[s::w])
+                _worker(parent, queue, read, write, score, cells)
             os.close(write)
-            running[pid] = (s, os.fdopen(read, "rb"))
-        results[::w] = [score(cell) for cell in cells[::w]]
-        for pid, (s, pipe) in list(running.items()):
+            running[pid] = os.fdopen(read, "rb")
+        pairs = _pulled(queue, score, cells)
+        for pid, pipe in list(running.items()):
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del running[pid]
-            results[s::w] = _received(data, status)
+            pairs += _received(data, status)
     except BaseException:
         for pid in running:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, (_, pipe) in running.items():
+        os.close(queue)
+        for pid, pipe in running.items():
             pipe.close()
             os.waitpid(pid, 0)
+    results = [None] * len(cells)
+    for i, result in pairs:
+        results[i] = result
     return results
 
 
@@ -422,8 +509,10 @@ def sweep(
     """Run independent seeded trials for every k from ``config.k`` to ``k_max``.
 
     Cell (k, t) uses the seed ``derive_seed(config.seed, "sweep", k, t)`` so
-    the whole table is a pure function of the config seed.  The cells, in
-    k-major order, are dealt round-robin to one worker per usable CPU.
+    the whole table is a pure function of the config seed.  One worker per
+    usable CPU pulls the cells from a shared queue, largest k first, since a
+    run's cost grows with k: the slowest cells start first and the fast ones
+    fill in around them.
     """
     if not 2 <= config.k <= k_max <= prefs.n:
         raise ValueError(f"need 2 <= config.k <= k_max <= n, got {config.k}..{k_max} with n={prefs.n}")
@@ -439,7 +528,7 @@ def sweep(
         return macro, run.iterations_used, run.converged, run.wcss_trace[-1]
 
     cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)]
-    results = _in_workers(score, cells)
+    results = _in_workers(score, cells[::-1])[::-1]  # queued largest k first
     columns = [np.array(column).reshape(len(k_values), trials) for column in zip(*results)]
     for arr in columns:
         arr.flags.writeable = False

@@ -6,7 +6,8 @@ characteristic-polynomial root finding rather than LAPACK, and the adjusted
 Rand index is the plain contingency-table formula, and ``user_loss`` scores
 one row against one kit by comparing every position, as the brute-force
 reference for ``reassign``.  The per-user silhouette
-loop, the masked-mean k-means update, the per-user synthetic generator, the
+loop, the masked-mean k-means update, the bounded k-means on every user
+row, the per-user synthetic generator, the
 scanning kit sampler, the broadcast mismatch count, the row-at-a-time CSV
 writer, the cluster-by-cluster kit design, the stable-sort distinct values,
 and the per-user SVD, kit counts, mismatch count and per-kit loss loop that
@@ -25,7 +26,7 @@ import numpy as np
 
 from prefkit.assignment import Assignment, ClusterLosses, LossReport
 from prefkit.kits import Kit, select_items
-from prefkit.kmeans import _TOL, init_centroids
+from prefkit.kmeans import _EPS, _TOL, KMeansRun, init_centroids
 from prefkit.model import Category, PreferenceMatrix
 from prefkit.seeding import generator
 from prefkit.svd import SvdFactors
@@ -143,6 +144,59 @@ def run_kmeans_loop(prefs, config):
         if shift < _TOL:
             break
     return np.argmin(_sq_distances_loop(rows, centroids), axis=1), centroids, tuple(trace)
+
+
+def _update_rows(rows, idx, centroids_prev, damping):
+    k = centroids_prev.shape[0]
+    counts = np.bincount(idx, minlength=k)
+    filled = counts > 0
+    means = ((idx == np.arange(k)[:, None]) @ rows)[filled] / counts[filled, None]
+    centroids = np.array(centroids_prev, dtype=np.float64, copy=True)
+    centroids[filled] = (1.0 - damping) * centroids[filled] + damping * means
+    empties = np.flatnonzero(~filled)
+    if empties.size:
+        dist_own = np.linalg.norm(rows - centroids[idx], axis=1)
+        donated = np.zeros(len(rows), dtype=bool)
+        for j in empties:
+            masked = np.where(donated, -np.inf, dist_own)
+            donor = int(np.argmax(masked))
+            centroids[j] = rows[donor]
+            donated[donor] = True
+    return centroids
+
+
+def _assign_rows(rows, centroids, idx, lower):
+    diff = rows[:, None, :] - centroids[idx][:, None, :]
+    own = np.einsum("ikj,ikj->ik", diff, diff)[:, 0]
+    full = np.flatnonzero(~(np.sqrt(own) * (1 + _EPS) < lower * (1 - _EPS)))
+    d2 = _sq_distances_loop(rows[full], centroids)
+    idx[full] = np.argmin(d2, axis=1)
+    own[full] = d2[np.arange(full.size), idx[full]]
+    lower[full] = np.sqrt(np.partition(d2, 1, axis=1)[:, 1]) if len(centroids) > 1 else np.inf
+    return own
+
+
+def run_kmeans_rows(prefs, config):
+    """A ``KMeansRun`` of damped Lloyd with Hamerly bounds on every user row, one-hot sums and k-wide passes."""
+    rows = prefs.data.astype(np.float64)
+    centroids = init_centroids(prefs, config.k, config.seed)
+    idx = np.zeros(prefs.n, dtype=np.intp)
+    lower = np.zeros(prefs.n)
+    trace = []
+    converged = False
+    for _ in range(config.max_iters):
+        trace.append(float(_assign_rows(rows, centroids, idx, lower).sum()))
+        new_centroids = _update_rows(rows, idx, centroids, config.damping)
+        shifts = np.linalg.norm(new_centroids - centroids, axis=1)
+        centroids = new_centroids
+        top = int(np.argmax(shifts))
+        runner_up = np.partition(shifts, -2)[-2] if config.k > 1 else 0.0
+        lower -= np.where(idx == top, runner_up, shifts[top]) * (1 + _EPS)
+        if shifts[top] < _TOL:
+            converged = True
+            break
+    _assign_rows(rows, centroids, idx, lower)
+    return KMeansRun(centroids, idx, len(trace), converged, tuple(trace), config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+import select
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import compute_centroids_loop, design_all_loop, run_kmeans_loop, silhouette_bruteforce, silhouette_loop
+from oracles import (
+    compute_centroids_loop,
+    design_all_loop,
+    run_kmeans_loop,
+    run_kmeans_rows,
+    silhouette_bruteforce,
+    silhouette_loop,
+)
 
 
 def prefs_from(rows):
@@ -64,14 +72,21 @@ class TestInitCentroids:
 
 
 def closest(prefs, centroids):
-    """Nearest centroid per row from ``_assign``'s full pass, which a zero bound forces."""
-    idx = np.zeros(prefs.n, dtype=np.intp)
-    pk.kmeans._assign(prefs.data.astype(float), np.asarray(centroids, dtype=float), idx, np.zeros(prefs.n))
-    return idx
+    """Nearest centroid per row from ``_nearest``, the screened full pass of ``_assign``."""
+    rows = prefs.data.astype(float)
+    return pk.kmeans._nearest(rows, rows.sum(axis=1), np.asarray(centroids, dtype=float))[0]
+
+
+def update(rows, idx, prev, damping):
+    """``_update`` with each user row its own distinct row of weight 1, and sums from ``idx``."""
+    rows = np.asarray(rows, dtype=float)
+    sums = np.zeros((len(prev), rows.shape[1] + 1))
+    np.add.at(sums, idx, np.column_stack([rows, np.ones(len(rows))]))
+    return pk.kmeans._update(np.asarray(prev, dtype=float), sums, damping, rows, idx, np.arange(len(rows)))
 
 
 class TestFindClosestCentroids:
-    """Nearest-centroid assignment, as ``run_kmeans`` does it in ``_assign``."""
+    """Nearest-centroid assignment, as ``run_kmeans`` does it in ``_nearest``."""
 
     def test_exact_match_wins(self):
         prefs = prefs_from([[1, 1, 0]])
@@ -90,6 +105,28 @@ class TestFindClosestCentroids:
         centroids = np.eye(4)[:2]
         assert closest(prefs, centroids).tolist() == [0, 1, 0, 0]
 
+    def test_near_ties_go_to_the_exact_lowest_index(self):
+        # Before the shuffle, the even centroids are all ``base`` and centroid 2s + 1 is
+        # ``base`` with items 2s and 2s + 1 swapped: a row that agrees on those two items
+        # is exactly as far from both, up to rounding that the screen and the exact
+        # distances take differently.
+        rng = np.random.default_rng(5)
+        rows, screen_wrong = rng.integers(0, 2, size=(3000, 20)).astype(float), 0
+        for _ in range(5):
+            base = rng.random(20)
+            centroids = np.repeat(base[None], 10, axis=0)
+            for s in range(5):
+                centroids[2 * s + 1, [2 * s, 2 * s + 1]] = base[[2 * s + 1, 2 * s]]
+            centroids = centroids[rng.permutation(10)]
+            d2 = pk.kmeans._sq_distances(rows, centroids)
+            labels, lower = pk.kmeans._nearest(rows, rows.sum(axis=1), centroids)
+            assert labels.tolist() == np.argmin(d2, axis=1).tolist()
+            others = np.arange(10) != labels[:, None]
+            assert (lower[:, None] <= np.sqrt(d2))[others].all()  # a bound on every other centroid
+            screen = np.einsum("ij,ij->i", centroids, centroids)[:, None] - 2.0 * (centroids @ rows.T)
+            screen_wrong += int((screen.argmin(axis=0) != labels).sum())
+        assert screen_wrong  # the screen alone would have mislabelled some rows
+
 
 class TestComputeCentroids:
     """The damped centroid update ``run_kmeans`` applies each iteration."""
@@ -97,18 +134,18 @@ class TestComputeCentroids:
     def test_undamped_update_is_plain_mean(self):
         prefs = prefs_from([[0, 0], [1, 1]])
         # Both rows in cluster 0 with damping 1: centroid becomes the mean.
-        out = pk.kmeans._update(prefs.data.astype(float), np.array([0, 0]), np.array([[5.0, 5.0]]), 1.0)
+        out = update(prefs.data, np.array([0, 0]), np.array([[5.0, 5.0]]), 1.0)
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_damped_update_blends_with_previous(self):
         prefs = prefs_from([[1, 1]])
-        out = pk.kmeans._update(prefs.data.astype(float), np.array([0]), np.array([[0.0, 0.0]]), 0.3)
+        out = update(prefs.data, np.array([0]), np.array([[0.0, 0.0]]), 0.3)
         np.testing.assert_allclose(out, [[0.3, 0.3]])
 
     def test_empty_cluster_reseeded_to_farthest_row(self):
         prefs = prefs_from([[0, 0], [0, 1], [1, 1]])
         idx = np.array([0, 0, 0])
-        out = pk.kmeans._update(prefs.data.astype(float), idx, np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
+        out = update(prefs.data, idx, np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
         # Cluster 0 moves to the mean; row (1,1) is farthest from it.
         np.testing.assert_allclose(out[0], [1 / 3, 2 / 3])
         np.testing.assert_allclose(out[1], [1.0, 1.0])
@@ -117,7 +154,7 @@ class TestComputeCentroids:
         prefs = prefs_from([[0, 0], [0, 1], [1, 1]])
         idx = np.array([0, 0, 0])
         prev = np.array([[0.0, 0.0], [9.0, 9.0], [8.0, 8.0]])
-        out = pk.kmeans._update(prefs.data.astype(float), idx, prev, 1.0)
+        out = update(prefs.data, idx, prev, 1.0)
         donors = {tuple(out[1]), tuple(out[2])}
         assert len(donors) == 2
         assert donors <= {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
@@ -132,7 +169,7 @@ class TestComputeCentroids:
             idx = rng.integers(0, max(1, k // 3) if trial % 2 else k, size=n)
             prev = rng.random((k, 10))
             damping = float(rng.uniform(0.05, 1.0))
-            out = pk.kmeans._update(prefs.data.astype(float), idx, prev, damping)
+            out = update(prefs.data, idx, prev, damping)
             assert np.array_equal(out, compute_centroids_loop(prefs, idx, prev, damping))
             most_empties = max(most_empties, k - len(np.unique(idx)))
         assert most_empties >= 5
@@ -240,18 +277,57 @@ class TestBoundedAssignment:
     def test_bounds_skip_most_distance_passes(self, survey, monkeypatch):
         prefs, _, _ = survey
         full_rows = []
-        sq_distances = pk.kmeans._sq_distances
+        nearest = pk.kmeans._nearest
 
-        def counted(rows, centroids):
+        def counted(rows, sq_norms, centroids):
             full_rows.append(len(rows))
-            return sq_distances(rows, centroids)
+            return nearest(rows, sq_norms, centroids)
 
-        monkeypatch.setattr(pk.kmeans, "_sq_distances", counted)
+        monkeypatch.setattr(pk.kmeans, "_nearest", counted)
         row_iterations = 0
         for k in (4, 8, 15):
             run = pk.run_kmeans(prefs, pk.KMeansConfig(k=k, seed=k))
-            row_iterations += prefs.n * (run.iterations_used + 1)  # + the final assignment
+            row_iterations += len(prefs.distinct.rows) * (run.iterations_used + 1)  # + the final assignment
         assert sum(full_rows) < 0.4 * row_iterations
+
+
+def assert_same_run(run, want):
+    """Two ``KMeansRun``s agree bit for bit on every field."""
+    for name in ("centroids", "idx"):
+        got, expected = getattr(run, name), getattr(want, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    for name in ("iterations_used", "converged", "wcss_trace", "config"):
+        assert getattr(run, name) == getattr(want, name), name
+
+
+class TestDistinctRowRun:
+    """``run_kmeans`` works on the distinct rows and their weights; it must equal the run on every user row."""
+
+    @pytest.mark.parametrize("m", [10, 100])  # past 64 items the distinct rows are keyed as void bytes
+    @pytest.mark.parametrize("damping", [0.3, 1.0])
+    def test_matches_the_user_row_run_on_every_field(self, m, damping):
+        rng = np.random.default_rng(53 + m)
+        reseeded = 0
+        for distinct, k in [(3, 5), (5, 12), (9, 6), (30, 15)]:
+            base = rng.integers(0, 2, size=(distinct, m))
+            while len(np.unique(base, axis=0)) < distinct:
+                base = rng.integers(0, 2, size=(distinct, m))
+            copies = rng.integers(1, 40, size=distinct)
+            copies[rng.integers(distinct)] = 150  # one heavy row, the farthest donor for many reseeds
+            prefs = prefs_from(base[rng.permutation(np.repeat(np.arange(distinct), copies))])
+            assert len(prefs.distinct.rows) == distinct
+            for seed in range(3):
+                config = pk.KMeansConfig(k=k, damping=damping, max_iters=40, seed=seed)
+                run = pk.run_kmeans(prefs, config)
+                assert_same_run(run, run_kmeans_rows(prefs, config))
+                reseeded += k > distinct
+        assert reseeded
+
+    def test_matches_the_user_row_run_on_the_sweep_survey(self, survey700):
+        prefs, config = survey700
+        for k in (4, 9, 15):
+            cell = pk.KMeansConfig(k=k, seed=pk.derive_seed(config.seed, "sweep", k, 0))
+            assert_same_run(pk.run_kmeans(prefs, cell), run_kmeans_rows(prefs, cell))
 
 
 class TestKmeansPartition:
@@ -491,6 +567,49 @@ class TestSweep:
         for table in tables[1:]:
             for name in ("scores", "iterations", "converged", "wcss"):
                 assert np.array_equal(getattr(table, name), getattr(tables[0], name))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: the sweep runs in-process")
+    def test_a_worker_that_pulls_no_cell_leaves_the_table_complete(self, survey700, monkeypatch):
+        prefs, config = survey700
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        want = pk.sweep(prefs, config, k_max=6)
+        cells = want.scores.size
+        fork, run_kmeans, forks, runs = os.fork, pk.kmeans.run_kmeans, [], []
+        gate, opener = os.pipe()
+
+        def gated_fork():
+            pid = fork()
+            if pid == 0:  # a worker waits until the parent has pulled every cell
+                os.close(opener)
+                select.select([gate], [], [], 30)  # a sweep that never opens the gate fails, not hangs
+            forks.append(pid)
+            return pid
+
+        def counted_run(*args, **kwargs):
+            runs.append(1)
+            if len(runs) == cells:  # the parent pulled the last record before this call
+                os.write(opener, b"xx")
+            return run_kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", gated_fork)
+        monkeypatch.setattr(pk.kmeans, "run_kmeans", counted_run)
+        try:
+            table = pk.sweep(prefs, config, k_max=6)
+        finally:
+            os.close(gate)
+            os.close(opener)
+        assert len(forks) == 2 and len(runs) == cells  # every cell scored in the parent
+        for name in ("scores", "iterations", "converged", "wcss"):
+            assert np.array_equal(getattr(table, name), getattr(want, name))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_more_cells_than_queue_records(self, monkeypatch, cpus):
+        # Past 1,024 cells a queue record names every 1,024th cell from its first.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        cells = list(range(2500))
+        results = pk.kmeans._in_workers(lambda cell: cell * cell, cells)
+        assert results == [cell * cell for cell in cells]
 
     def test_fewer_cells_than_cpus_forks_nothing(self, survey700, monkeypatch):
         prefs, config = survey700
