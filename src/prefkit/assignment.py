@@ -70,8 +70,10 @@ def cluster_losses(
     exponential = np.zeros(k)
     populations = np.bincount(assignment.kit_index, minlength=k)
     # Each kit's losses in user order, as one contiguous segment, so each
-    # mean sums in the order a mask over the users would give.
-    segments = np.split(losses[np.argsort(assignment.kit_index, kind="stable")], np.cumsum(populations)[:-1])
+    # mean sums in the order a mask over the users would give.  Kit indices
+    # cast to the smallest unsigned type that holds k - 1 sort by radix.
+    order = np.argsort(assignment.kit_index.astype(np.min_scalar_type(max(k - 1, 0))), kind="stable")
+    segments = np.split(losses[order], np.cumsum(populations)[:-1])
     for j, segment in enumerate(segments):
         if segment.size:
             normal[j] = segment.mean()
@@ -145,10 +147,10 @@ def reassign(
 
 
 def assignment_from_clusters(labels: np.ndarray) -> Assignment:
-    """Initial assignment: each user gets its cluster's kit.
+    """Initial assignment: each user, or each distinct row, gets its cluster's kit.
 
-    ``labels[i]`` is user i's cluster id.  Kit positions number the ids in
-    use in ascending order, as ``design_all`` numbers the kits it emits.
+    ``labels[i]`` is element i's cluster id.  Kit positions number the ids
+    in use in ascending order, as ``design_all`` numbers the kits it emits.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.dtype.kind not in "iu" or (labels < 0).any():

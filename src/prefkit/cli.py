@@ -25,7 +25,6 @@ import argparse
 import json
 import sys
 from contextlib import suppress
-from dataclasses import replace
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -56,8 +55,9 @@ class Stages:
     The factorization route is svd -> truncate -> user (and item) sign
     clusters -> one kit per user cluster -> initial assignment ->
     reassignment with before/after reports.  Users with equal rows share a
-    code, a kit and a loss, so every stage works on the survey's distinct
-    rows (``PreferenceMatrix.distinct``) and gathers per-user results.
+    code, a kit and a loss, so the stages work on the survey's distinct rows
+    (``PreferenceMatrix.distinct``), one cluster label per row, and only the
+    assignments and loss reports are gathered to the users.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -113,24 +113,19 @@ class Stages:
         return user_sign_clusters(self.truncated)
 
     @cached_property
-    def users(self) -> SignClustering:
-        labels = self.row_users.labels[self.prefs.distinct.inverse]
-        labels.flags.writeable = False
-        return replace(self.row_users, labels=labels)
-
-    @cached_property
     def items(self) -> SignClustering:
         return item_sign_clusters(self.truncated)
 
     @cached_property
     def kits(self) -> list[Kit]:
         return design_all(
-            self.prefs, self.users.labels, self.catalog, QUOTAS, self.args.constrained_kits
+            self.prefs, self.row_users.labels, self.catalog, QUOTAS, self.args.constrained_kits
         )
 
     @cached_property
     def initial(self) -> Assignment:
-        return assignment_from_clusters(self.users.labels)
+        by_row = assignment_from_clusters(self.row_users.labels)
+        return Assignment(by_row.kit_index[self.prefs.distinct.inverse])
 
     @cached_property
     def reassigned(self) -> tuple[Assignment, LossReport, LossReport]:
@@ -185,13 +180,11 @@ def _loss_clusters(s: Stages):
 
 def _loss_users(s: Stages):
     final, before, after = s.reassigned
-    # Users with equal rows share their kits and losses, so one user per
-    # distinct row gives the row's cells.
-    inverse = s.prefs.distinct.inverse
-    user = np.empty(len(s.prefs.distinct.rows), dtype=np.int64)
-    user[inverse] = np.arange(len(inverse))
+    # Users with equal rows share their kits and losses, so each distinct
+    # row's first user gives the row's cells.
+    first = s.prefs.distinct.first
     return _by_row(s, ["user_id", "kit_before", "kit_after", "loss_before", "loss_after"], [
-        column[user] for column in (s.initial.kit_index, final.kit_index, before.per_user_loss, after.per_user_loss)
+        column[first] for column in (s.initial.kit_index, final.kit_index, before.per_user_loss, after.per_user_loss)
     ])
 
 
@@ -218,7 +211,7 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
         s.sweep_table, s.sweep_table.iterations, s.sweep_table.converged.astype(int), s.sweep_table.wcss,
     )),
     "scree.csv": lambda s: _csv(["rank", "sigma"], [range(1, s.factors.p + 1), s.factors.sigma]),
-    "user_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.users)),
+    "user_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.row_users)),
     "item_cluster_counts.csv": lambda s: _rows(["r", "count"], cluster_count_table(s.items)),
     "user_membership.csv": lambda s: _by_row(s, MEMBERSHIP, [s.row_users.labels, s.row_users.patterns]),
     "item_membership.csv": lambda s: _csv(MEMBERSHIP, [range(s.catalog.m), s.items.labels, s.items.patterns]),

@@ -17,9 +17,9 @@ Writers work a column at a time: ``write_csv`` turns each column into its
 fields once and writes the joined rows in blocks.  The per-user files are
 built as bytes: ``write_user_csv`` formats the cells after the user id once
 per key (on the SVD route, once per distinct row) and writes each line as
-the id's bytes and its key's suffix, and ``write_preferences`` writes each
-user's id and row of an n x (2m + 1) cell block.  A field is quoted only
-when it holds a comma, a quote, a CR or an LF.
+the id's bytes and its key's suffix; ``write_preferences`` does the same
+with one suffix of cells per distinct row of the matrix.  A field is quoted
+only when it holds a comma, a quote, a CR or an LF.
 """
 
 from __future__ import annotations
@@ -123,8 +123,15 @@ def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
     id and then m cells written as ``,0`` or ``,1``.  The file is one byte
     buffer: the last 2m bytes of every data line form one n x 2m cell block,
     checked column by column, and the ids stay bytes, kept as one
-    ``ByteBlock`` and checked for uniqueness on ``_byte_keys``.
+    ``ByteBlock`` and checked for uniqueness on ``_byte_keys``.  The reader
+    returns before the matrix is built, so its temporaries are freed first.
     """
+    parts = _plain_parts(raw, m)
+    return None if parts is None else PreferenceMatrix(*parts)
+
+
+def _plain_parts(raw: bytes, m: int) -> tuple[ByteBlock, np.ndarray, tuple[str, ...]] | None:
+    """The user ids, n x m selections and column labels of a plain-form file, or None."""
     raw = _strip_bom(raw)
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
@@ -143,9 +150,10 @@ def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
     if not n or (lengths < 0).any() or raw.count(b",") != m * (n + 1):
         return None
     cells = sliding_window_view(buf, width)[ends - width]
-    bits = cells[:, 1::2]
-    if not ((cells[:, 0::2] == ord(",")).all() and ((bits | 1) == ord("1")).all()):
+    if not ((cells[:, 0::2] == ord(",")).all() and ((cells[:, 1::2] | 1) == ord("1")).all()):
         return None
+    selected = cells[:, 1::2] == ord("1")
+    del cells
     # Past the header the text is each line's id, then its cells and LF
     # (the last line has no LF).
     after_id = np.full(n, width + 1)
@@ -166,7 +174,7 @@ def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
     labels = raw[: line_ends[0]].decode("utf-8").split(",")
     if len(labels) != m + 1:
         return None
-    return PreferenceMatrix(ids, bits == ord("1"), tuple(labels[1:]))
+    return ids, selected, tuple(labels[1:])
 
 
 def _first_of_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -314,12 +322,14 @@ def write_user_csv(
 def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
     """Write the plain form ``_plain_preferences`` reads, as ``write_csv`` would.
 
-    One n x (2m + 1) byte block holds every line's cells as ``,0``/``,1`` and
-    its LF; line i is user i's id field and row i of the block.
+    One d x (2m + 1) byte block holds each distinct row's cells as
+    ``,0``/``,1`` and its LF; line i is user i's id field and its row's line
+    of the block.
     """
+    rows, _, inverse, _ = prefs.distinct
     width = 2 * prefs.m + 1
-    block = np.full((prefs.n, width), ord(","), dtype=np.uint8)
-    block[:, 1::2] = prefs.data + ord("0")
+    block = np.full((len(rows), width), ord(","), dtype=np.uint8)
+    block[:, 1::2] = rows + ord("0")
     block[:, -1] = ord("\n")
     header = ["user_id", *prefs.column_labels]
-    _write_lines(path, header, _id_fields(prefs), block, np.full(prefs.n, width), np.arange(prefs.n))
+    _write_lines(path, header, _id_fields(prefs), block, np.full(len(rows), width), inverse)

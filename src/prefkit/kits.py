@@ -85,25 +85,22 @@ def design_all(
     constraint: SelectionConstraint,
     constrained: bool = False,
 ) -> list[Kit]:
-    """One kit per cluster, where ``labels[i]`` is user i's cluster id.
+    """One kit per cluster, where ``labels[j]`` is the cluster id of ``prefs.distinct.rows[j]``.
 
-    Kits are numbered 0, 1, ... in ascending cluster id; ids no user carries
-    yield no kit.
+    Each row's selections count once per user of the row.  Kits are numbered
+    0, 1, ... in ascending cluster id; ids no row carries yield no kit.
     """
     labels = np.asarray(labels)
-    if labels.shape != (prefs.n,) or not labels.size or labels.dtype.kind not in "iu" or labels.min() < 0:
-        raise ValueError(f"labels must be {prefs.n} non-negative integer cluster ids")
+    rows, weights = prefs.distinct.rows, prefs.distinct.weights
+    if labels.shape != (len(rows),) or not labels.size or labels.dtype.kind not in "iu" or labels.min() < 0:
+        raise ValueError(f"got {labels.size} labels for {len(rows)} distinct rows: need one non-negative int per row")
     if catalog.m < constraint.total:
         raise ValueError("catalog smaller than kit size")
     if constrained:
         constraint.check_catalog(catalog)
-    rows, _, inverse = prefs.distinct
-    # One (cluster, distinct row) pair per key, cluster-major; each counts the
-    # users it holds.  Labels may split identical rows, as k-means labels can.
-    clusters = np.unique(labels, return_inverse=True)[1]
-    keys, users = np.unique(clusters * len(rows) + inverse, return_counts=True)
-    cluster, row = np.divmod(keys, len(rows))
-    starts = np.r_[0, np.flatnonzero(np.diff(cluster)) + 1]
-    counts = np.add.reduceat(rows[row] * users[:, None], starts, axis=0)
+    order = np.argsort(labels)
+    ordered = labels[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.add.reduceat(rows[order] * weights[order, None], starts, axis=0)
     items = _kit_items(counts, constraint.total, constraint.tiers(catalog) if constrained else None)
     return [Kit(kit_id=j, items=frozenset(row)) for j, row in enumerate(items.tolist())]

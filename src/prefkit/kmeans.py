@@ -130,7 +130,8 @@ def init_centroids(prefs: PreferenceMatrix, k: int, seed: int) -> np.ndarray:
     if k > prefs.n:
         raise ValueError(f"k={k} exceeds number of users {prefs.n}")
     order = generator(seed).permutation(prefs.n)
-    return prefs.data[order[:k]].astype(np.float64)
+    rows, _, inverse, _ = prefs.distinct
+    return rows[inverse[order[:k]]].astype(np.float64)
 
 
 def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -165,26 +165,30 @@ class DistinctRows(NamedTuple):
     """The distinct rows of a matrix, in order of first occurrence.
 
     ``rows`` is d x m, ``weights[j]`` counts the users whose row is
-    ``rows[j]``, and user i's row is ``rows[inverse[i]]``.
+    ``rows[j]``, user i's row is ``rows[inverse[i]]`` and ``rows[j]`` is
+    first held by user ``first[j]``.
     """
 
     rows: np.ndarray
     weights: np.ndarray
     inverse: np.ndarray
+    first: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class PreferenceMatrix:
-    """n users by m items, entries 0/1; row i is user i's selections.
+    """n users by m items, entries 0/1, kept as the distinct rows found at construction.
 
-    The user ids are given as str, or by the plain-form reader as the
-    ``ByteBlock`` it read them in, kept as ``id_block`` (None for str ids).
-    ``user_ids`` is always the tuple of str, decoded from the block on first
-    read.  ``column_labels`` preserves the header the matrix was loaded with
-    so a load/write round trip is byte-identical.
+    ``data`` gathers the n x m matrix from ``distinct`` on every read; the
+    library reads only ``distinct``.  The user ids are given as str, or by
+    the plain-form reader as the ``ByteBlock`` it read them in, kept as
+    ``id_block`` (None for str ids).  ``user_ids`` is always the tuple of
+    str, decoded from the block on first read.  ``column_labels`` preserves
+    the header the matrix was loaded with so a load/write round trip is
+    byte-identical.
     """
 
-    data: np.ndarray
+    distinct: DistinctRows
     column_labels: tuple[str, ...]
     id_block: ByteBlock | None
 
@@ -196,16 +200,25 @@ class PreferenceMatrix:
             raise ValueError("data must be a 2-d array")
         if raw.dtype != bool and not ((raw == 0) | (raw == 1)).all():
             raise ValueError("entries must be 0 or 1")
-        data = np.array(raw, dtype=np.int8, copy=True, order="C")
         block = user_ids if isinstance(user_ids, ByteBlock) else None
         ids = block if block is not None else tuple(user_ids)
-        if data.shape[0] != len(ids):
+        if raw.shape[0] != len(ids):
             raise ValueError("row count must match number of user_ids")
-        labels = tuple(column_labels) or tuple(f"item_{j}" for j in range(data.shape[1]))
-        if len(labels) != data.shape[1]:
+        labels = tuple(column_labels) or tuple(f"item_{j}" for j in range(raw.shape[1]))
+        if len(labels) != raw.shape[1]:
             raise ValueError("column_labels length must match column count")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        # Each row is padded to whole bytes, packed to bits (as one flat array,
+        # several times faster than along the rows) and keyed by
+        # ``_byte_keys``: a uint64 while m <= 64, a ``void`` byte string
+        # beyond.  The keys are numbered by first occurrence.
+        bits = np.zeros((raw.shape[0], -(-raw.shape[1] // 8) * 8), dtype=bool)
+        bits[:, : raw.shape[1]] = raw
+        packed = np.packbits(bits).reshape(len(bits), bits.shape[1] // 8)
+        first, inverse, weights = _unique_by_first(_byte_keys(packed))
+        distinct = DistinctRows(raw[first].astype(np.int8), weights, inverse, first)
+        for arr in distinct:
+            arr.flags.writeable = False
+        object.__setattr__(self, "distinct", distinct)
         object.__setattr__(self, "column_labels", labels)
         object.__setattr__(self, "id_block", block)
         if block is None:
@@ -216,26 +229,19 @@ class PreferenceMatrix:
         return self.id_block.decode()
 
     @property
+    def data(self) -> np.ndarray:
+        """The n x m int8 matrix, read-only, gathered from the distinct rows."""
+        data = self.distinct.rows[self.distinct.inverse]
+        data.flags.writeable = False
+        return data
+
+    @property
     def n(self) -> int:
-        return self.data.shape[0]
+        return len(self.distinct.inverse)
 
     @property
     def m(self) -> int:
-        return self.data.shape[1]
-
-    @cached_property
-    def distinct(self) -> DistinctRows:
-        """The distinct selection rows, found once and kept.
-
-        Each row is packed to bits and keyed by ``_byte_keys``: a uint64
-        while m <= 64, a ``void`` byte string beyond.  The keys are numbered
-        by first occurrence, so their sort order does not matter.
-        """
-        first, inverse, weights = _unique_by_first(_byte_keys(np.packbits(self.data, axis=1)))
-        distinct = DistinctRows(self.data[first], weights, inverse)
-        for arr in distinct:
-            arr.flags.writeable = False
-        return distinct
+        return self.distinct.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -260,7 +266,8 @@ def validate_constraint(
     if prefs.m != catalog.m:
         raise ValueError(f"matrix has {prefs.m} columns but catalog has {catalog.m} items")
     tiers = constraint.tiers(catalog)
-    counts = np.stack([prefs.data[:, ids].sum(axis=1, dtype=np.int64) for _, ids, _ in tiers], axis=1)
+    rows, _, inverse, _ = prefs.distinct
+    counts = np.stack([rows[:, ids].sum(axis=1, dtype=np.int64) for _, ids, _ in tiers], axis=1)
     bad = (counts != [quota for _, _, quota in tiers]).any(axis=1)
     ids = prefs.user_ids if prefs.id_block is None else prefs.id_block  # a block decodes only the ids asked for
-    return [RowViolation(i, ids[i], *counts[i].tolist()) for i in np.flatnonzero(bad).tolist()]
+    return [RowViolation(i, ids[i], *counts[inverse[i]].tolist()) for i in np.flatnonzero(bad[inverse]).tolist()]

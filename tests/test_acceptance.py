@@ -159,7 +159,7 @@ def test_criterion_5_planted_recovery(catalog20, constraint):
             if ari > best_ari:
                 best_ari, best_run = ari, run
         assert best_ari >= 0.9
-        designed = pk.design_all(prefs, best_run.idx, catalog20, constraint)
+        designed = pk.design_all(prefs, best_run.idx[prefs.distinct.first], catalog20, constraint)
         matched = sum(
             1
             for planted_kit in kits
@@ -180,7 +180,7 @@ def reassignment_corpus(catalog20, constraint, survey):
 
     prefs, truth, planted = survey
     clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
-    kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
+    kits = pk.design_all(prefs, clustering.labels[prefs.distinct.first], catalog20, constraint)
     initial = pk.assignment_from_clusters(clustering.labels)
     corpus.append((prefs, kits) + pk.reassign(prefs, kits, initial) + (initial,))
 
@@ -196,7 +196,7 @@ def reassignment_corpus(catalog20, constraint, survey):
                             seed=pk.derive_seed(BASE_SEED, "corpus", 3))
     noisy_prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
     run = pk.run_kmeans(noisy_prefs, pk.KMeansConfig(k=5, damping=1.0, seed=pk.derive_seed(BASE_SEED, "corpus", 4)))
-    km_kits = pk.design_all(noisy_prefs, run.idx, catalog20, constraint)
+    km_kits = pk.design_all(noisy_prefs, run.idx[noisy_prefs.distinct.first], catalog20, constraint)
     initial = pk.assignment_from_clusters(run.idx)
     corpus.append((noisy_prefs, km_kits) + pk.reassign(noisy_prefs, km_kits, initial) + (initial,))
 

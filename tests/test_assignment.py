@@ -106,7 +106,7 @@ class TestReassign:
     def test_losses_never_increase_and_idempotent(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
-        kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
+        kits = pk.design_all(prefs, clustering.labels[prefs.distinct.first], catalog20, constraint)
         initial = pk.assignment_from_clusters(clustering.labels)
         final, before, after = pk.reassign(prefs, kits, initial)
         assert (after.per_user_loss <= before.per_user_loss).all()
@@ -118,7 +118,7 @@ class TestReassign:
     def test_no_improving_move_exists(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
-        kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
+        kits = pk.design_all(prefs, clustering.labels[prefs.distinct.first], catalog20, constraint)
         initial = pk.assignment_from_clusters(clustering.labels)
         final, _, after = pk.reassign(prefs, kits, initial)
         for i in range(prefs.n):
@@ -176,11 +176,19 @@ class TestDistinctRowScoring:
             assert_same_report(got[2], want[2])
             assert_same_report(pk.loss_report(prefs, kits, initial), loss_report_rows(prefs, kits, initial))
 
-    @pytest.mark.parametrize("n, k", [(1, 1), (500, 3), (30_000, 2), (20_000, 700)])
+    @pytest.mark.parametrize(
+        "n, k", [(1, 1), (500, 3), (30_000, 2), (20_000, 700), (4_000, 254), (4_000, 255), (5_000, 65_535)]
+    )
     def test_cluster_losses_equal_the_mask_loop(self, n, k):
         # 30,000 users in 2 kits gives segments past numpy's 8,192-element summation blocks.
+        # Users hold kits 2..k + 1 of k + 2, the top one always, so kits 0 and 1
+        # are empty and the largest kit index is k + 1.  The kit indices sort
+        # as uint8 up to 256 kits, as uint16 from 257, and past 65,536 as
+        # uint32, which numpy sorts by comparison rather than by radix.
         rng = np.random.default_rng(n + k)
-        assignment = pk.Assignment(rng.integers(0, k, size=n))
+        kit_index = rng.integers(2, k + 2, size=n)
+        kit_index[0] = k + 1
+        assignment = pk.Assignment(kit_index)
         for losses in (rng.integers(0, 21, size=n), rng.integers(0, 21, size=n) * 0.37):
             got, want = pk.cluster_losses(losses, assignment, k + 2), cluster_losses_loop(losses, assignment, k + 2)
             for x, y in zip(got, want):

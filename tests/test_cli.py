@@ -36,6 +36,16 @@ def run_synth(tmp_path, name="synth", **overrides):
 
 
 class TestSynth:
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "fca81f815e621efa3dc1d91cb578a51981c4c49446cd9237f03e4b1acd93658f"),
+        (3, "5aeedbe478af323efd6b4a0927e05e5c2ede2b6a5120f7e3aa9b4daeac5efdfc"),
+    ], ids=["seed0", "seed3"])
+    def test_100k_survey_bytes_are_pinned(self, tmp_path, seed, digest):
+        # The writer formats each distinct row once; the bytes must be those
+        # the per-user writer gave before it.
+        out = run_synth(tmp_path, **{"--n-users": 100_000, "--n-kits": 8, "--seed": seed})
+        assert hashlib.sha256((out / "preferences.csv").read_bytes()).hexdigest() == digest
+
     def test_writes_valid_population(self, tmp_path, catalog20, constraint):
         out = run_synth(tmp_path)
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
@@ -310,8 +320,9 @@ class TestSvdAndSigns:
             args = build_parser().parse_args([
                 "cluster-signs", "--catalog", str(CATALOG_PATH), "--prefs", "-", "--out", "-", "--rank", str(rank),
             ])
-            users, reference = Stages(args).users, pk.user_sign_clusters(pk.truncate(full, rank))
-            codes, expected = users.cluster_codes[users.labels], reference.cluster_codes[reference.labels]
+            rows, reference = Stages(args).row_users, pk.user_sign_clusters(pk.truncate(full, rank))
+            codes = rows.cluster_codes[rows.labels][prefs.distinct.inverse]
+            expected = reference.cluster_codes[reference.labels]
             clear = np.abs(full.u[:, :rank]).min(axis=1) > 1e-9
             assert clear.mean() > 0.99, rank
             assert np.array_equal(codes[clear], expected[clear]), rank

@@ -19,9 +19,14 @@ def toy_selection(m, items):
     return row
 
 
+def one_cluster(prefs):
+    """Row labels that put every distinct row, and so every user, in cluster 0."""
+    return np.zeros(len(prefs.distinct.rows), dtype=np.int64)
+
+
 def one_kit(prefs, catalog, constraint, constrained=False):
     """The kit ``design_all`` designs for a single cluster holding every user."""
-    (kit,) = pk.design_all(prefs, np.zeros(prefs.n, dtype=np.int64), catalog, constraint, constrained)
+    (kit,) = pk.design_all(prefs, one_cluster(prefs), catalog, constraint, constrained)
     return kit.items
 
 
@@ -97,7 +102,7 @@ class TestDesignKit:
 class TestDesignAll:
     def test_one_kit_per_nonempty_cluster(self, survey, catalog20, constraint):
         prefs, _, _ = survey
-        t = pk.truncate(pk.svd(prefs.data.astype(float)), 4)
+        t = pk.truncate(pk.svd(prefs.distinct.rows, prefs.distinct.weights), 4)
         clustering = pk.user_sign_clusters(t)
         kits = pk.design_all(prefs, clustering.labels, catalog20, constraint)
         assert len(kits) == clustering.n_clusters
@@ -107,7 +112,7 @@ class TestDesignAll:
 
     def test_single_cluster_gives_global_top_ten(self, survey, catalog20, constraint):
         prefs, _, _ = survey
-        kits = pk.design_all(prefs, np.zeros(prefs.n, dtype=np.int64), catalog20, constraint)
+        kits = pk.design_all(prefs, one_cluster(prefs), catalog20, constraint)
         expected = pk.top_items(prefs.data.sum(axis=0), constraint.total)
         assert len(kits) == 1
         assert kits[0].items == frozenset(expected)
@@ -116,21 +121,29 @@ class TestDesignAll:
         planted = pk.random_kits(catalog20, constraint, 4, seed=61)
         spec = pk.SyntheticSpec(n_users=40, planted_kits=planted, noise_swaps=0, seed=61)
         prefs, truth = pk.generate_synthetic(spec, catalog20, constraint)
-        kits = pk.design_all(prefs, truth, catalog20, constraint)
+        kits = pk.design_all(prefs, truth[prefs.distinct.first], catalog20, constraint)
         for g in range(4):
             assert kits[g].items == planted[g].items
 
     def test_empty_clusters_are_skipped_and_renumbered(self, catalog20, constraint):
-        prefs = prefs_from([toy_selection(20, range(6)) ] * 3)
-        kits = pk.design_all(prefs, np.array([0, 0, 2]), catalog20, constraint)
+        prefs = prefs_from([toy_selection(20, range(6)), toy_selection(20, range(6, 12)), toy_selection(20, range(6))])
+        kits = pk.design_all(prefs, np.array([0, 2]), catalog20, constraint)
         assert [kit.kit_id for kit in kits] == [0, 1]
 
     def test_empty_partition_rejected(self, survey, catalog20, constraint):
         # An empty label array is the wrong length for a non-empty survey.
         prefs, _, _ = survey
-        for labels in (np.array([], dtype=np.int64), np.zeros(prefs.n - 1, dtype=np.int64)):
+        d = len(prefs.distinct.rows)
+        for labels in (np.array([], dtype=np.int64), np.zeros(d - 1, dtype=np.int64)):
             with pytest.raises(ValueError):
                 pk.design_all(prefs, labels, catalog20, constraint)
+
+    def test_per_user_labels_rejected_naming_both_sizes(self, repeated_survey, catalog20, constraint):
+        prefs = repeated_survey
+        d = len(prefs.distinct.rows)
+        assert prefs.n != d
+        with pytest.raises(ValueError, match=f"^got {prefs.n} labels for {d} distinct rows: "):
+            pk.design_all(prefs, np.zeros(prefs.n, dtype=np.int64), catalog20, constraint)
 
     def test_matches_cluster_by_cluster_loop(self, survey, catalog20, catalog20_interleaved, constraint):
         prefs, _, _ = survey
@@ -139,17 +152,19 @@ class TestDesignAll:
             n = int(rng.integers(1, prefs.n + 1))
             rows = prefs.data[:n] if trial % 2 else rng.integers(0, 2, size=(n, 20))  # survey or random rows
             sub = prefs_from(rows)
+            d = len(sub.distinct.rows)
             ids = rng.choice(10**6, size=int(rng.integers(1, 12)), replace=False)  # sparse cluster ids
-            labels = ids[rng.integers(0, len(ids), size=n)].astype(np.uint32 if trial % 3 == 0 else np.int64)
-            labels[-1] = ids.max() + 1  # a one-member cluster
+            labels = ids[rng.integers(0, len(ids), size=d)].astype(np.uint32 if trial % 3 == 0 else np.int64)
+            labels[-1] = ids.max() + 1  # a one-row cluster
+            users = labels[sub.distinct.inverse]
             for catalog, constrained in ((catalog20, False), (catalog20, True), (catalog20_interleaved, True)):
                 got = pk.design_all(sub, labels, catalog, constraint, constrained)
-                assert got == design_all_loop(sub, labels, catalog, constraint, constrained)
+                assert got == design_all_loop(sub, users, catalog, constraint, constrained)
 
     def test_negative_label_rejected(self, catalog20, constraint):
-        prefs = prefs_from([toy_selection(20, range(6))] * 3)
+        prefs = prefs_from([toy_selection(20, range(6)), toy_selection(20, range(6, 12)), toy_selection(20, range(6))])
         with pytest.raises(ValueError):
-            pk.design_all(prefs, np.array([0, -1, 1]), catalog20, constraint)
+            pk.design_all(prefs, np.array([0, -1]), catalog20, constraint)
 
 
 class TestValidateKit:
@@ -173,13 +188,14 @@ class TestDesignOnDistinctRows:
     @pytest.mark.parametrize("constrained", [False, True])
     def test_equal_to_per_user_counts_for_any_labels(self, repeated_survey, catalog20, constraint, constrained):
         prefs = repeated_survey
+        d = len(prefs.distinct.rows)
         rng = np.random.default_rng(3)
         for labels in (
-            pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data), 4)).labels,
-            rng.integers(0, 9, size=prefs.n),  # splits identical rows across clusters
-            3 * rng.integers(0, 5, size=prefs.n) + 7,  # ids no user carries in between
-            np.zeros(prefs.n, dtype=np.int64),
-            np.arange(prefs.n),
+            pk.user_sign_clusters(pk.truncate(pk.svd(prefs.distinct.rows, prefs.distinct.weights), 4)).labels,
+            rng.integers(0, 9, size=d),
+            3 * rng.integers(0, 5, size=d) + 7,  # ids no row carries in between
+            np.zeros(d, dtype=np.int64),
+            np.arange(d),
         ):
             got = pk.design_all(prefs, labels, catalog20, constraint, constrained)
-            assert got == design_all_rows(prefs, labels, catalog20, constraint, constrained)
+            assert got == design_all_rows(prefs, labels[prefs.distinct.inverse], catalog20, constraint, constrained)

@@ -343,7 +343,9 @@ class TestKmeansPartition:
             config=pk.KMeansConfig(k=2 * len(kits)),
         )
         used = np.unique(run.idx).tolist()
-        designed = pk.design_all(prefs, run.idx, catalog20, constraint)
+        by_row = run.idx[prefs.distinct.first]
+        assert np.array_equal(by_row[prefs.distinct.inverse], run.idx)  # no two planted kits share a row
+        designed = pk.design_all(prefs, by_row, catalog20, constraint)
         assert len(designed) == len(used) < run.k
         assert designed == design_all_loop(prefs, run.idx, catalog20, constraint)
         assignment = pk.assignment_from_clusters(run.idx)

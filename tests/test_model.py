@@ -316,17 +316,18 @@ class TestPreferenceMatrix:
 class TestDistinctRows:
     def test_first_occurrence_order_weights_and_inverse(self):
         data = [[1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 0], [1, 1, 0]]
-        rows, weights, inverse = pk.PreferenceMatrix(tuple("abcdef"), np.array(data)).distinct
+        rows, weights, inverse, first = pk.PreferenceMatrix(tuple("abcdef"), np.array(data)).distinct
         assert rows.tolist() == [[1, 1, 0], [0, 0, 0], [0, 1, 1]] and rows.dtype == np.int8
         assert weights.tolist() == [3, 2, 1]
         assert inverse.tolist() == [0, 1, 0, 2, 1, 0]
+        assert first.tolist() == [0, 1, 3]
 
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 64, 65, 130])
     def test_matches_unique_rows_at_any_width(self, m):
         rng = np.random.default_rng(m)
         base = rng.integers(0, 2, size=(12, m))
         data = base[rng.integers(0, 12, size=300)]
-        rows, weights, inverse = pk.PreferenceMatrix(tuple(map(str, range(300))), data).distinct
+        rows, weights, inverse, _ = pk.PreferenceMatrix(tuple(map(str, range(300))), data).distinct
         assert np.array_equal(rows[inverse], data)
         assert len(rows) == len(np.unique(data, axis=0))
         assert np.array_equal(weights, np.bincount(inverse))
@@ -377,10 +378,36 @@ class TestDistinctRows:
             prefs.data = np.zeros((2, 2))
 
     def test_no_rows_and_no_columns(self):
-        rows, weights, inverse = pk.PreferenceMatrix((), np.zeros((0, 4))).distinct
+        rows, weights, inverse, _ = pk.PreferenceMatrix((), np.zeros((0, 4))).distinct
         assert rows.shape == (0, 4) and weights.size == inverse.size == 0
-        rows, weights, inverse = pk.PreferenceMatrix(("a", "b"), np.zeros((2, 0))).distinct
+        rows, weights, inverse, _ = pk.PreferenceMatrix(("a", "b"), np.zeros((2, 0))).distinct
         assert rows.shape == (1, 0) and weights.tolist() == [2] and inverse.tolist() == [0, 0]
+
+
+class TestDenseAndPlainFormAgree:
+    """The distinct rows are found at construction: a matrix built from dense
+    rows and the one the plain-form reader builds from its file must agree."""
+
+    @pytest.mark.parametrize(
+        "n, m, patterns",
+        [(300, 10, 12), (300, 100, 12), (1, 10, 1), (1, 100, 1), (50, 10, 1), (50, 100, 1)],
+        ids=["uint64-keys", "void-keys", "one-user-m10", "one-user-m100", "all-equal-m10", "all-equal-m100"],
+    )
+    def test_distinct_first_and_data_agree(self, tmp_path, n, m, patterns):
+        rng = np.random.default_rng(n + m + patterns)
+        data = rng.integers(0, 2, size=(patterns, m))[rng.integers(0, patterns, size=n)]
+        dense = pk.PreferenceMatrix(tuple(f"u{i}" for i in range(n)), data)
+        path = tmp_path / "prefs.csv"
+        pk.write_preferences(dense, path)
+        plain = pio._plain_preferences(path.read_bytes(), m)
+        assert plain is not None and plain.id_block is not None
+        for ours, theirs in zip(dense.distinct, plain.distinct):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        rows, weights, inverse, first = dense.distinct
+        assert np.array_equal(first, np.unique(inverse, return_index=True)[1])  # each row's first user
+        assert np.array_equal(rows, data[first]) and weights.sum() == n
+        assert np.array_equal(dense.data, data) and np.array_equal(plain.data, data)
+        assert dense.data.dtype == plain.data.dtype == np.int8
 
 
 class TestSelectionConstraint:
