@@ -9,17 +9,22 @@ the CSV reader cannot split into rows, raises ``TextFormatError`` naming
 * catalog:      ``item_id,name,category`` with category in {expensive, cheap}
 * preferences:  ``user_id,<one label per item>`` with data cells strictly 0 or 1
 
-A plain-form preference file is read as one byte buffer, and its user ids
-stay bytes (a ``ByteBlock``) from the reader to the per-user writers; they
-are decoded to str only when ``PreferenceMatrix.user_ids`` is read.
+A plain-form preference file is read as one byte buffer: its cells as one
+n x m block of two-byte cells, and its user ids as one zero-padded
+``ByteBlock`` gathered from the window that ends at each id.  The ids stay
+bytes from the reader to the per-user writers; they are decoded to str only
+when ``PreferenceMatrix.user_ids`` is read.
 
 Writers work a column at a time: ``write_csv`` turns each column into its
 fields once and writes the joined rows in blocks.  The per-user files are
 built as bytes: ``write_user_csv`` formats the cells after the user id once
-per key (on the SVD route, once per distinct row) and writes each line as
-the id's bytes and its key's suffix; ``write_preferences`` does the same
-with one suffix of cells per distinct row of the matrix.  A field is quoted
-only when it holds a comma, a quote, a CR or an LF.
+per key (on the SVD route, once per distinct row), and ``write_preferences``
+formats one suffix of cells per distinct row of the matrix.  Each block of
+lines is one 2-D byte block whose row holds the id field right-aligned
+(str ids are encoded and gathered a block at a time) and then the key's
+suffix, so that each line is one contiguous run of its row; the runs are
+cut out with one mask built from comparisons.  A field is quoted only when
+it holds a comma, a quote, a CR or an LF.
 """
 
 from __future__ import annotations
@@ -122,9 +127,11 @@ def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
     of m + 1 fields, and data lines that each hold a unique, comma-free user
     id and then m cells written as ``,0`` or ``,1``.  The file is one byte
     buffer: the last 2m bytes of every data line form one n x 2m cell block,
-    checked column by column, and the ids stay bytes, kept as one
-    ``ByteBlock`` and checked for uniqueness on ``_byte_keys``.  The reader
-    returns before the matrix is built, so its temporaries are freed first.
+    checked and read as n x m two-byte cells, and the ids are gathered as
+    one zero-padded ``ByteBlock`` from the windows that end at each line's
+    cells, then checked for commas and for uniqueness on ``_byte_keys``.
+    The reader returns before the matrix is built, so its temporaries are
+    freed first.
     """
     parts = _plain_parts(raw, m)
     return None if parts is None else PreferenceMatrix(*parts)
@@ -140,30 +147,31 @@ def _plain_parts(raw: bytes, m: int) -> tuple[ByteBlock, np.ndarray, tuple[str, 
     # Blank lines at the end are the LFs after the last other byte: exactly
     # there lf[i] - i takes its largest possible value, buf.size - lf.size.
     blank = np.count_nonzero(lf - np.arange(lf.size) == buf.size - lf.size)
-    size = buf.size - blank
-    line_ends = np.append(lf[: lf.size - blank], size)  # each line's LF, or the end of the text
-    n, width = line_ends.size - 1, 2 * m
-    starts, ends = line_ends[:-1] + 1, line_ends[1:]  # the data lines
-    lengths = ends - width - starts  # of each user id
-    # Every line holds m commas in its cells, so this count leaves none for
-    # the user ids once the header has its m.
-    if not n or (lengths < 0).any() or raw.count(b",") != m * (n + 1):
+    line_ends = np.append(lf[: lf.size - blank], buf.size - blank)  # each line's LF, or the end of the text
+    header_end, n, width = int(line_ends[0]), line_ends.size - 1, 2 * m
+    id_ends = line_ends[1:] - width  # where each data line's cells start
+    lengths = id_ends - line_ends[:-1] - 1
+    del lf, line_ends  # the id ends and lengths are all that is kept of the lines
+    # A padded id block larger than the file (one very long id) is left to
+    # the row reader.
+    if not n or lengths.min() < 0 or n * int(lengths.max()) > buf.size:
         return None
-    cells = sliding_window_view(buf, width)[ends - width]
-    if not ((cells[:, 0::2] == ord(",")).all() and ((cells[:, 1::2] | 1) == ord("1")).all()):
+    # Each cell is one little-endian pair of bytes, ",0" = 0x302C or ",1" =
+    # 0x312C; XOR with 0x302C leaves 0 or 0x100, whose high byte is the cell.
+    pairs = sliding_window_view(buf, width)[id_ends]
+    cells = pairs.view("<u2")
+    cells ^= 0x302C
+    if np.bitwise_or.reduce(cells, axis=None) & ~np.uint16(0x100):
         return None
-    selected = cells[:, 1::2] == ord("1")
-    del cells
-    # Past the header the text is each line's id, then its cells and LF
-    # (the last line has no LF).
-    after_id = np.full(n, width + 1)
-    after_id[-1] = width
-    ids = ByteBlock(buf[starts[0] : size][_first_of_pairs(lengths, after_id)], np.r_[0, np.cumsum(lengths)])
-    # Zero padding keeps ids apart, as the plain form has no NUL.  A padded
-    # block larger than the file (one very long id) is left to the row reader.
-    if n * int(lengths.max()) > buf.size:
+    selected = cells == 0x100
+    del pairs, cells
+    # The cells hold m commas on each line and the header is split below, so
+    # only the ids can hold another.  Zero padding keeps ids apart, as the
+    # plain form has no NUL.
+    ids = _id_block(buf, id_ends, lengths)
+    if (ids.rows == ord(",")).any():
         return None
-    keys = np.sort(_byte_keys(ids.padded()))
+    keys = np.sort(_byte_keys(ids.rows))
     if (keys[1:] == keys[:-1]).any():
         return None
     if not raw.isascii():
@@ -171,16 +179,37 @@ def _plain_parts(raw: bytes, m: int) -> tuple[ByteBlock, np.ndarray, tuple[str, 
             raw.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    labels = raw[: line_ends[0]].decode("utf-8").split(",")
+    labels = raw[:header_end].decode("utf-8").split(",")
     if len(labels) != m + 1:
         return None
     return ids, selected, tuple(labels[1:])
 
 
-def _first_of_pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """A mask over pieces laid out first[0], second[0], first[1], second[1], ...
-    of the given byte sizes: True on each first piece."""
-    return np.repeat(np.tile([True, False], len(first)), np.column_stack([first, second]).ravel())
+# _HIGH_BYTES[c] keeps the c highest bytes of a little-endian 64-bit word.
+_HIGH_BYTES = np.array([2**64 - 2 ** (64 - 8 * c) for c in range(9)], dtype=np.uint64)
+
+
+def _id_block(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> ByteBlock:
+    """The strings of the given byte ``lengths`` that end at ``ends`` in ``buf``, as a ``ByteBlock``.
+
+    Row i is the window of whole 8-byte words that ends at ``ends[i]``,
+    gathered a word at a time, with the bytes before string i zeroed.
+    """
+    words = -(-int(lengths.max()) // 8)
+    rows = np.empty((len(ends), 8 * words), dtype=np.uint8)
+    # Only the first lines' windows can start before the buffer; they are
+    # read from a zero-prefixed copy of its first bytes.
+    early = int(np.searchsorted(ends, rows.shape[1]))
+    if early:
+        head = np.concatenate([np.zeros(rows.shape[1], dtype=np.uint8), buf[: rows.shape[1]]])
+        rows[:early] = sliding_window_view(head, rows.shape[1])[ends[:early]]
+    packed = rows.view("<u8")
+    for k in range(words):
+        after = 8 * (words - 1 - k)  # bytes of the window after word k
+        if early < len(ends):
+            packed[early:, k] = sliding_window_view(buf, 8).view("<u8")[ends[early:] - after - 8, 0]
+        packed[:, k] &= _HIGH_BYTES[np.clip(lengths - after, 0, 8)]  # keeps word k's id bytes
+    return ByteBlock(rows, lengths)
 
 
 def _preferences_from_rows(path: str | Path, rows: list[list[str]], m: int) -> PreferenceMatrix:
@@ -219,8 +248,10 @@ def _preferences_from_rows(path: str | Path, rows: list[list[str]], m: int) -> P
     return PreferenceMatrix(tuple(user_ids), data, tuple(header[1:]))
 
 
-# Rows the writers join and hand to the file at once.
+# Rows the writers join and hand to the file at once, and the bytes one
+# block of padded lines may take (a block with a long line takes fewer rows).
 _BLOCK_ROWS = 4096
+_BLOCK_BYTES = 1 << 20
 # Characters that make the csv module quote a field when records end in CR LF.
 _SPECIAL = (",", '"', "\r", "\n")
 
@@ -268,35 +299,71 @@ def write_csv(
             fh.write("\n".join(chunk) + "\n")
 
 
-def _id_fields(prefs: PreferenceMatrix) -> ByteBlock:
-    """Each user id as its CSV field: the block of a plain-form file as read,
-    or the str ids through ``_fields``, encoded once."""
-    block = prefs.id_block
-    if block is None or np.isin(block.data, list(b',"\r\n')).any():
-        return ByteBlock.encode(_fields(prefs.user_ids))
-    return block
+def _id_fields(prefs: PreferenceMatrix) -> ByteBlock | list[str]:
+    """Each user id as its CSV field: the block of a plain-form file as read
+    (its ids hold no comma, quote, CR or LF), or the str ids through ``_fields``."""
+    return _fields(prefs.user_ids) if prefs.id_block is None else prefs.id_block
 
 
 def _write_lines(
-    path: str | Path, header: Sequence[object], ids: ByteBlock, table: np.ndarray, sizes: np.ndarray, keys: np.ndarray
+    path: str | Path, header: Sequence[object], ids: ByteBlock | list[str], table: np.ndarray, sizes: np.ndarray,
+    keys: np.ndarray,
 ) -> None:
     """Write a header, then line i: id field i and row ``keys[i]`` of a suffix table.
 
     Row j of the ``table`` holds suffix j's ``sizes[j]`` bytes, zero-padded.
-    Lines are gathered as bytes in blocks of ``_BLOCK_ROWS``.
+    Each block of ``_BLOCK_ROWS`` lines (fewer if its rows would pass
+    ``_BLOCK_BYTES``) is one 2-D byte block whose row holds the line's id
+    field right-aligned (str fields are encoded a block at a time) and then
+    its suffix row, so that the line is one contiguous run of its row; the
+    runs are cut out with one mask and written.
     """
-    id_sizes = ids.lengths
+    width = table.shape[1]
+    id_sizes = ids.lengths if isinstance(ids, ByteBlock) else _utf8_lengths(ids)
+    # Positions in a row fit the smallest type that holds the widest row.
+    position = np.min_scalar_type(int(id_sizes.max(initial=0)) + width)
+    id_widths, sizes = id_sizes.astype(position), sizes.astype(position)
     with open(path, "wb") as fh:
         fh.write((",".join(_fields(header)) + "\n").encode("utf-8"))
-        for start in range(0, len(keys), _BLOCK_ROWS):
+        start = 0
+        while start < len(keys):
             stop = min(start + _BLOCK_ROWS, len(keys))
+            stop = min(stop, start + max(1, _BLOCK_BYTES // (int(id_sizes[start:stop].max()) + width)))
+            longest = int(id_sizes[start:stop].max())
             rows = keys[start:stop]
-            suffix_sizes = sizes[rows]
-            is_id = _first_of_pairs(id_sizes[start:stop], suffix_sizes)
-            lines = np.empty(is_id.size, dtype=np.uint8)
-            lines[is_id] = ids.data[ids.offsets[start] : ids.offsets[stop]]
-            lines[~is_id] = table[rows][np.arange(table.shape[1]) < suffix_sizes[:, None]]
+            lines = np.empty((stop - start, longest + width), dtype=np.uint8)
+            if longest:
+                if isinstance(ids, ByteBlock):
+                    id_rows = ids.rows[start:stop]
+                else:  # str fields are gathered as the reader gathers ids, from their bytes
+                    text = np.frombuffer("".join(ids[start:stop]).encode("utf-8"), dtype=np.uint8)
+                    id_rows = _id_block(text, np.cumsum(id_sizes[start:stop]), id_sizes[start:stop]).rows
+                _row_items(lines[:, :longest])[:] = _row_items(id_rows[:, id_rows.shape[1] - longest :])
+            np.take(_row_items(table), rows, out=_row_items(lines[:, longest:]))
+            # Line i is the run [first, last) of its row; a block whose lines
+            # all fill their rows is written as it is.  The mask is compared
+            # a column at a time over all the rows (a row is too short a run
+            # for numpy), then transposed.
+            first, last = longest - id_widths[start:stop], longest + sizes[rows]
+            if first.any() or (last < lines.shape[1]).any():
+                columns = np.arange(lines.shape[1], dtype=position)[:, None]
+                keep = columns >= first
+                keep &= columns < last
+                lines = lines[keep.T.copy()]
             fh.write(lines)
+            start = stop
+
+
+def _utf8_lengths(strings: Sequence[str]) -> np.ndarray:
+    """The UTF-8 byte count of each string."""
+    # An ASCII string has one byte per character.
+    sizes = map(len, strings) if "".join(strings).isascii() else (len(s.encode("utf-8")) for s in strings)
+    return np.fromiter(sizes, dtype=np.int64, count=len(strings))
+
+
+def _row_items(block: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D byte block (with contiguous rows) as one item each, which numpy copies whole."""
+    return block.view(np.dtype((np.void, block.shape[1])))[:, 0]
 
 
 def write_user_csv(
@@ -315,8 +382,11 @@ def write_user_csv(
     columns ``[prefs.user_ids, *(column[keys] for column in columns)]``.
     """
     cells = map(",".join, zip(*map(_fields, columns), strict=True))
-    suffixes = ByteBlock.encode([f",{line}\n" for line in cells])
-    _write_lines(path, header, _id_fields(prefs), suffixes.padded(), suffixes.lengths, np.asarray(keys))
+    suffixes = [f",{line}\n".encode("utf-8") for line in cells]
+    table = np.array(suffixes, dtype=bytes)  # zero-padded to the longest
+    table = table.view(np.uint8).reshape(len(suffixes), table.itemsize)
+    sizes = np.fromiter(map(len, suffixes), dtype=np.int64, count=len(suffixes))
+    _write_lines(path, header, _id_fields(prefs), table, sizes, np.asarray(keys))
 
 
 def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:

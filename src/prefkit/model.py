@@ -125,40 +125,31 @@ def _byte_keys(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ByteBlock:
-    """Strings as one UTF-8 byte block: string i is ``data[offsets[i]:offsets[i + 1]]``."""
+    """Strings as the rows of one zero-padded UTF-8 byte block, right-aligned.
 
-    data: np.ndarray
-    offsets: np.ndarray
+    String i is the last ``lengths[i]`` bytes of ``rows[i]``; the bytes
+    before it are zero.  The plain-form reader gathers its user ids as one
+    block, row i being the window of whole 8-byte words that ends where
+    line i's cells start.  Its uniqueness check keys the rows as they are,
+    and the per-user writers copy them in front of each line's cells, so
+    that every line is one contiguous run of its row.  The writers gather
+    str ids the same way from their encoded bytes, a block of lines at a
+    time.
+    """
 
-    @classmethod
-    def encode(cls, strings: Sequence[str]) -> ByteBlock:
-        text = "".join(strings)
-        # An ASCII string has one byte per character.
-        sizes = map(len, strings) if text.isascii() else (len(s.encode("utf-8")) for s in strings)
-        offsets = np.zeros(len(strings) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum(np.fromiter(sizes, dtype=np.int64, count=len(strings)))
-        return cls(np.frombuffer(text.encode("utf-8"), dtype=np.uint8), offsets)
+    rows: np.ndarray
+    lengths: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.lengths)
 
     def __getitem__(self, i: int) -> str:
-        return self.data[self.offsets[i] : self.offsets[i + 1]].tobytes().decode("utf-8")
-
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        return self.rows[i, self.rows.shape[1] - self.lengths[i] :].tobytes().decode("utf-8")
 
     def decode(self) -> tuple[str, ...]:
-        raw, bounds = self.data.tobytes(), self.offsets.tolist()
-        return tuple(raw[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:]))
-
-    def padded(self) -> np.ndarray:
-        """Each string's bytes as a row, zero-padded to the longest."""
-        lengths = self.lengths
-        rows = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.uint8)
-        rows[np.arange(rows.shape[1]) < lengths[:, None]] = self.data
-        return rows
+        raw, width = self.rows.tobytes(), self.rows.shape[1]
+        ends = range(width, width * len(self) + 1, width) if width else [0] * len(self)
+        return tuple(raw[end - size : end].decode("utf-8") for end, size in zip(ends, self.lengths.tolist()))
 
 
 class DistinctRows(NamedTuple):

@@ -46,6 +46,21 @@ class TestSynth:
         out = run_synth(tmp_path, **{"--n-users": 100_000, "--n-kits": 8, "--seed": seed})
         assert hashlib.sha256((out / "preferences.csv").read_bytes()).hexdigest() == digest
 
+    def test_100k_pipeline_per_user_files_are_pinned(self, tmp_path):
+        # The per-user writers build each block of lines as one byte block
+        # from the ids as read; the bytes must be those of the row writer.
+        survey = run_synth(tmp_path, **{"--n-users": 100_000, "--n-kits": 8, "--seed": 0})
+        out = tmp_path / "pipe"
+        argv = ["pipeline", "--catalog", str(CATALOG_PATH), "--prefs", str(survey / "preferences.csv"),
+                "--out", str(out), "--rank", "4"]
+        assert main(argv) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("user_membership.csv", "loss_users.csv")}
+        assert digests == {
+            "user_membership.csv": "0831c160296e00e4984a45806a8cf0e6d14a8d47925455194a939fc54ae78776",
+            "loss_users.csv": "b7132ed4c6c4d9465c9e119608f25eaa8c9fce436f9c2cb3a5dae506a9a6436d",
+        }
+
     def test_writes_valid_population(self, tmp_path, catalog20, constraint):
         out = run_synth(tmp_path)
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)

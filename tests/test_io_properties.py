@@ -7,6 +7,8 @@ per-row reader gives: the same matrix, or the same ``PrefkitError`` type and
 message.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -126,6 +128,69 @@ def test_keyed_writer_gives_write_csvs_bytes(tmp_path, n, source):
     per_user = [prefs.user_ids, *(np.asarray(column, dtype=object)[keys] for column in columns)]
     expected = written(pio.write_csv, tmp_path / "expected.csv", header, per_user)
     assert written(pio.write_user_csv, tmp_path / "keyed.csv", header, prefs, columns, keys) == expected
+
+
+EDGE_IDS = {
+    # Mixed lengths as synth writes them (u9995 to u10004), then non-ASCII.
+    "synth-ids": ([f"u{i:04d}" for i in range(9_995, 10_005)], "\n"),
+    "non-ascii": (["ü", "用户", "x", "\U0001f600y", "ééééé"], "\n"),
+    "one-empty-id": ([""], "\n"),
+    "no-final-lf": (["a", "bb", "ccc"], ""),
+    "blank-lines-at-end": (["a", "bb", "ccc"], "\n\n\n"),
+    # The first window ends at a 1-byte id just after a 12-byte header, so
+    # the 16-byte window of the longest id would start before the file.
+    "window-before-file": (["a", "b" * 15, "c"], "\n"),
+    "comma-in-id": (["a", "b,1", "c"], "\n"),
+    "one-long-id": (["x" * 5_000, *map(str, range(20))], "\n"),
+    "nul-in-id": (["a\0b", "c"], "\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_IDS))
+def test_edge_ids_load_and_write_as_the_row_forms_do(tmp_path, monkeypatch, case):
+    ids, tail = EDGE_IDS[case]
+    data = np.random.default_rng(len(ids)).integers(0, 2, size=(len(ids), M))
+    lines = ["user_id,,,,,", *(f"{uid}," + ",".join(map(str, row)) for uid, row in zip(ids, data.tolist()))]
+    path = tmp_path / "prefs.csv"
+    path.write_bytes(("\n".join(lines) + tail).encode("utf-8"))
+    plain = case not in ("comma-in-id", "one-long-id", "nul-in-id")
+    if case in ("one-long-id", "nul-in-id"):  # the reader must give up before it gathers anything
+        monkeypatch.setattr(pio, "sliding_window_view", None)
+    assert (pio._plain_preferences(path.read_bytes(), M) is not None) == plain
+    monkeypatch.undo()
+    assert outcome(lambda p: pk.load_preferences(p, CATALOG), path) == outcome(per_row_reader, path)
+
+    # Both writers, for the str ids and for the ids as loaded, give write_csv's bytes.
+    matrices = [pk.PreferenceMatrix(tuple(ids), data, ("",) * M)]
+    if plain:
+        matrices.append(pk.load_preferences(path, CATALOG))
+        assert matrices[-1].id_block is not None
+    keys = np.arange(len(ids)) % 3
+    columns = [np.array([-1, 10, 200]), ["c", "d,e", ""]]
+    header = ["user_id", "a", "b"]
+    for prefs in matrices:
+        cells = [prefs.user_ids, *(prefs.data[:, j] for j in range(M))]
+        expected = written(pio.write_csv, tmp_path / "expected.csv", ["user_id", *prefs.column_labels], cells)
+        assert written(lambda p: pk.write_preferences(prefs, p), tmp_path / "plain.csv") == expected
+        per_user = [prefs.user_ids, *(np.asarray(column, dtype=object)[keys] for column in columns)]
+        expected = written(pio.write_csv, tmp_path / "expected.csv", header, per_user)
+        assert written(pio.write_user_csv, tmp_path / "keyed.csv", header, prefs, columns, keys) == expected
+
+
+def test_keyed_writer_memory_stays_within_a_few_blocks(tmp_path):
+    # One 5,000-byte id pads only the blocks of lines around it, each within
+    # the block budget; padding all n ids to its width would take 100 MB.
+    n = 20_000
+    ids = tuple(["x" * 5_000, *(f"u{i}" for i in range(1, n))])
+    prefs = pk.PreferenceMatrix(ids, np.zeros((n, M), dtype=np.int8))
+    tracemalloc.start()
+    try:
+        pio.write_user_csv(tmp_path / "keyed.csv", ["user_id", "a"], prefs, [np.array([7])], np.zeros(n, dtype=int))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(8 * pio._BLOCK_BYTES, n * 5_000 // 8), peak
+    assert (tmp_path / "keyed.csv").read_bytes() == b"user_id,a\n" + b"".join(f"{uid},7\n".encode() for uid in ids)
 
 
 @st.composite
