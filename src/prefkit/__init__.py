@@ -40,7 +40,6 @@ from .io import (
 from .kits import (
     Kit,
     design_all,
-    top_items,
     validate_kit,
 )
 from .kmeans import (
@@ -51,7 +50,6 @@ from .kmeans import (
     init_centroids,
     run_kmeans,
     silhouette,
-    silhouette_from_labels,
     sweep,
 )
 from .model import (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Category, ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
 
 
 @dataclass(frozen=True)
@@ -55,29 +55,6 @@ def _top(values: np.ndarray, count: int) -> np.ndarray:
     return np.sort(order[:, :count], axis=1)
 
 
-def _kit_items(counts: np.ndarray, total: int, tiers: list[tuple[Category, np.ndarray, int]] | None) -> np.ndarray:
-    """Per row of a 2-d array, its top ``total`` item ids, or each tier's top quota when ``tiers`` are given."""
-    if tiers is None:
-        return _top(counts, total)
-    return np.sort(np.concatenate([ids[_top(counts[:, ids], quota)] for _, ids, quota in tiers], axis=1), axis=1)
-
-
-def top_items(values: np.ndarray, count: int) -> list[int]:
-    """Indices of the ``count`` largest values; ties go to the lowest index."""
-    return _top(np.asarray(values)[None], count)[0].tolist()
-
-
-def select_items(
-    values: np.ndarray,
-    catalog: ItemCatalog,
-    constraint: SelectionConstraint,
-    constrained: bool = False,
-) -> list[int]:
-    """A flat top ``constraint.total`` of ``values``, or each category's quota when constrained."""
-    tiers = constraint.tiers(catalog) if constrained else None
-    return _kit_items(np.asarray(values)[None], constraint.total, tiers)[0].tolist()
-
-
 def design_all(
     prefs: PreferenceMatrix,
     labels: np.ndarray,
@@ -96,11 +73,14 @@ def design_all(
         raise ValueError(f"got {labels.size} labels for {len(rows)} distinct rows: need one non-negative int per row")
     if catalog.m < constraint.total:
         raise ValueError("catalog smaller than kit size")
-    if constrained:
-        constraint.check_catalog(catalog)
     order = np.argsort(labels)
     ordered = labels[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     counts = np.add.reduceat(rows[order] * weights[order, None], starts, axis=0)
-    items = _kit_items(counts, constraint.total, constraint.tiers(catalog) if constrained else None)
+    if constrained:
+        constraint.check_catalog(catalog)
+        tops = [ids[_top(counts[:, ids], quota)] for _, ids, quota in constraint.tiers(catalog)]
+        items = np.sort(np.concatenate(tops, axis=1), axis=1)
+    else:
+        items = _top(counts, constraint.total)
     return [Kit(kit_id=j, items=frozenset(row)) for j, row in enumerate(items.tolist())]

@@ -54,8 +54,7 @@ in one queue, largest k first since a run's cost grows with k, and each
 worker pulls the next one when it is free, so a faster CPU scores more of
 them.  Every cell runs the same code on the same inputs, so the table is
 byte-identical to a one-process sweep.  Where ``os.fork`` or the CPU affinity
-is missing, the sweep runs in-process.  ``silhouette_from_labels`` takes
-any real data, so it keeps an n x n distance matrix.
+is missing, the sweep runs in-process.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from .errors import PrefkitError
 from .model import PreferenceMatrix
 from .seeding import derive_seed, generator
 
-_BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of row differences or of d x d rows
+_BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of d x d rows
 _EPS = 1e-9  # relative slack of the assignment bounds
 _TOL = 1e-6  # convergence: the largest centroid shift falls below this
 _RECORD = struct.Struct("=I")  # one record of the sweep's cell queue
@@ -132,13 +131,6 @@ def init_centroids(prefs: PreferenceMatrix, k: int, seed: int) -> np.ndarray:
     order = generator(seed).permutation(prefs.n)
     rows, _, inverse, _ = prefs.distinct
     return rows[inverse[order[:k]]].astype(np.float64)
-
-
-def _sq_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # Full differences (not the expanded dot-product form) so exact
-    # equidistant cases tie exactly and break toward the lowest index.
-    diff = rows[:, None, :] - centroids[None, :, :]
-    return np.einsum("ikj,ikj->ik", diff, diff)
 
 
 def _nearest(rows: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,15 +253,6 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     )
 
 
-def _pairwise_distances(data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    dist = np.empty((len(data), len(data)))
-    step = _block_rows(data.size)
-    for lo in range(0, len(data), step):
-        dist[lo : lo + step] = np.sqrt(_sq_distances(data[lo : lo + step], data))
-    return dist
-
-
 def _block_rows(row_floats: int) -> int:
     """Rows per block, so that a block of rows ``row_floats`` float64 wide stays within ``_BLOCK_FLOATS``."""
     return max(1, _BLOCK_FLOATS // max(1, row_floats))
@@ -291,24 +274,8 @@ def _hamming(rows: np.ndarray) -> np.ndarray:
     return ham
 
 
-def _checked_labels(labels: np.ndarray, n: int, k: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be {n} integer cluster ids, got {labels.dtype} of shape {labels.shape}")
-    if labels.size and not 0 <= labels.min() <= labels.max() < k:
-        raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
-    return labels.astype(np.intp, copy=False)  # uint64 plus int64 would be float64
-
-
-def _sizes(labels: np.ndarray, k: int) -> np.ndarray:
-    sizes = np.bincount(labels, minlength=k)
-    if int((sizes > 0).sum()) < 2:
-        raise ValueError("silhouette needs at least 2 non-empty clusters")
-    return sizes
-
-
 def _widths(
-    sums: np.ndarray, labels: np.ndarray, users: np.ndarray | int, sizes: np.ndarray
+    sums: np.ndarray, labels: np.ndarray, users: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Silhouette widths of p groups of coincident users, and each cluster's mean width.
 
@@ -326,12 +293,6 @@ def _widths(
     return width, per_cluster
 
 
-def _report(per_user: np.ndarray, per_cluster: np.ndarray, sizes: np.ndarray) -> SilhouetteReport:
-    for arr in (per_user, per_cluster):
-        arr.flags.writeable = False
-    return SilhouetteReport(per_user, per_cluster, float(per_cluster[sizes > 0].mean()))
-
-
 def _distinct_silhouette(prefs: PreferenceMatrix, ham: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
     """Silhouette of the users scored on their d distinct rows, given the rows' d x d Hamming matrix.
 
@@ -339,7 +300,9 @@ def _distinct_silhouette(prefs: PreferenceMatrix, ham: np.ndarray, labels: np.nd
     scored once and weighs as many users as it holds.  The distance between
     rows h items apart is sqrt(h), exactly what the dense sums read.
     """
-    d, sizes = len(ham), _sizes(labels, k)
+    d, sizes = len(ham), np.bincount(labels, minlength=k)
+    if int((sizes > 0).sum()) < 2:
+        raise ValueError("silhouette needs at least 2 non-empty clusters")
     keys = prefs.distinct.inverse * k + labels
     counts = np.bincount(keys, minlength=d * k)
     members = counts.reshape(d, k).astype(np.float64)  # members[j, c]: users of row j in cluster c
@@ -353,31 +316,29 @@ def _distinct_silhouette(prefs: PreferenceMatrix, ham: np.ndarray, labels: np.nd
     width, per_cluster = _widths(sums[row], label, counts[pairs], sizes)
     by_key = np.zeros(d * k)
     by_key[pairs] = width
-    return _report(by_key[keys], per_cluster, sizes)
-
-
-def silhouette_from_labels(data: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
-    """Silhouette widths for an arbitrary labeling of ``data`` rows.
-
-    s(i) = (b - a) / max(a, b) with a the mean distance to the rest of i's
-    cluster and b the smallest mean distance to another non-empty cluster.
-    Singletons score 0, as does the 0/0 case of coincident points.
-    """
-    labels = _checked_labels(labels, len(data), k)
-    dist = _pairwise_distances(data)
-    sizes = _sizes(labels, k)
-    sums = dist @ (labels[:, None] == np.arange(k))  # sums[i, c]: total distance from user i to cluster c
-    return _report(*_widths(sums, labels, 1, sizes), sizes)
+    per_user = by_key[keys]
+    for arr in (per_user, per_cluster):
+        arr.flags.writeable = False
+    return SilhouetteReport(per_user, per_cluster, float(per_cluster[sizes > 0].mean()))
 
 
 def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
-    """Silhouette of a run's labels on the 0/1 survey rows, within 1e-12 of ``silhouette_from_labels``.
+    """Silhouette widths of a run's labels on the 0/1 survey rows.
 
+    s(i) = (b - a) / max(a, b) with a the mean Euclidean distance to the rest
+    of i's cluster and b the smallest mean distance to another non-empty
+    cluster.  Singletons score 0, as does the 0/0 case of coincident rows.
+    Each width is within 1e-12 of an O(n^2) brute force over the user rows.
     It scores the distinct rows with the same core and blocks as ``sweep``,
     so a sweep cell equals this run's macro average exactly.
     """
-    labels = _checked_labels(run.idx, prefs.n, run.k)
-    return _distinct_silhouette(prefs, _hamming(prefs.distinct.rows), labels, run.k)
+    labels, n, k = np.asarray(run.idx), prefs.n, run.k
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {n} integer cluster ids, got {labels.dtype} of shape {labels.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < k:
+        raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
+    labels = labels.astype(np.intp, copy=False)  # uint64 plus int64 would be float64
+    return _distinct_silhouette(prefs, _hamming(prefs.distinct.rows), labels, k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from prefkit.assignment import Assignment, ClusterLosses, LossReport
-from prefkit.kits import Kit, select_items
+from prefkit.kits import Kit
 from prefkit.kmeans import _EPS, _TOL, KMeansRun, init_centroids
 from prefkit.model import Category, PreferenceMatrix
 from prefkit.seeding import generator
@@ -295,6 +295,14 @@ def _top_items_argsort(values, ids, count):
     return [int(q) for q in ids[order[:count]]]
 
 
+def _kit_items_argsort(counts, catalog, constraint, constrained):
+    """The kit's item ids ranked from one cluster's ``counts``: per category when constrained, else flat."""
+    if constrained:
+        items = _top_items_argsort(counts, np.array(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota)
+        return items + _top_items_argsort(counts, np.array(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota)
+    return _top_items_argsort(counts, np.arange(len(counts)), constraint.total)
+
+
 def design_all_loop(prefs, labels, catalog, constraint, constrained=False):
     """One kit per cluster id in use, each counted from its own member rows.
 
@@ -306,12 +314,7 @@ def design_all_loop(prefs, labels, catalog, constraint, constrained=False):
     kits = []
     for j, members in enumerate(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)):
         counts = prefs.data[members].sum(axis=0, dtype=np.int64)
-        if constrained:
-            items = _top_items_argsort(counts, np.array(catalog.ids_in(Category.EXPENSIVE)), constraint.expensive_quota)
-            items += _top_items_argsort(counts, np.array(catalog.ids_in(Category.CHEAP)), constraint.cheap_quota)
-        else:
-            items = _top_items_argsort(counts, np.arange(prefs.m), constraint.total)
-        kits.append(Kit(kit_id=j, items=frozenset(items)))
+        kits.append(Kit(kit_id=j, items=frozenset(_kit_items_argsort(counts, catalog, constraint, constrained))))
     return kits
 
 
@@ -340,7 +343,7 @@ def design_all_rows(prefs, labels, catalog, constraint, constrained=False):
     starts = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1]
     counts = np.add.reduceat(prefs.data[order], starts, axis=0, dtype=np.int64)
     return [
-        Kit(kit_id=j, items=frozenset(select_items(row, catalog, constraint, constrained)))
+        Kit(kit_id=j, items=frozenset(_kit_items_argsort(row, catalog, constraint, constrained)))
         for j, row in enumerate(counts)
     ]
 

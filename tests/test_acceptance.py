@@ -45,7 +45,9 @@ def test_criterion_1_silhouette_matches_bruteforce_oracle():
             data = rng.integers(0, 2, size=(n, m)).astype(float)
             labels = rng.integers(0, k, size=n)
             labels[0], labels[1] = 0, 1
-            report = pk.silhouette_from_labels(data, labels, k)
+            prefs = pk.PreferenceMatrix(tuple(f"u{i}" for i in range(n)), data.astype(np.int8))
+            run = pk.KMeansRun(np.zeros((k, m)), labels, 1, True, (0.0,), pk.KMeansConfig(k=k))
+            report = pk.silhouette(prefs, run)
             _, _, macro = silhouette_bruteforce(data, labels, k)
             assert abs(report.macro_average - macro) <= 1e-9
         assert time.perf_counter() - start < 5.0

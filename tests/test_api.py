@@ -27,8 +27,7 @@ PUBLIC = [
     "WidthMismatchError", "assignment_from_clusters", "cluster_count_table", "cluster_losses", "derive_seed",
     "design_all", "generate_synthetic", "generator", "init_centroids", "item_sign_clusters", "kit_count",
     "load_catalog", "load_preferences", "loss_report", "random_kits", "reassign", "run_kmeans", "silhouette",
-    "silhouette_from_labels", "svd", "sweep", "top_items", "truncate", "user_sign_clusters",
-    "validate_constraint", "validate_kit", "write_preferences",
+    "svd", "sweep", "truncate", "user_sign_clusters", "validate_constraint", "validate_kit", "write_preferences",
 ]
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import svd_rows
+from oracles import _top_items_argsort, svd_rows
 from prefkit.cli import Stages, build_parser, main
 
 from conftest import CATALOG_PATH, REPO_ROOT
@@ -421,7 +421,7 @@ class TestPipeline:
         kits = json.loads((pipe_dir / "kits.json").read_text())
         assert list(kits) == ["0"]
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
-        expected = pk.top_items(prefs.data.sum(axis=0), constraint.total)
+        expected = sorted(_top_items_argsort(prefs.data.sum(axis=0), np.arange(prefs.m), constraint.total))
         assert kits["0"] == expected
 
     def test_noise_free_planted_population_recovers_zero_loss(self, tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import design_all_loop, design_all_rows
-from prefkit.kits import select_items
+from oracles import _top_items_argsort, design_all_loop, design_all_rows
 
 
 def prefs_from(rows):
@@ -28,6 +27,12 @@ def one_kit(prefs, catalog, constraint, constrained=False):
     """The kit ``design_all`` designs for a single cluster holding every user."""
     (kit,) = pk.design_all(prefs, one_cluster(prefs), catalog, constraint, constrained)
     return kit.items
+
+
+def kit_for_counts(counts, catalog, constraint, constrained=False):
+    """The sorted ``one_kit`` of a one-cluster survey whose item counts are ``counts``."""
+    counts = np.asarray(counts)
+    return sorted(one_kit(prefs_from(np.arange(counts.max())[:, None] < counts), catalog, constraint, constrained))
 
 
 class TestFrequencyProfile:
@@ -63,10 +68,10 @@ class TestDesignKit:
     def test_ranks_by_count_with_low_id_ties(self, catalog_factory):
         catalog = catalog_factory(3, 3)
         c = pk.SelectionConstraint(expensive_quota=2, cheap_quota=1)
-        assert select_items(np.array([3, 2, 2, 1, 0, 1]), catalog, c) == [0, 1, 2]
+        assert kit_for_counts(np.array([3, 2, 2, 1, 0, 1]), catalog, c) == [0, 1, 2]
 
     def test_all_equal_counts_take_lowest_ids(self, catalog20, constraint):
-        assert select_items(np.full(20, 5), catalog20, constraint) == list(range(10))
+        assert kit_for_counts(np.full(20, 5), catalog20, constraint) == list(range(10))
 
     def test_unanimous_cluster_reproduces_its_selection(self, catalog20, constraint):
         selection = [0, 2, 4, 6, 8, 9, 11, 13, 15, 17]
@@ -77,8 +82,8 @@ class TestDesignKit:
     def test_constrained_mode_fills_quotas(self, catalog20, constraint):
         # Cheap items dominate the raw counts; flat ranking would take all ten.
         counts = np.array([1] * 10 + [9] * 10)
-        flat = select_items(counts, catalog20, constraint)
-        quota = select_items(counts, catalog20, constraint, constrained=True)
+        flat = kit_for_counts(counts, catalog20, constraint)
+        quota = kit_for_counts(counts, catalog20, constraint, constrained=True)
         assert flat == list(range(10, 20))
         assert quota == [0, 1, 2, 3, 4, 5, 10, 11, 12, 13]
         pk.validate_kit(pk.Kit(0, frozenset(quota)), catalog20, constraint)
@@ -92,11 +97,11 @@ class TestDesignKit:
         rng = np.random.default_rng(53)
         for _ in range(50):
             counts = rng.integers(0, 12, size=20)
-            items = select_items(counts, catalog20, constraint)
+            items = kit_for_counts(counts, catalog20, constraint)
             q = int(rng.choice(items))
             bumped = counts.copy()
             bumped[q] += 1
-            assert q in select_items(bumped, catalog20, constraint)
+            assert q in kit_for_counts(bumped, catalog20, constraint)
 
 
 class TestDesignAll:
@@ -113,7 +118,7 @@ class TestDesignAll:
     def test_single_cluster_gives_global_top_ten(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         kits = pk.design_all(prefs, one_cluster(prefs), catalog20, constraint)
-        expected = pk.top_items(prefs.data.sum(axis=0), constraint.total)
+        expected = _top_items_argsort(prefs.data.sum(axis=0), np.arange(prefs.m), constraint.total)
         assert len(kits) == 1
         assert kits[0].items == frozenset(expected)
 

@@ -8,6 +8,7 @@ import pytest
 
 import prefkit as pk
 from oracles import (
+    _sq_distances_loop,
     compute_centroids_loop,
     design_all_loop,
     run_kmeans_loop,
@@ -21,6 +22,13 @@ def prefs_from(rows):
     return pk.PreferenceMatrix(
         tuple(f"u{i}" for i in range(len(rows))), np.array(rows, dtype=np.int8)
     )
+
+
+def silhouette_of(rows, labels, k):
+    """``silhouette`` of a hand-built run that puts user i, with 0/1 row ``rows[i]``, in cluster ``labels[i]``."""
+    prefs = prefs_from(rows)
+    run = pk.KMeansRun(np.zeros((k, prefs.m)), np.asarray(labels), 1, True, (0.0,), pk.KMeansConfig(k=k))
+    return pk.silhouette(prefs, run)
 
 
 def two_clouds():
@@ -118,7 +126,7 @@ class TestFindClosestCentroids:
             for s in range(5):
                 centroids[2 * s + 1, [2 * s, 2 * s + 1]] = base[[2 * s + 1, 2 * s]]
             centroids = centroids[rng.permutation(10)]
-            d2 = pk.kmeans._sq_distances(rows, centroids)
+            d2 = _sq_distances_loop(rows, centroids)
             labels, lower = pk.kmeans._nearest(rows, rows.sum(axis=1), centroids)
             assert labels.tolist() == np.argmin(d2, axis=1).tolist()
             others = np.arange(10) != labels[:, None]
@@ -356,37 +364,26 @@ class TestKmeansPartition:
 
 class TestSilhouette:
     def test_two_tight_separated_clusters_score_one(self):
-        data = np.array([[0.0, 0.0]] * 3 + [[9.0, 9.0]] * 3)
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        report = pk.silhouette_from_labels(data, labels, 2)
+        report = silhouette_of([[0, 0, 0, 0]] * 3 + [[1, 1, 1, 1]] * 3, [0, 0, 0, 1, 1, 1], 2)
         np.testing.assert_allclose(report.per_user, np.ones(6))
         assert report.macro_average == 1.0
 
     def test_coincident_points_score_zero(self):
-        data = np.zeros((4, 3))
-        labels = np.array([0, 0, 1, 1])
-        report = pk.silhouette_from_labels(data, labels, 2)
+        report = silhouette_of(np.zeros((4, 3)), [0, 0, 1, 1], 2)
         assert (report.per_user == 0).all()
         assert report.macro_average == 0.0
 
     def test_singletons_score_zero(self):
-        data = np.array([[0.0, 0.0], [5.0, 5.0], [5.0, 6.0]])
-        labels = np.array([0, 1, 1])
-        report = pk.silhouette_from_labels(data, labels, 2)
+        report = silhouette_of([[0, 0], [1, 1], [1, 0]], [0, 1, 1], 2)
         assert report.per_user[0] == 0.0
 
     def test_six_point_instance_matches_bruteforce(self):
-        data = np.array([[0, 0], [0, 1], [1, 0], [4, 4], [4, 5], [5, 4]], dtype=float)
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        report = pk.silhouette_from_labels(data, labels, 2)
-        oracle_user, oracle_cluster, oracle_macro = silhouette_bruteforce(data, labels, 2)
-        np.testing.assert_allclose(report.per_user, oracle_user, atol=1e-12)
-        np.testing.assert_allclose(report.per_cluster, oracle_cluster, atol=1e-12)
-        assert abs(report.macro_average - oracle_macro) <= 1e-12
+        data = [[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 0, 1], [1, 0, 1, 1, 0]]
+        report = self.assert_distinct_core_matches_bruteforce(data, np.array([0, 0, 0, 1, 1, 1]), 2)
         # Values frozen from the brute-force oracle.
-        assert abs(report.macro_average - 0.8003016549277946) <= 1e-12
+        assert abs(report.macro_average - 0.33694571009325197) <= 1e-12
         np.testing.assert_allclose(
-            report.per_user[:2], [0.8375137676051518, 0.7803637238418593], atol=1e-12
+            report.per_user[[1, 5]], [0.47662710943897163, 0.13629048518454778], atol=1e-12
         )
 
     def test_matches_bruteforce_on_random_instances(self):
@@ -394,10 +391,10 @@ class TestSilhouette:
         for _ in range(20):
             n = int(rng.integers(6, 30))
             k = int(rng.integers(2, 5))
-            data = rng.integers(0, 2, size=(n, 6)).astype(float)
+            data = rng.integers(0, 2, size=(n, 6))
             labels = rng.integers(0, k, size=n)
             labels[0], labels[1] = 0, 1
-            report = pk.silhouette_from_labels(data, labels, k)
+            report = silhouette_of(data, labels, k)
             _, _, macro = silhouette_bruteforce(data, labels, k)
             assert abs(report.macro_average - macro) <= 1e-9
 
@@ -406,10 +403,7 @@ class TestSilhouette:
         seen_empty = seen_singleton = False
         for trial in range(40):
             n, m, k = int(rng.integers(4, 60)), int(rng.integers(1, 12)), int(rng.integers(2, 9))
-            if trial % 2:
-                data = rng.normal(size=(n, m))
-            else:
-                data = rng.integers(0, 2, size=(n, m)).astype(float)
+            data = rng.integers(0, 2, size=(n, m))
             data[: n // 4] = data[-1]  # coincident rows
             used = rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False)
             labels = used[rng.integers(0, len(used), size=n)]
@@ -419,7 +413,7 @@ class TestSilhouette:
             sizes = np.bincount(labels, minlength=k)
             seen_empty |= bool((sizes == 0).any())
             seen_singleton |= bool((sizes == 1).any())
-            report = pk.silhouette_from_labels(data, labels, k)
+            report = silhouette_of(data, labels, k)
             per_user, per_cluster, macro = silhouette_loop(data, labels, k)
             np.testing.assert_allclose(report.per_user, per_user, rtol=0, atol=1e-12)
             np.testing.assert_allclose(report.per_cluster, per_cluster, rtol=0, atol=1e-12)
@@ -428,10 +422,8 @@ class TestSilhouette:
 
     @staticmethod
     def assert_distinct_core_matches_bruteforce(data, labels, k):
-        prefs = prefs_from(data)
-        run = pk.KMeansRun(np.zeros((k, prefs.m)), np.asarray(labels), 1, True, (0.0,), pk.KMeansConfig(k=k))
-        report = pk.silhouette(prefs, run)
-        per_user, per_cluster, macro = silhouette_bruteforce(prefs.data, labels, k)
+        report = silhouette_of(data, labels, k)
+        per_user, per_cluster, macro = silhouette_bruteforce(np.asarray(data), labels, k)
         np.testing.assert_allclose(report.per_user, per_user, rtol=0, atol=1e-12)
         per_cluster = [np.nan if v is None else v for v in per_cluster]
         np.testing.assert_allclose(report.per_cluster, per_cluster, rtol=0, atol=1e-12)
@@ -470,18 +462,22 @@ class TestSilhouette:
         assert np.isnan(report.per_cluster[3])
 
     def test_peak_memory_is_quadratic_not_cubic(self):
-        # The n x n distances take 32 MB; an n x n x m difference tensor would take 640 MB.
+        # The d x d Hamming bytes take 4 MB; n x n float distances would take 32 MB and an
+        # n x n x m difference tensor 640 MB.
         n = 2000
         rng = np.random.default_rng(3)
-        data = rng.integers(0, 2, size=(n, 20)).astype(float)
+        data = rng.integers(0, 2, size=(n, 20))
         labels = rng.integers(0, 8, size=n)
+        prefs = prefs_from(data)
+        run = pk.KMeansRun(np.zeros((8, prefs.m)), labels, 1, True, (0.0,), pk.KMeansConfig(k=8))
+        d = len(prefs.distinct.rows)
         tracemalloc.start()
         try:
-            pk.silhouette_from_labels(data, labels, 8)
+            pk.silhouette(prefs, run)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * n * n * 8
+        assert peak < 2 * d * d
 
     @pytest.mark.parametrize(
         "labels, message",
@@ -494,22 +490,15 @@ class TestSilhouette:
         ids=["label_equal_to_k", "negative_label", "short_array", "float_labels"],
     )
     def test_bad_labels_rejected_by_name(self, labels, message):
-        prefs = prefs_from([[0, 0], [0, 1], [1, 0], [1, 1]])
-        run = pk.KMeansRun(np.zeros((2, 2)), np.array(labels), 1, True, (0.0,), pk.KMeansConfig(k=2))
         with pytest.raises(ValueError, match=message):
-            pk.silhouette_from_labels(prefs.data, run.idx, 2)
-        with pytest.raises(ValueError, match=message):
-            pk.silhouette(prefs, run)
+            silhouette_of([[0, 0], [0, 1], [1, 0], [1, 1]], labels, 2)
 
     def test_fewer_than_two_nonempty_clusters_rejected(self):
-        data = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            pk.silhouette_from_labels(data, np.array([0, 0, 0]), 2)
+        with pytest.raises(ValueError, match="at least 2 non-empty clusters"):
+            silhouette_of(np.zeros((3, 2)), [0, 0, 0], 2)
 
     def test_macro_skips_empty_clusters(self):
-        data = np.array([[0.0, 0.0], [0.1, 0.0], [9.0, 9.0], [9.1, 9.0]])
-        labels = np.array([0, 0, 2, 2])
-        report = pk.silhouette_from_labels(data, labels, 3)
+        report = silhouette_of([[0, 0, 0, 0], [0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 0]], [0, 0, 2, 2], 3)
         assert np.isnan(report.per_cluster[1])
         assert report.macro_average == pytest.approx(
             np.nanmean([report.per_cluster[0], report.per_cluster[2]])
