@@ -10,10 +10,8 @@ from types import ModuleType as _ModuleType
 
 from .assignment import (
     Assignment,
-    ClusterLosses,
     LossReport,
     assignment_from_clusters,
-    cluster_losses,
     loss_report,
     reassign,
 )

@@ -9,7 +9,7 @@ missing-item counting rank kits identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,44 +52,6 @@ class LossReport:
     total_loss: int
 
 
-class ClusterLosses(NamedTuple):
-    normal: np.ndarray
-    exponential: np.ndarray
-    populations: np.ndarray
-
-
-def cluster_losses(
-    per_user_loss: np.ndarray,
-    assignment: Assignment,
-    k: int,
-) -> ClusterLosses:
-    """Normal and exponential average loss per kit; empty kits report 0."""
-    losses = np.asarray(per_user_loss, dtype=np.float64)
-    _check_assignment(assignment, len(losses), k)
-    normal = np.zeros(k)
-    exponential = np.zeros(k)
-    populations = np.bincount(assignment.kit_index, minlength=k)
-    # Each kit's losses in user order, as one contiguous segment, so each
-    # mean sums in the order a mask over the users would give.  Kit indices
-    # cast to the smallest unsigned type that holds k - 1 sort by radix.
-    order = np.argsort(assignment.kit_index.astype(np.min_scalar_type(max(k - 1, 0))), kind="stable")
-    segments = np.split(losses[order], np.cumsum(populations)[:-1])
-    for j, segment in enumerate(segments):
-        if segment.size:
-            normal[j] = segment.mean()
-            exponential[j] = np.exp(segment).mean()
-    for arr in (normal, exponential, populations):
-        arr.flags.writeable = False
-    return ClusterLosses(normal, exponential, populations)
-
-
-def _check_assignment(assignment: Assignment, n: int, k: int) -> None:
-    if assignment.kit_index.shape != (n,):
-        raise ValueError(f"assignment has {assignment.kit_index.size} kit indices for {n} users")
-    if n and int(assignment.kit_index.max()) >= k:
-        raise ValueError(f"assignment refers to kit {int(assignment.kit_index.max())}, but there are {k} kits")
-
-
 def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
     """d x K losses of every distinct row against every kit, as |x| + |k| - 2 x.k.
 
@@ -109,12 +71,31 @@ def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
 
 
 def _report(mismatches: np.ndarray, inverse: np.ndarray, assignment: Assignment) -> LossReport:
-    """User i's loss is its distinct row ``inverse[i]``'s mismatch with its kit."""
-    k = mismatches.shape[1]
-    _check_assignment(assignment, len(inverse), k)
-    per_user = mismatches[inverse, assignment.kit_index]
-    normal, exponential, populations = cluster_losses(per_user, assignment, k)
-    per_user.flags.writeable = False
+    """User i's loss is its distinct row ``inverse[i]``'s mismatch with its kit.
+
+    Each kit's averages are taken over its users' losses in user order, as
+    one contiguous float64 segment, so each mean sums in the order a mask
+    over the users would give.
+    """
+    n, k = len(inverse), mismatches.shape[1]
+    kit_index = assignment.kit_index
+    if kit_index.shape != (n,):
+        raise ValueError(f"assignment has {kit_index.size} kit indices for {n} users")
+    if n and int(kit_index.max()) >= k:
+        raise ValueError(f"assignment refers to kit {int(kit_index.max())}, but there are {k} kits")
+    per_user = mismatches[inverse, kit_index]
+    normal = np.zeros(k)
+    exponential = np.zeros(k)
+    populations = np.bincount(kit_index, minlength=k)
+    # Kit indices cast to the smallest unsigned type that holds k - 1 sort by radix.
+    order = np.argsort(kit_index.astype(np.min_scalar_type(k - 1)), kind="stable")
+    segments = np.split(per_user[order].astype(np.float64), np.cumsum(populations)[:-1])
+    for j, segment in enumerate(segments):
+        if segment.size:
+            normal[j] = segment.mean()
+            exponential[j] = np.exp(segment).mean()
+    for arr in (per_user, normal, exponential, populations):
+        arr.flags.writeable = False
     return LossReport(
         per_user_loss=per_user,
         per_cluster_normal=normal,

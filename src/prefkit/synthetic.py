@@ -63,42 +63,23 @@ def random_kits(
     constraint: SelectionConstraint,
     count: int,
     seed: int,
-    min_separation: int = 1,
 ) -> tuple[Kit, ...]:
-    """Draw ``count`` constraint-valid kits uniformly per category.
+    """Draw ``count`` distinct constraint-valid kits uniformly per category.
 
     Per kit, for each price tier in ``constraint.tiers`` order (expensive
     first): choose the tier's quota of its ids without replacement.  A
-    candidate is redrawn (deterministically) while its Hamming distance to
-    any accepted kit is below ``min_separation``; the default of 1 only rules
-    out exact duplicates.  Recovery benchmarks want the planted kits
-    separated well beyond the noise radius, e.g. ``min_separation = 10``
-    against single-swap noise, whose rows sit at distance 4 from their kit.
+    candidate equal to an accepted kit is redrawn (deterministically).
     """
     limit = kit_count(catalog, constraint)
     if count > limit:
         raise ValueError(f"cannot draw {count} distinct kits: the catalog holds only {limit}")
-    if min_separation < 1:
-        raise ValueError("min_separation must be at least 1")
     rng = generator(seed)
     tiers = constraint.tiers(catalog)
-    kits: list[Kit] = []
-    accepted: set[frozenset[int]] = set()
-    attempts = 0
-    while len(kits) < count:
-        attempts += 1
-        if attempts > 10000 * count:
-            raise ValueError(
-                f"could not draw {count} kits separated by {min_separation} from this catalog"
-            )
+    accepted: dict[frozenset[int], None] = {}  # in order of first draw
+    while len(accepted) < count:
         picked = frozenset(int(q) for _, ids, quota in tiers for q in rng.choice(ids, size=quota, replace=False))
-        if picked in accepted or (
-            min_separation > 1 and any(len(picked ^ kit.items) < min_separation for kit in kits)
-        ):
-            continue
-        accepted.add(picked)
-        kits.append(Kit(kit_id=len(kits), items=picked))
-    return tuple(kits)
+        accepted[picked] = None
+    return tuple(Kit(kit_id=j, items=items) for j, items in enumerate(accepted))
 
 
 def generate_synthetic(

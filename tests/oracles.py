@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from prefkit.assignment import Assignment, ClusterLosses, LossReport
+from prefkit.assignment import Assignment, LossReport
 from prefkit.kits import Kit
 from prefkit.kmeans import _EPS, _TOL, KMeansRun, init_centroids
 from prefkit.model import Category, PreferenceMatrix
@@ -368,7 +368,7 @@ def cluster_losses_loop(per_user_loss, assignment, k):
         if populations[j]:
             normal[j] = losses[members].mean()
             exponential[j] = np.exp(losses[members]).mean()
-    return ClusterLosses(normal, exponential, populations)
+    return normal, exponential, populations
 
 
 def _report_rows(mismatches, assignment):

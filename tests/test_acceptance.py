@@ -14,7 +14,7 @@ import prefkit as pk
 from prefkit.cli import main
 
 from conftest import CATALOG_PATH
-from oracles import adjusted_rand_index, silhouette_bruteforce, singular_values_charpoly, user_loss
+from oracles import adjusted_rand_index, random_kits_scan, silhouette_bruteforce, singular_values_charpoly, user_loss
 
 BASE_SEED = 20260809
 
@@ -142,10 +142,8 @@ def test_criterion_4_lloyd_monotonicity_and_damped_termination():
 def test_criterion_5_planted_recovery(catalog20, constraint):
     with criterion(5, "best-of-5 k-means: ARI >= 0.9, >= 6/8 kits at Jaccard >= 0.8"):
         start = time.perf_counter()
-        kits = pk.random_kits(
-            catalog20, constraint, 8,
-            seed=pk.derive_seed(BASE_SEED, "planted", "kits"), min_separation=10,
-        )
+        # Planted kits at least 10 apart, well beyond single-swap noise (rows 4 from their kit).
+        kits = random_kits_scan(catalog20, constraint, 8, pk.derive_seed(BASE_SEED, "planted", "kits"), 10)
         spec = pk.SyntheticSpec(
             n_users=200, planted_kits=kits, noise_swaps=1,
             seed=pk.derive_seed(BASE_SEED, "planted", "population"),

@@ -19,12 +19,12 @@ import prefkit
 from conftest import REPO_ROOT
 
 PUBLIC = [
-    "Assignment", "CatalogError", "Category", "ClusterLosses", "DuplicateItemIdError", "DuplicateUserIdError",
+    "Assignment", "CatalogError", "Category", "DuplicateItemIdError", "DuplicateUserIdError",
     "EmptyCategoryError", "EmptyMatrixError", "Item", "ItemCatalog", "KMeansConfig", "KMeansRun", "Kit",
     "LossReport", "MalformedRowError", "NonBinaryEntryError", "PreferenceFormatError", "PreferenceMatrix",
     "PrefkitError", "RankOutOfRangeError", "RowViolation", "SelectionConstraint", "SignClustering",
     "SilhouetteReport", "SvdFactors", "SweepTable", "SyntheticSpec", "TextFormatError", "UnknownCategoryError",
-    "WidthMismatchError", "assignment_from_clusters", "cluster_count_table", "cluster_losses", "derive_seed",
+    "WidthMismatchError", "assignment_from_clusters", "cluster_count_table", "derive_seed",
     "design_all", "generate_synthetic", "generator", "init_centroids", "item_sign_clusters", "kit_count",
     "load_catalog", "load_preferences", "loss_report", "random_kits", "reassign", "run_kmeans", "silhouette",
     "svd", "sweep", "truncate", "user_sign_clusters", "validate_constraint", "validate_kit", "write_preferences",

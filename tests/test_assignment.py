@@ -6,7 +6,7 @@ import pytest
 
 import prefkit as pk
 from oracles import cluster_losses_loop, loss_report_rows, mismatches_broadcast, reassign_rows, user_loss
-from prefkit.assignment import _mismatches
+from prefkit.assignment import _mismatches, _report
 
 
 def prefs_from(rows):
@@ -17,6 +17,12 @@ def prefs_from(rows):
 
 def kit_of(kit_id, items):
     return pk.Kit(kit_id=kit_id, items=frozenset(items))
+
+
+def report_of(losses, assignment, k):
+    """``_report`` on 21 distinct rows whose losses against all k kits are 0..20; user i has row ``losses[i]``."""
+    mismatches = np.repeat(np.arange(21, dtype=np.int64)[:, None], k, axis=1)
+    return _report(mismatches, np.asarray(losses), assignment)
 
 
 class TestUserLoss:
@@ -51,33 +57,34 @@ class TestUserLoss:
 class TestClusterLosses:
     def test_zero_losses_give_unit_exponential(self):
         assignment = pk.Assignment(np.array([0, 0]))
-        normal, exponential, populations = pk.cluster_losses(np.array([0, 0]), assignment, 1)
-        assert normal.tolist() == [0.0]
-        assert exponential.tolist() == [1.0]
-        assert populations.tolist() == [2]
+        report = report_of([0, 0], assignment, 1)
+        assert report.per_cluster_normal.tolist() == [0.0]
+        assert report.per_cluster_exponential.tolist() == [1.0]
+        assert report.populations.tolist() == [2]
 
     def test_zero_and_two_frozen_values(self):
         assignment = pk.Assignment(np.array([0, 0]))
-        normal, exponential, _ = pk.cluster_losses(np.array([0, 2]), assignment, 1)
-        assert normal[0] == pytest.approx(1.0, abs=1e-12)
-        assert exponential[0] == pytest.approx(4.194528049465325, abs=1e-9)
-        assert exponential[0] == pytest.approx((1 + math.e**2) / 2, abs=1e-12)
+        report = report_of([0, 2], assignment, 1)
+        assert report.per_cluster_normal[0] == pytest.approx(1.0, abs=1e-12)
+        assert report.per_cluster_exponential[0] == pytest.approx(4.194528049465325, abs=1e-9)
+        assert report.per_cluster_exponential[0] == pytest.approx((1 + math.e**2) / 2, abs=1e-12)
 
     def test_jensen_strict_when_losses_differ(self):
         rng = np.random.default_rng(71)
         for _ in range(30):
             losses = rng.integers(0, 9, size=10)
             assignment = pk.Assignment(np.zeros(10, dtype=int))
-            normal, exponential, _ = pk.cluster_losses(losses, assignment, 1)
-            assert exponential[0] >= math.exp(normal[0]) - 1e-12
+            report = report_of(losses, assignment, 1)
+            normal, exponential = report.per_cluster_normal[0], report.per_cluster_exponential[0]
+            assert exponential >= math.exp(normal) - 1e-12
             if len(set(losses.tolist())) > 1:
-                assert exponential[0] > math.exp(normal[0])
+                assert exponential > math.exp(normal)
 
     def test_empty_population_reports_zero_with_marker(self):
         assignment = pk.Assignment(np.array([0, 0]))
-        normal, exponential, populations = pk.cluster_losses(np.array([1, 1]), assignment, 2)
-        assert populations.tolist() == [2, 0]
-        assert normal[1] == 0.0 and exponential[1] == 0.0
+        report = report_of([1, 1], assignment, 2)
+        assert report.populations.tolist() == [2, 0]
+        assert report.per_cluster_normal[1] == 0.0 and report.per_cluster_exponential[1] == 0.0
 
 
 class TestReassign:
@@ -189,10 +196,12 @@ class TestDistinctRowScoring:
         kit_index = rng.integers(2, k + 2, size=n)
         kit_index[0] = k + 1
         assignment = pk.Assignment(kit_index)
-        for losses in (rng.integers(0, 21, size=n), rng.integers(0, 21, size=n) * 0.37):
-            got, want = pk.cluster_losses(losses, assignment, k + 2), cluster_losses_loop(losses, assignment, k + 2)
-            for x, y in zip(got, want):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
+        losses = rng.integers(0, 21, size=n)
+        report = report_of(losses, assignment, k + 2)
+        assert np.array_equal(report.per_user_loss, losses)
+        got = (report.per_cluster_normal, report.per_cluster_exponential, report.populations)
+        for x, y in zip(got, cluster_losses_loop(losses, assignment, k + 2)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
     def test_reassign_peak_memory_stays_off_the_user_by_kit_matrix(self):
         # 20,000 users of 50 distinct rows and 50 kits: an n x K int64 matrix alone is 8 MB.
@@ -224,24 +233,18 @@ class TestLossReport:
         assert report.populations.tolist() == [prefs.n, 0, 0]
 
     def test_out_of_range_assignment_rejected(self):
-        prefs = prefs_from([[1, 0, 1]])
-        with pytest.raises(ValueError):
-            pk.loss_report(prefs, [kit_of(0, [0, 2])], pk.Assignment(np.array([1])))
-        with pytest.raises(ValueError, match="assignment refers to kit 5, but there are 1 kits"):
-            pk.cluster_losses(np.array([1.0, 3.0]), pk.Assignment(np.array([0, 5])), 1)
-
+        prefs = prefs_from([[1, 0, 1], [0, 1, 1]])
+        kits = [kit_of(0, [0, 2])]
+        for call in (pk.reassign, pk.loss_report):
+            with pytest.raises(ValueError, match="assignment refers to kit 5, but there are 1 kits"):
+                call(prefs, kits, pk.Assignment(np.array([0, 5])))
 
     def test_assignment_of_wrong_length_rejected_by_name(self):
         prefs = prefs_from([[1, 0, 1], [0, 1, 1]])
         kits = [kit_of(0, [0, 2])]
-        short = pk.Assignment(np.array([0]))
-        for call in (
-            lambda: pk.reassign(prefs, kits, short),
-            lambda: pk.loss_report(prefs, kits, short),
-            lambda: pk.cluster_losses(np.zeros(2), short, 1),
-        ):
+        for call in (pk.reassign, pk.loss_report):
             with pytest.raises(ValueError, match="assignment has 1 kit indices for 2 users"):
-                call()
+                call(prefs, kits, pk.Assignment(np.array([0])))
 
     @pytest.mark.parametrize("items", [[0, 5], [-1, 2]])
     def test_kit_item_outside_catalog_rejected_by_name(self, items):

@@ -49,15 +49,21 @@ class TestRandomKits:
         assert time.perf_counter() - start < 1.0
 
 
-    @pytest.mark.parametrize(
-        "count, min_separation", [(1, 1), (50, 1), (400, 1), (8, 10), (60, 4)]
-    )
-    def test_matches_scan_over_accepted_kits(
-        self, catalog20, catalog20_interleaved, constraint, count, min_separation
-    ):
+    @pytest.mark.parametrize("count", [1, 50, 400])
+    def test_matches_scan_over_accepted_kits(self, catalog20, catalog20_interleaved, constraint, count):
         for catalog in (catalog20, catalog20_interleaved):
-            kits = pk.random_kits(catalog, constraint, count, seed=3, min_separation=min_separation)
-            assert kits == random_kits_scan(catalog, constraint, count, 3, min_separation)
+            kits = pk.random_kits(catalog, constraint, count, seed=3)
+            assert kits == random_kits_scan(catalog, constraint, count, 3)
+
+    def test_draws_every_kit_of_a_small_catalog(self, catalog_factory):
+        catalog = catalog_factory(3, 3)
+        constraint = pk.SelectionConstraint(expensive_quota=1, cheap_quota=1)
+        assert pk.kit_count(catalog, constraint) == 9
+        kits = pk.random_kits(catalog, constraint, 9, seed=3)
+        assert len({kit.items for kit in kits}) == 9
+        for kit in kits:
+            pk.validate_kit(kit, catalog, constraint)
+        assert kits == random_kits_scan(catalog, constraint, 9, 3)
 
     def test_sixteen_thousand_kits_take_linear_time(self, catalog20, constraint):
         # The scan over accepted kits took about two minutes for this count.
