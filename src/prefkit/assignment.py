@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .kits import Kit
-from .model import PreferenceMatrix
+from .model import PreferenceMatrix, _hamming
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
@@ -56,18 +56,13 @@ def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
     """d x K losses of every distinct row against every kit, as |x| + |k| - 2 x.k.
 
     Users with equal rows have equal losses, so only the d distinct rows of
-    ``prefs.distinct`` are scored.  The overlaps come from one float32
-    matmul, exact for 0/1 rows while m < 2**24; the result is int64.
+    ``prefs.distinct`` are scored, by ``model._hamming`` against the kit
+    indicators, in float64 row blocks written into the int64 result.
     """
     if not kits:
         raise ValueError("at least one kit is required")
-    rows = prefs.distinct.rows
     indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
-    mismatches = (rows.astype(np.float32) @ indicators.T.astype(np.float32)).astype(np.int64)
-    mismatches *= -2
-    mismatches += rows.sum(axis=1, dtype=np.int64)[:, None]
-    mismatches += indicators.sum(axis=1, dtype=np.int64)
-    return mismatches
+    return _hamming(prefs.distinct.rows, indicators, np.int64)
 
 
 def _report(mismatches: np.ndarray, inverse: np.ndarray, assignment: Assignment) -> LossReport:

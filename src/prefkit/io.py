@@ -114,14 +114,14 @@ def load_preferences(path: str | Path, catalog: ItemCatalog) -> PreferenceMatrix
     every error its message and line.  Both give the same matrix.
     """
     raw = Path(path).read_bytes()
-    prefs = _plain_preferences(raw, catalog.m)
-    if prefs is None:
-        prefs = _preferences_from_rows(path, _csv_rows(path, raw), catalog.m)
-    return prefs
+    parts = _plain_parts(raw, catalog.m)
+    if parts is None:
+        return _preferences_from_rows(path, _csv_rows(path, raw), catalog.m)
+    return PreferenceMatrix(*parts)
 
 
-def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
-    """The matrix of a plain-form file, or None for any other file.
+def _plain_parts(raw: bytes, m: int) -> tuple[ByteBlock, np.ndarray, tuple[str, ...]] | None:
+    """The user ids, n x m selections and column labels of a plain-form file, or None for any other file.
 
     Plain form: LF line endings, no quote character or NUL byte, a header
     of m + 1 fields, and data lines that each hold a unique, comma-free user
@@ -133,12 +133,6 @@ def _plain_preferences(raw: bytes, m: int) -> PreferenceMatrix | None:
     The reader returns before the matrix is built, so its temporaries are
     freed first.
     """
-    parts = _plain_parts(raw, m)
-    return None if parts is None else PreferenceMatrix(*parts)
-
-
-def _plain_parts(raw: bytes, m: int) -> tuple[ByteBlock, np.ndarray, tuple[str, ...]] | None:
-    """The user ids, n x m selections and column labels of a plain-form file, or None."""
     raw = _strip_bom(raw)
     if b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
@@ -390,7 +384,7 @@ def write_user_csv(
 
 
 def write_preferences(prefs: PreferenceMatrix, path: str | Path) -> None:
-    """Write the plain form ``_plain_preferences`` reads, as ``write_csv`` would.
+    """Write the plain form ``_plain_parts`` reads, as ``write_csv`` would.
 
     One d x (2m + 1) byte block holds each distinct row's cells as
     ``,0``/``,1`` and its LF; line i is user i's id field and its row's line

@@ -39,11 +39,11 @@ lowest-index minimum of the exact distances of the centroids left.  So labels
 are the exact argmin, and the screened second distance, less the slack,
 bounds the row's distance to the others.
 
-Silhouette scores 0/1 survey rows on their d distinct rows.  A sweep builds
-one d x d Hamming matrix in row blocks, in bytes while m <= 255 (0.4 MB at
-d = 642), and each cell totals a distinct row's distances to every cluster as
-``sqrt(hamming) @ members``, where ``members[j, c]`` counts the users of row j
-in cluster c.  Between 0/1 rows sqrt(hamming) is exactly the Euclidean
+Silhouette scores 0/1 survey rows on their d distinct rows.  A sweep takes
+one d x d Hamming matrix from ``model._hamming``, in bytes while m <= 255
+(0.4 MB at d = 642), and each cell totals a distinct row's distances to
+every cluster as ``sqrt(hamming) @ members``, where ``members[j, c]`` counts
+the users of row j in cluster c.  Between 0/1 rows sqrt(hamming) is exactly the Euclidean
 distance, so a cell is within 1e-12 of the dense n x n sums; only the order
 of the additions differs.  Labels may split identical rows, so each
 (distinct row, label) pair is scored and weighed by its users.  The sweep
@@ -69,10 +69,9 @@ from typing import Callable, NoReturn
 import numpy as np
 
 from .errors import PrefkitError
-from .model import PreferenceMatrix
+from .model import PreferenceMatrix, _block_rows, _hamming
 from .seeding import derive_seed, generator
 
-_BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of d x d rows
 _EPS = 1e-9  # relative slack of the assignment bounds
 _TOL = 1e-6  # convergence: the largest centroid shift falls below this
 _RECORD = struct.Struct("=I")  # one record of the sweep's cell queue
@@ -189,8 +188,6 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     iteration, the within-cluster sum of squared distances measured right
     after the assignment step.
     """
-    if config.k > prefs.n:
-        raise ValueError(f"k={config.k} exceeds number of users {prefs.n}")
     distinct = prefs.distinct
     rows = distinct.rows.astype(np.float64)
     d, k = len(rows), config.k
@@ -251,27 +248,6 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
         wcss_trace=tuple(trace),
         config=config,
     )
-
-
-def _block_rows(row_floats: int) -> int:
-    """Rows per block, so that a block of rows ``row_floats`` float64 wide stays within ``_BLOCK_FLOATS``."""
-    return max(1, _BLOCK_FLOATS // max(1, row_floats))
-
-
-def _hamming(rows: np.ndarray) -> np.ndarray:
-    """d x d Hamming distances between 0/1 rows, in the smallest unsigned type that holds m: uint8 while m <= 255."""
-    x = rows.astype(np.float64)
-    ones = x.sum(axis=1)
-    ham = np.empty((len(x), len(x)), dtype=np.min_scalar_type(x.shape[1]))
-    step = _block_rows(len(x))
-    for lo in range(0, len(x), step):
-        # |x| + |y| - 2 x.y, exact in float64 for 0/1 rows
-        block = x[lo : lo + step] @ x.T
-        block *= -2.0
-        block += ones
-        block += ones[lo : lo + step, None]
-        ham[lo : lo + step] = block
-    return ham
 
 
 def _widths(
@@ -338,7 +314,8 @@ def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
     if labels.size and not 0 <= labels.min() <= labels.max() < k:
         raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
     labels = labels.astype(np.intp, copy=False)  # uint64 plus int64 would be float64
-    return _distinct_silhouette(prefs, _hamming(prefs.distinct.rows), labels, k)
+    rows = prefs.distinct.rows
+    return _distinct_silhouette(prefs, _hamming(rows, rows, np.min_scalar_type(prefs.m)), labels, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,7 +458,7 @@ def sweep(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     k_values = tuple(range(config.k, k_max + 1))
-    ham = _hamming(prefs.distinct.rows)
+    ham = _hamming(prefs.distinct.rows, prefs.distinct.rows, np.min_scalar_type(prefs.m))
 
     def score(cell: tuple[int, int]) -> tuple[float, int, bool, float]:
         k, seed = cell

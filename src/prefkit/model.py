@@ -170,13 +170,11 @@ class DistinctRows(NamedTuple):
 class PreferenceMatrix:
     """n users by m items, entries 0/1, kept as the distinct rows found at construction.
 
-    ``data`` gathers the n x m matrix from ``distinct`` on every read; the
-    library reads only ``distinct``.  The user ids are given as str, or by
-    the plain-form reader as the ``ByteBlock`` it read them in, kept as
-    ``id_block`` (None for str ids).  ``user_ids`` is always the tuple of
-    str, decoded from the block on first read.  ``column_labels`` preserves
-    the header the matrix was loaded with so a load/write round trip is
-    byte-identical.
+    The user ids are given as str, or by the plain-form reader as the
+    ``ByteBlock`` it read them in, kept as ``id_block`` (None for str ids).
+    ``user_ids`` is always the tuple of str, decoded from the block on first
+    read.  ``column_labels`` preserves the header the matrix was loaded with
+    so a load/write round trip is byte-identical.
     """
 
     distinct: DistinctRows
@@ -220,19 +218,40 @@ class PreferenceMatrix:
         return self.id_block.decode()
 
     @property
-    def data(self) -> np.ndarray:
-        """The n x m int8 matrix, read-only, gathered from the distinct rows."""
-        data = self.distinct.rows[self.distinct.inverse]
-        data.flags.writeable = False
-        return data
-
-    @property
     def n(self) -> int:
         return len(self.distinct.inverse)
 
     @property
     def m(self) -> int:
         return self.distinct.rows.shape[1]
+
+
+_BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of a Hamming product
+
+
+def _block_rows(row_floats: int) -> int:
+    """Rows per block, so that a block of rows ``row_floats`` float64 wide stays within ``_BLOCK_FLOATS``."""
+    return max(1, _BLOCK_FLOATS // max(1, row_floats))
+
+
+def _hamming(rows: np.ndarray, others: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
+    """The len(rows) x len(others) Hamming distances between two sets of 0/1 rows, as ``dtype``.
+
+    Each block of ``_block_rows(len(others))`` rows is one float64 product
+    ``|x| + |y| - 2 x.y``, exact for 0/1 rows, cast into the result.
+    """
+    x, y = rows.astype(np.float64), others.astype(np.float64)
+    x_ones, y_ones = x.sum(axis=1), y.sum(axis=1)
+    ham = np.empty((len(x), len(y)), dtype=dtype)
+    step = _block_rows(len(y))
+    for lo in range(0, len(x), step):
+        block = x[lo : lo + step] @ y.T
+        block *= -2.0
+        block += y_ones
+        block += x_ones[lo : lo + step, None]
+        ham[lo : lo + step] = block
+        del block  # else the next product is made while this block is alive
+    return ham
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import prefkit as pk
+from oracles import dense
 
 # HYPOTHESIS_PROFILE=ci makes every property test draw the same examples on
 # each run and print the blob that reproduces a failure.
@@ -49,7 +50,7 @@ def survey(catalog20, constraint):
 def repeated_survey(survey):
     """600 users whose rows repeat the first 40 rows of ``survey``, in shuffled order."""
     prefs = survey[0]
-    data = prefs.data[:40][np.random.default_rng(5).integers(0, 40, size=600)]
+    data = dense(prefs)[:40][np.random.default_rng(5).integers(0, 40, size=600)]
     return pk.PreferenceMatrix(tuple(f"r{i}" for i in range(600)), data)
 
 

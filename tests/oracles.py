@@ -32,6 +32,11 @@ from prefkit.seeding import generator
 from prefkit.svd import SvdFactors
 
 
+def dense(prefs):
+    """The n x m int8 matrix of a survey, gathered from its distinct rows."""
+    return prefs.distinct.rows[prefs.distinct.inverse]
+
+
 # ---------------------------------------------------------------------------
 # brute-force silhouette
 
@@ -103,7 +108,7 @@ def silhouette_loop(data, labels, k):
 
 def compute_centroids_loop(prefs, idx, centroids_prev, damping):
     k = centroids_prev.shape[0]
-    rows = prefs.data.astype(np.float64)
+    rows = dense(prefs).astype(np.float64)
     centroids = np.array(centroids_prev, dtype=np.float64, copy=True)
     empties = []
     for j in range(k):
@@ -131,7 +136,7 @@ def _sq_distances_loop(rows, centroids):
 
 def run_kmeans_loop(prefs, config):
     """Returns (idx, centroids, wcss_trace) of damped Lloyd on the loop update."""
-    rows = prefs.data.astype(np.float64)
+    rows = dense(prefs).astype(np.float64)
     centroids = init_centroids(prefs, config.k, config.seed)
     trace = []
     for _ in range(config.max_iters):
@@ -178,7 +183,7 @@ def _assign_rows(rows, centroids, idx, lower):
 
 def run_kmeans_rows(prefs, config):
     """A ``KMeansRun`` of damped Lloyd with Hamerly bounds on every user row, one-hot sums and k-wide passes."""
-    rows = prefs.data.astype(np.float64)
+    rows = dense(prefs).astype(np.float64)
     centroids = init_centroids(prefs, config.k, config.seed)
     idx = np.zeros(prefs.n, dtype=np.intp)
     lower = np.zeros(prefs.n)
@@ -271,7 +276,7 @@ def user_loss(row, kit):
 def mismatches_broadcast(prefs, kits):
     """n x K Hamming distances from one n x K x m comparison tensor."""
     indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
-    return (prefs.data[:, None, :] != indicators[None, :, :]).sum(axis=2)
+    return (dense(prefs)[:, None, :] != indicators[None, :, :]).sum(axis=2)
 
 
 def write_csv_rows(path, header, rows):
@@ -313,7 +318,7 @@ def design_all_loop(prefs, labels, catalog, constraint, constrained=False):
     order = np.argsort(labels, kind="stable")
     kits = []
     for j, members in enumerate(np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)):
-        counts = prefs.data[members].sum(axis=0, dtype=np.int64)
+        counts = dense(prefs)[members].sum(axis=0, dtype=np.int64)
         kits.append(Kit(kit_id=j, items=frozenset(_kit_items_argsort(counts, catalog, constraint, constrained))))
     return kits
 
@@ -341,7 +346,7 @@ def design_all_rows(prefs, labels, catalog, constraint, constrained=False):
     labels = np.asarray(labels)
     order = np.argsort(labels, kind="stable")
     starts = np.r_[0, np.flatnonzero(np.diff(labels[order])) + 1]
-    counts = np.add.reduceat(prefs.data[order], starts, axis=0, dtype=np.int64)
+    counts = np.add.reduceat(dense(prefs)[order], starts, axis=0, dtype=np.int64)
     return [
         Kit(kit_id=j, items=frozenset(_kit_items_argsort(row, catalog, constraint, constrained)))
         for j, row in enumerate(counts)
@@ -351,8 +356,8 @@ def design_all_rows(prefs, labels, catalog, constraint, constrained=False):
 def mismatches_rows(prefs, kits):
     """n x K losses of every user against every kit from one float32 matmul."""
     indicators = np.stack([kit.indicator(prefs.m) for kit in kits])
-    overlap = prefs.data.astype(np.float32) @ indicators.T.astype(np.float32)
-    sizes = prefs.data.sum(axis=1, dtype=np.int64)[:, None] + indicators.sum(axis=1, dtype=np.int64)
+    overlap = dense(prefs).astype(np.float32) @ indicators.T.astype(np.float32)
+    sizes = dense(prefs).sum(axis=1, dtype=np.int64)[:, None] + indicators.sum(axis=1, dtype=np.int64)
     return sizes - 2 * overlap.astype(np.int64)
 
 

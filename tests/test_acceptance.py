@@ -14,7 +14,14 @@ import prefkit as pk
 from prefkit.cli import main
 
 from conftest import CATALOG_PATH
-from oracles import adjusted_rand_index, random_kits_scan, silhouette_bruteforce, singular_values_charpoly, user_loss
+from oracles import (
+    adjusted_rand_index,
+    dense,
+    random_kits_scan,
+    silhouette_bruteforce,
+    singular_values_charpoly,
+    user_loss,
+)
 
 BASE_SEED = 20260809
 
@@ -83,14 +90,14 @@ def _refines(fine, coarse):
 def test_criterion_3_sign_cluster_count_law(catalog20, constraint, survey):
     with criterion(3, "non-negative matrices: count 1 at r=1, <= 2^(r-1), refinement"):
         prefs, _, _ = survey
-        matrices = [prefs.data.astype(float)]
+        matrices = [dense(prefs).astype(float)]
         for s in range(6):
             kits = pk.random_kits(catalog20, constraint, 6, seed=pk.derive_seed(BASE_SEED, "law-kits", s))
             spec = pk.SyntheticSpec(
                 n_users=40 + 20 * s, planted_kits=kits, noise_swaps=s % 3,
                 seed=pk.derive_seed(BASE_SEED, "law-pop", s),
             )
-            matrices.append(pk.generate_synthetic(spec, catalog20, constraint)[0].data.astype(float))
+            matrices.append(dense(pk.generate_synthetic(spec, catalog20, constraint)[0]).astype(float))
         rng = np.random.default_rng(pk.derive_seed(BASE_SEED, "law-float"))
         for _ in range(3):
             matrices.append(rng.uniform(0.05, 1.0, size=(int(rng.integers(20, 80)), int(rng.integers(4, 16)))))
@@ -134,9 +141,9 @@ def test_criterion_4_lloyd_monotonicity_and_damped_termination():
             )
             assert run.iterations_used <= 100
             for i in range(prefs.n):
-                own = float(np.linalg.norm(prefs.data[i] - run.centroids[run.idx[i]]))
+                own = float(np.linalg.norm(dense(prefs)[i] - run.centroids[run.idx[i]]))
                 for j in range(run.k):
-                    assert float(np.linalg.norm(prefs.data[i] - run.centroids[j])) >= own - 1e-12
+                    assert float(np.linalg.norm(dense(prefs)[i] - run.centroids[j])) >= own - 1e-12
 
 
 def test_criterion_5_planted_recovery(catalog20, constraint):
@@ -179,7 +186,7 @@ def reassignment_corpus(catalog20, constraint, survey):
     corpus = []
 
     prefs, truth, planted = survey
-    clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
+    clustering = pk.user_sign_clusters(pk.truncate(pk.svd(dense(prefs).astype(float)), 4))
     kits = pk.design_all(prefs, clustering.labels[prefs.distinct.first], catalog20, constraint)
     initial = pk.assignment_from_clusters(clustering.labels)
     corpus.append((prefs, kits) + pk.reassign(prefs, kits, initial) + (initial,))
@@ -213,7 +220,7 @@ def test_criterion_6_reassignment_contract(reassignment_corpus):
             assert before2.total_loss == after.total_loss == after2.total_loss
             for i in range(prefs.n):
                 for kit in kits:
-                    assert user_loss(prefs.data[i], kit) >= after.per_user_loss[i]
+                    assert user_loss(dense(prefs)[i], kit) >= after.per_user_loss[i]
 
 
 def test_criterion_7_jensen_magnification(reassignment_corpus):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import cluster_losses_loop, loss_report_rows, mismatches_broadcast, reassign_rows, user_loss
+from oracles import cluster_losses_loop, dense, loss_report_rows, mismatches_broadcast, reassign_rows, user_loss
+from prefkit import model
 from prefkit.assignment import _mismatches, _report
 
 
@@ -112,7 +113,7 @@ class TestReassign:
 
     def test_losses_never_increase_and_idempotent(self, survey, catalog20, constraint):
         prefs, _, _ = survey
-        clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
+        clustering = pk.user_sign_clusters(pk.truncate(pk.svd(dense(prefs).astype(float)), 4))
         kits = pk.design_all(prefs, clustering.labels[prefs.distinct.first], catalog20, constraint)
         initial = pk.assignment_from_clusters(clustering.labels)
         final, before, after = pk.reassign(prefs, kits, initial)
@@ -124,13 +125,13 @@ class TestReassign:
 
     def test_no_improving_move_exists(self, survey, catalog20, constraint):
         prefs, _, _ = survey
-        clustering = pk.user_sign_clusters(pk.truncate(pk.svd(prefs.data.astype(float)), 4))
+        clustering = pk.user_sign_clusters(pk.truncate(pk.svd(dense(prefs).astype(float)), 4))
         kits = pk.design_all(prefs, clustering.labels[prefs.distinct.first], catalog20, constraint)
         initial = pk.assignment_from_clusters(clustering.labels)
         final, _, after = pk.reassign(prefs, kits, initial)
         for i in range(prefs.n):
             for kit in kits:
-                assert user_loss(prefs.data[i], kit) >= after.per_user_loss[i]
+                assert user_loss(dense(prefs)[i], kit) >= after.per_user_loss[i]
 
     def test_empty_kit_list_rejected(self):
         prefs = prefs_from([[1, 0]])
@@ -157,6 +158,21 @@ class TestMismatches:
         for chosen in ([kits[0]], [kits[2]], kits):
             got = _mismatches(prefs, chosen)[prefs.distinct.inverse]
             assert np.array_equal(got, mismatches_broadcast(prefs, chosen))
+
+    def test_peak_memory_is_the_int64_result_plus_one_block(self):
+        # 3,000 random rows against 500 kits: a float32 d x K copy alone would take 6 MB.
+        rng = np.random.default_rng(29)
+        prefs = prefs_from(rng.integers(0, 2, size=(3000, 20)))
+        kits = [kit_of(j, rng.choice(20, size=10, replace=False).tolist()) for j in range(500)]
+        d = len(prefs.distinct.rows)
+        assert 4 * d * len(kits) > 2**20
+        tracemalloc.start()
+        try:
+            _mismatches(prefs, kits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * len(kits) + 8 * model._BLOCK_FLOATS + 2**20
 
 
 def assert_same_report(got, want):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import _top_items_argsort, svd_rows
+from oracles import _top_items_argsort, dense, svd_rows
 from prefkit.cli import Stages, build_parser, main
 
 from conftest import CATALOG_PATH, REPO_ROOT
@@ -81,7 +81,7 @@ class TestSynth:
         kits = json.loads((out / "planted_kits.json").read_text())
         for i in range(prefs.n):
             expected = sorted(kits[planted[i]])
-            assert sorted(np.flatnonzero(prefs.data[i]).tolist()) == expected
+            assert sorted(np.flatnonzero(dense(prefs)[i]).tolist()) == expected
 
     def test_same_flags_byte_identical(self, tmp_path):
         a = run_synth(tmp_path, "a")
@@ -113,7 +113,7 @@ class TestValidate:
     def _dirty_file(self, tmp_path, catalog20):
         out = run_synth(tmp_path)
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
-        data = prefs.data.copy()
+        data = dense(prefs).copy()
         data[0] = 0
         data[0, :7] = 1  # 7 expensive, 0 cheap
         dirty = pk.PreferenceMatrix(prefs.user_ids, data, prefs.column_labels)
@@ -330,7 +330,7 @@ class TestSvdAndSigns:
         prefs = pk.load_preferences(survey / "preferences.csv", pk.load_catalog(CATALOG_PATH))
         monkeypatch.setattr("prefkit.cli.load_preferences", lambda path, catalog: prefs)
         assert len(prefs.distinct.rows) == 4466
-        full = svd_rows(prefs.data)
+        full = svd_rows(dense(prefs))
         for rank in range(1, 20):
             args = build_parser().parse_args([
                 "cluster-signs", "--catalog", str(CATALOG_PATH), "--prefs", "-", "--out", "-", "--rank", str(rank),
@@ -421,7 +421,7 @@ class TestPipeline:
         kits = json.loads((pipe_dir / "kits.json").read_text())
         assert list(kits) == ["0"]
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
-        expected = sorted(_top_items_argsort(prefs.data.sum(axis=0), np.arange(prefs.m), constraint.total))
+        expected = sorted(_top_items_argsort(dense(prefs).sum(axis=0), np.arange(prefs.m), constraint.total))
         assert kits["0"] == expected
 
     def test_noise_free_planted_population_recovers_zero_loss(self, tmp_path):
@@ -446,7 +446,7 @@ class TestPipeline:
     def test_strict_pipeline_aborts_on_dirty_rows(self, tmp_path, catalog20):
         out = run_synth(tmp_path)
         prefs = pk.load_preferences(out / "preferences.csv", catalog20)
-        data = prefs.data.copy()
+        data = dense(prefs).copy()
         data[0, :] = 1
         dirty = pk.PreferenceMatrix(prefs.user_ids, data, prefs.column_labels)
         path = tmp_path / "dirty.csv"
@@ -856,7 +856,7 @@ class TestPinnedOtherCommands:
         assert {name: sha256(survey / name) for name in PINNED_SYNTH} == PINNED_SYNTH
 
         prefs = pk.load_preferences(survey / "preferences.csv", catalog20)
-        data = prefs.data.copy()
+        data = dense(prefs).copy()
         data[0] = 0
         data[0, :7] = 1
         data[5] = 1

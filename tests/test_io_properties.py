@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prefkit as pk
-from oracles import write_csv_rows
+from oracles import dense, write_csv_rows
 from prefkit import io as pio
 
 CATALOG = pk.ItemCatalog(
@@ -44,7 +44,7 @@ def outcome(load, path):
         prefs = load(path)
     except pk.PrefkitError as exc:
         return type(exc), str(exc)
-    return prefs.user_ids, prefs.column_labels, prefs.data.dtype, prefs.data.tolist()
+    return prefs.user_ids, prefs.column_labels, dense(prefs).dtype, dense(prefs).tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -58,7 +58,7 @@ def test_write_then_load_returns_the_same_matrix(path, data, ids, labels):
     loaded = pk.load_preferences(path, CATALOG)
     assert loaded.user_ids == prefs.user_ids
     assert loaded.column_labels == prefs.column_labels
-    assert np.array_equal(loaded.data, prefs.data)
+    assert np.array_equal(dense(loaded), dense(prefs))
 
 
 # Cells with every character the csv module quotes for, plus some it does not.
@@ -103,7 +103,7 @@ def test_column_writer_gives_the_row_writers_bytes(path, table):
 def test_write_preferences_gives_the_row_writers_bytes(path, data, ids, labels):
     matrix = np.array(data, dtype=np.int8).reshape(-1, M)
     prefs = pk.PreferenceMatrix(tuple(ids[: len(data)]), matrix, tuple(labels))
-    rows = ([uid, *row] for uid, row in zip(prefs.user_ids, prefs.data.tolist()))
+    rows = ([uid, *row] for uid, row in zip(prefs.user_ids, dense(prefs).tolist()))
     expected = written(write_csv_rows, path, ["user_id", *prefs.column_labels], rows)
     assert written(lambda p: pk.write_preferences(prefs, p), path) == expected
 
@@ -156,7 +156,7 @@ def test_edge_ids_load_and_write_as_the_row_forms_do(tmp_path, monkeypatch, case
     plain = case not in ("comma-in-id", "one-long-id", "nul-in-id")
     if case in ("one-long-id", "nul-in-id"):  # the reader must give up before it gathers anything
         monkeypatch.setattr(pio, "sliding_window_view", None)
-    assert (pio._plain_preferences(path.read_bytes(), M) is not None) == plain
+    assert (pio._plain_parts(path.read_bytes(), M) is not None) == plain
     monkeypatch.undo()
     assert outcome(lambda p: pk.load_preferences(p, CATALOG), path) == outcome(per_row_reader, path)
 
@@ -169,7 +169,7 @@ def test_edge_ids_load_and_write_as_the_row_forms_do(tmp_path, monkeypatch, case
     columns = [np.array([-1, 10, 200]), ["c", "d,e", ""]]
     header = ["user_id", "a", "b"]
     for prefs in matrices:
-        cells = [prefs.user_ids, *(prefs.data[:, j] for j in range(M))]
+        cells = [prefs.user_ids, *(dense(prefs)[:, j] for j in range(M))]
         expected = written(pio.write_csv, tmp_path / "expected.csv", ["user_id", *prefs.column_labels], cells)
         assert written(lambda p: pk.write_preferences(prefs, p), tmp_path / "plain.csv") == expected
         per_user = [prefs.user_ids, *(np.asarray(column, dtype=object)[keys] for column in columns)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import _top_items_argsort, design_all_loop, design_all_rows
+from oracles import _top_items_argsort, dense, design_all_loop, design_all_rows
 
 
 def prefs_from(rows):
@@ -118,7 +118,7 @@ class TestDesignAll:
     def test_single_cluster_gives_global_top_ten(self, survey, catalog20, constraint):
         prefs, _, _ = survey
         kits = pk.design_all(prefs, one_cluster(prefs), catalog20, constraint)
-        expected = _top_items_argsort(prefs.data.sum(axis=0), np.arange(prefs.m), constraint.total)
+        expected = _top_items_argsort(dense(prefs).sum(axis=0), np.arange(prefs.m), constraint.total)
         assert len(kits) == 1
         assert kits[0].items == frozenset(expected)
 
@@ -155,7 +155,7 @@ class TestDesignAll:
         rng = np.random.default_rng(67)
         for trial in range(60):
             n = int(rng.integers(1, prefs.n + 1))
-            rows = prefs.data[:n] if trial % 2 else rng.integers(0, 2, size=(n, 20))  # survey or random rows
+            rows = dense(prefs)[:n] if trial % 2 else rng.integers(0, 2, size=(n, 20))  # survey or random rows
             sub = prefs_from(rows)
             d = len(sub.distinct.rows)
             ids = rng.choice(10**6, size=int(rng.integers(1, 12)), replace=False)  # sparse cluster ids

@@ -10,6 +10,7 @@ import prefkit as pk
 from oracles import (
     _sq_distances_loop,
     compute_centroids_loop,
+    dense,
     design_all_loop,
     run_kmeans_loop,
     run_kmeans_rows,
@@ -58,7 +59,7 @@ class TestInitCentroids:
         prefs = prefs_from([[1, 0], [0, 1], [1, 1], [0, 0]])
         centroids = pk.init_centroids(prefs, 4, seed=7)
         got = sorted(map(tuple, centroids.astype(int).tolist()))
-        want = sorted(map(tuple, prefs.data.tolist()))
+        want = sorted(map(tuple, dense(prefs).tolist()))
         assert got == want
 
     def test_k_one_picks_a_row(self):
@@ -81,7 +82,7 @@ class TestInitCentroids:
 
 def closest(prefs, centroids):
     """Nearest centroid per row from ``_nearest``, the screened full pass of ``_assign``."""
-    rows = prefs.data.astype(float)
+    rows = dense(prefs).astype(float)
     return pk.kmeans._nearest(rows, rows.sum(axis=1), np.asarray(centroids, dtype=float))[0]
 
 
@@ -142,18 +143,18 @@ class TestComputeCentroids:
     def test_undamped_update_is_plain_mean(self):
         prefs = prefs_from([[0, 0], [1, 1]])
         # Both rows in cluster 0 with damping 1: centroid becomes the mean.
-        out = update(prefs.data, np.array([0, 0]), np.array([[5.0, 5.0]]), 1.0)
+        out = update(dense(prefs), np.array([0, 0]), np.array([[5.0, 5.0]]), 1.0)
         np.testing.assert_allclose(out, [[0.5, 0.5]])
 
     def test_damped_update_blends_with_previous(self):
         prefs = prefs_from([[1, 1]])
-        out = update(prefs.data, np.array([0]), np.array([[0.0, 0.0]]), 0.3)
+        out = update(dense(prefs), np.array([0]), np.array([[0.0, 0.0]]), 0.3)
         np.testing.assert_allclose(out, [[0.3, 0.3]])
 
     def test_empty_cluster_reseeded_to_farthest_row(self):
         prefs = prefs_from([[0, 0], [0, 1], [1, 1]])
         idx = np.array([0, 0, 0])
-        out = update(prefs.data, idx, np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
+        out = update(dense(prefs), idx, np.array([[0.0, 0.0], [9.0, 9.0]]), 1.0)
         # Cluster 0 moves to the mean; row (1,1) is farthest from it.
         np.testing.assert_allclose(out[0], [1 / 3, 2 / 3])
         np.testing.assert_allclose(out[1], [1.0, 1.0])
@@ -162,7 +163,7 @@ class TestComputeCentroids:
         prefs = prefs_from([[0, 0], [0, 1], [1, 1]])
         idx = np.array([0, 0, 0])
         prev = np.array([[0.0, 0.0], [9.0, 9.0], [8.0, 8.0]])
-        out = update(prefs.data, idx, prev, 1.0)
+        out = update(dense(prefs), idx, prev, 1.0)
         donors = {tuple(out[1]), tuple(out[2])}
         assert len(donors) == 2
         assert donors <= {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
@@ -177,7 +178,7 @@ class TestComputeCentroids:
             idx = rng.integers(0, max(1, k // 3) if trial % 2 else k, size=n)
             prev = rng.random((k, 10))
             damping = float(rng.uniform(0.05, 1.0))
-            out = update(prefs.data, idx, prev, damping)
+            out = update(dense(prefs), idx, prev, damping)
             assert np.array_equal(out, compute_centroids_loop(prefs, idx, prev, damping))
             most_empties = max(most_empties, k - len(np.unique(idx)))
         assert most_empties >= 5
@@ -208,7 +209,7 @@ class TestRunKmeans:
         prefs, _ = two_clouds()
         for seed in range(5):
             run = pk.run_kmeans(prefs, pk.KMeansConfig(k=3, damping=0.3, seed=seed))
-            d2 = ((prefs.data[:, None, :] - run.centroids[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((dense(prefs)[:, None, :] - run.centroids[None, :, :]) ** 2).sum(axis=2)
             assert (run.idx == np.argmin(d2, axis=1)).all()
 
     def test_undamped_wcss_never_increases(self):
@@ -534,7 +535,7 @@ class TestSweep:
             for t in range(table.trials):
                 run = pk.run_kmeans(prefs, replace(config, k=k, seed=pk.derive_seed(config.seed, "sweep", k, t)))
                 assert table.scores[row, t] == pk.silhouette(prefs, run).macro_average
-                assert abs(table.scores[row, t] - silhouette_loop(prefs.data, run.idx, k)[2]) <= 1e-12
+                assert abs(table.scores[row, t] - silhouette_loop(dense(prefs), run.idx, k)[2]) <= 1e-12
                 assert table.iterations[row, t] == run.iterations_used
                 assert table.converged[row, t] == run.converged
                 assert table.wcss[row, t] == run.wcss_trace[-1]

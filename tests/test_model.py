@@ -3,6 +3,9 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import prefkit as pk
 from prefkit import io as pio
@@ -10,7 +13,7 @@ from prefkit import model
 from prefkit.cli import main
 
 from conftest import CATALOG_PATH
-from oracles import unique_by_first_np
+from oracles import dense, unique_by_first_np
 
 
 def write(path, text):
@@ -103,7 +106,7 @@ class TestLoadPreferences:
         prefs = pk.load_preferences(path, small_catalog)
         assert prefs.n == 2 and prefs.m == 4
         assert prefs.user_ids == ("u1", "u2")
-        assert prefs.data.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
+        assert dense(prefs).tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
 
     def test_survey_scale(self, tmp_path, catalog20, survey):
         prefs, _, _ = survey
@@ -166,8 +169,7 @@ class TestLoadPreferences:
 def assert_same_matrix(a, b):
     assert a.user_ids == b.user_ids
     assert a.column_labels == b.column_labels
-    assert a.data.dtype == b.data.dtype and np.array_equal(a.data, b.data)
-    assert a.data.flags.c_contiguous and not a.data.flags.writeable
+    assert dense(a).dtype == dense(b).dtype and np.array_equal(dense(a), dense(b))
 
 
 HEADER = "user_id,Rice,Oil,Salt,Sugar\n"
@@ -195,11 +197,11 @@ class TestPlainFormReader:
     def test_matches_row_reader(self, tmp_path, small_catalog, text, plain):
         path = write(tmp_path / "prefs.csv", text)
         raw = path.read_bytes()
-        fast = pio._plain_preferences(raw, small_catalog.m)
+        fast = pio._plain_parts(raw, small_catalog.m)
         rows = pio._preferences_from_rows(path, pio._csv_rows(path, raw), small_catalog.m)
         assert (fast is not None) == plain
         if plain:
-            assert_same_matrix(fast, rows)
+            assert_same_matrix(pk.PreferenceMatrix(*fast), rows)
         assert_same_matrix(pk.load_preferences(path, small_catalog), rows)
 
     def test_synth_survey_takes_plain_path(self, tmp_path, catalog20, monkeypatch):
@@ -221,7 +223,7 @@ def outcome(load, path):
         prefs = load(path)
     except pk.PrefkitError as exc:
         return type(exc), str(exc)
-    return prefs.user_ids, prefs.column_labels, prefs.data.tolist()
+    return prefs.user_ids, prefs.column_labels, dense(prefs).tolist()
 
 
 class TestPlainFormIds:
@@ -248,10 +250,11 @@ class TestPlainFormIds:
         cells = ["1,0,1,0", "0,1,0,1", "1,1,0,0"]
         path = write(tmp_path / "prefs.csv", HEADER + "".join(f"{uid},{row}\n" for uid, row in zip(ids, cells)))
         raw = path.read_bytes()
-        fast = pio._plain_preferences(raw, small_catalog.m)
+        fast = pio._plain_parts(raw, small_catalog.m)
         assert (fast is not None) == plain
         if plain:
-            assert fast.id_block is not None and fast.user_ids == tuple(ids)
+            prefs = pk.PreferenceMatrix(*fast)
+            assert prefs.id_block is not None and prefs.user_ids == tuple(ids)
         def per_row(p):
             return pio._preferences_from_rows(p, pio._csv_rows(p, p.read_bytes()), small_catalog.m)
 
@@ -260,7 +263,7 @@ class TestPlainFormIds:
     def test_invalid_utf8_in_an_id_fails_as_the_row_reader_does(self, tmp_path, small_catalog):
         path = tmp_path / "prefs.csv"
         path.write_bytes(HEADER.encode() + b"u1,1,0,1,0\nu\xc3,0,1,0,1\n\xbcu,1,1,0,0\n")
-        assert pio._plain_preferences(path.read_bytes(), small_catalog.m) is None
+        assert pio._plain_parts(path.read_bytes(), small_catalog.m) is None
         with pytest.raises(pk.TextFormatError, match=r"prefs\.csv:3: byte 0xc3 is not valid UTF-8"):
             pk.load_preferences(path, small_catalog)
 
@@ -306,11 +309,6 @@ class TestPreferenceMatrix:
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValueError):
             pk.PreferenceMatrix(("u1", "u2"), np.array([[0, 1]]))
-
-    def test_data_is_read_only(self):
-        prefs = pk.PreferenceMatrix(("u1",), np.array([[0, 1]]))
-        with pytest.raises(ValueError):
-            prefs.data[0, 0] = 1
 
 
 class TestDistinctRows:
@@ -375,7 +373,7 @@ class TestDistinctRows:
             with pytest.raises(ValueError):
                 arr[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
-            prefs.data = np.zeros((2, 2))
+            prefs.distinct = prefs.distinct
 
     def test_no_rows_and_no_columns(self):
         rows, weights, inverse, _ = pk.PreferenceMatrix((), np.zeros((0, 4))).distinct
@@ -396,18 +394,50 @@ class TestDenseAndPlainFormAgree:
     def test_distinct_first_and_data_agree(self, tmp_path, n, m, patterns):
         rng = np.random.default_rng(n + m + patterns)
         data = rng.integers(0, 2, size=(patterns, m))[rng.integers(0, patterns, size=n)]
-        dense = pk.PreferenceMatrix(tuple(f"u{i}" for i in range(n)), data)
+        from_rows = pk.PreferenceMatrix(tuple(f"u{i}" for i in range(n)), data)
         path = tmp_path / "prefs.csv"
-        pk.write_preferences(dense, path)
-        plain = pio._plain_preferences(path.read_bytes(), m)
-        assert plain is not None and plain.id_block is not None
-        for ours, theirs in zip(dense.distinct, plain.distinct):
+        pk.write_preferences(from_rows, path)
+        parts = pio._plain_parts(path.read_bytes(), m)
+        assert parts is not None
+        plain = pk.PreferenceMatrix(*parts)
+        assert plain.id_block is not None
+        for ours, theirs in zip(from_rows.distinct, plain.distinct):
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
-        rows, weights, inverse, first = dense.distinct
+        rows, weights, inverse, first = from_rows.distinct
         assert np.array_equal(first, np.unique(inverse, return_index=True)[1])  # each row's first user
         assert np.array_equal(rows, data[first]) and weights.sum() == n
-        assert np.array_equal(dense.data, data) and np.array_equal(plain.data, data)
-        assert dense.data.dtype == plain.data.dtype == np.int8
+        assert np.array_equal(dense(from_rows), data) and np.array_equal(dense(plain), data)
+        assert dense(from_rows).dtype == dense(plain).dtype == np.int8
+
+
+def binary_rows(count, m):
+    return hnp.arrays(np.int8, st.tuples(count, st.just(m)), elements=st.integers(0, 1))
+
+
+class TestHamming:
+    """The blocked float64 product against a direct comparison of every pair of rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_pairwise_comparison(self, data):
+        m = data.draw(st.integers(0, 12) | st.integers(250, 300), label="m")
+        rows = data.draw(binary_rows(st.integers(0, 9), m), label="rows")
+        others = data.draw(binary_rows(st.integers(1, 7), m), label="others")
+        dtype = data.draw(st.sampled_from([np.dtype(np.int64), np.min_scalar_type(m)]), label="dtype")
+        # From one row per block up to three, so that blocks split the rows unevenly.
+        block_floats = data.draw(st.integers(1, 3 * len(others)), label="block_floats")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_BLOCK_FLOATS", block_floats)
+            got = model._hamming(rows, others, dtype)
+        assert got.dtype == dtype and np.array_equal(got, (rows[:, None] != others[None]).sum(axis=2))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    @pytest.mark.parametrize("block_floats", [1, 2, 2**16])
+    def test_against_one_row(self, monkeypatch, dtype, block_floats):
+        rows = np.random.default_rng(block_floats).integers(0, 2, size=(7, 20))
+        monkeypatch.setattr(model, "_BLOCK_FLOATS", block_floats)
+        got = model._hamming(rows, rows[3:4], dtype)
+        assert got.dtype == dtype and np.array_equal(got, (rows != rows[3]).sum(axis=1, keepdims=True))
 
 
 class TestSelectionConstraint:
@@ -461,7 +491,7 @@ class TestValidateConstraint:
         for catalog in (catalog20, catalog20_interleaved):
             expensive = set(catalog.ids_in(pk.Category.EXPENSIVE))
             expected = []
-            for i, row in enumerate(prefs.data.tolist()):
+            for i, row in enumerate(dense(prefs).tolist()):
                 e = sum(v for j, v in enumerate(row) if j in expensive)
                 c = sum(row) - e
                 if (e, c) != (constraint.expensive_quota, constraint.cheap_quota):
@@ -477,8 +507,8 @@ class TestValidateConstraint:
         prefs, _, _ = survey
         assert pk.validate_constraint(prefs, catalog20, constraint) == []
         expensive = list(catalog20.ids_in(pk.Category.EXPENSIVE))
-        assert (prefs.data.sum(axis=1) == constraint.total).all()
-        assert (prefs.data[:, expensive].sum(axis=1) == constraint.expensive_quota).all()
+        assert (dense(prefs).sum(axis=1) == constraint.total).all()
+        assert (dense(prefs)[:, expensive].sum(axis=1) == constraint.expensive_quota).all()
 
 
 def test_package_exports_each_imported_name_once():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import prefkit as pk
+from oracles import dense
 
 
 def fake_truncated(u=None, vt=None, rank=None):
@@ -32,12 +33,12 @@ class TestUserSignClusters:
 
     def test_non_negative_matrix_rank_one_single_cluster(self, survey):
         prefs, _, _ = survey
-        t = pk.truncate(pk.svd(prefs.data.astype(float)), 1)
+        t = pk.truncate(pk.svd(dense(prefs).astype(float)), 1)
         assert pk.user_sign_clusters(t).n_clusters == 1
 
     def test_survey_scale_rank_four_at_most_eight(self, survey):
         prefs, _, _ = survey
-        t = pk.truncate(pk.svd(prefs.data.astype(float)), 4)
+        t = pk.truncate(pk.svd(dense(prefs).astype(float)), 4)
         assert pk.user_sign_clusters(t).n_clusters <= 8
 
     def test_cluster_ids_by_first_occurrence(self):
@@ -101,13 +102,13 @@ class TestItemSignClusters:
 
     def test_non_negative_matrix_rank_one_single_cluster(self, survey):
         prefs, _, _ = survey
-        t = pk.truncate(pk.svd(prefs.data.astype(float)), 1)
+        t = pk.truncate(pk.svd(dense(prefs).astype(float)), 1)
         assert pk.item_sign_clusters(t).n_clusters == 1
 
     def test_high_rank_fragments_towards_singletons(self, survey):
         # Item clustering degrades as rank grows: most clusters end up tiny.
         prefs, _, _ = survey
-        f = pk.svd(prefs.data.astype(float))
+        f = pk.svd(dense(prefs).astype(float))
         counts = dict(pk.cluster_count_table(pk.item_sign_clusters(pk.truncate(f, 12))))
         assert counts[12] >= counts[4]
         assert counts[12] > prefs.m // 2
@@ -122,7 +123,7 @@ def refines(fine: pk.SignClustering, coarse: pk.SignClustering) -> bool:
 class TestClusterCountTable:
     def test_non_negative_matrices_obey_halved_bound(self, survey):
         prefs, _, _ = survey
-        f = pk.svd(prefs.data.astype(float))
+        f = pk.svd(dense(prefs).astype(float))
         table = pk.cluster_count_table(pk.user_sign_clusters(pk.truncate(f, 8)))
         assert table[0] == (1, 1)
         for r, count in table[1:]:
@@ -149,7 +150,7 @@ class TestClusterCountTable:
         # Reference: code the elements afresh at every rank.  The 80 x 70
         # matrix reaches rank 70, where the codes are Python integers.
         rng = np.random.default_rng(43)
-        matrices = [survey[0].data.astype(float)] + [
+        matrices = [dense(survey[0]).astype(float)] + [
             rng.integers(0, 2, size=(40, 10)).astype(float) for _ in range(5)
         ] + [rng.normal(size=(80, 70))]
         for a in matrices:
@@ -188,7 +189,7 @@ class TestClusterCountTable:
 
     def test_every_element_in_exactly_one_cluster(self, survey):
         prefs, _, _ = survey
-        t = pk.truncate(pk.svd(prefs.data.astype(float)), 4)
+        t = pk.truncate(pk.svd(dense(prefs).astype(float)), 4)
         clustering = pk.user_sign_clusters(t)
         assert clustering.labels.shape == (prefs.n,)
         assert sorted(set(clustering.labels.tolist())) == list(range(clustering.n_clusters))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import prefkit as pk
-from oracles import singular_values_charpoly, svd_rows
+from oracles import dense, singular_values_charpoly, svd_rows
 
 
 def random_binary(rng, n, m):
@@ -78,7 +78,7 @@ class TestSvdContract:
 
     def test_perron_column_non_negative_for_non_negative_input(self, survey):
         prefs, _, _ = survey
-        f = pk.svd(prefs.data.astype(float))
+        f = pk.svd(dense(prefs).astype(float))
         assert (f.u[:, 0] >= 0).all()
         rng = np.random.default_rng(21)
         for _ in range(10):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import prefkit as pk
-from oracles import generate_synthetic_loop, random_kits_scan
+from oracles import dense, generate_synthetic_loop, random_kits_scan
 
 
 def planted_fixture(catalog, constraint, n_users=40, noise=0, seed=11, n_kits=4):
@@ -18,7 +18,7 @@ def assert_same_population(got, expected):
     (prefs, planted), (ref_prefs, ref_planted) = got, expected
     assert prefs.user_ids == ref_prefs.user_ids
     assert prefs.column_labels == ref_prefs.column_labels
-    assert np.array_equal(prefs.data, ref_prefs.data)
+    assert np.array_equal(dense(prefs), dense(ref_prefs))
     assert planted.dtype == ref_planted.dtype and np.array_equal(planted, ref_planted)
 
 
@@ -117,18 +117,18 @@ class TestGenerateSynthetic:
             prefs, planted = pk.generate_synthetic(spec, catalog, constraint)
             assert_same_population((prefs, planted), generate_synthetic_loop(spec, catalog))
             expensive = list(catalog.ids_in(pk.Category.EXPENSIVE))
-            assert (prefs.data[:, expensive] == 1).all()
+            assert (dense(prefs)[:, expensive] == 1).all()
 
     def test_no_noise_rows_equal_planted_kits(self, catalog20, constraint):
         prefs, planted, kits = planted_fixture(catalog20, constraint, noise=0)
         for i in range(prefs.n):
             expected = kits[planted[i]].indicator(catalog20.m)
-            assert (prefs.data[i] == expected).all()
+            assert (dense(prefs)[i] == expected).all()
 
     def test_same_seed_same_output(self, catalog20, constraint):
         a_prefs, a_planted, _ = planted_fixture(catalog20, constraint, noise=1, seed=3)
         b_prefs, b_planted, _ = planted_fixture(catalog20, constraint, noise=1, seed=3)
-        assert (a_prefs.data == b_prefs.data).all()
+        assert (dense(a_prefs) == dense(b_prefs)).all()
         assert (a_planted == b_planted).all()
         assert a_prefs.user_ids == b_prefs.user_ids
 
@@ -141,11 +141,11 @@ class TestGenerateSynthetic:
             ids = list(catalog20.ids_in(category))
             for i in range(prefs.n):
                 kit_vec = kits[planted[i]].indicator(catalog20.m)
-                dropped = [q for q in ids if kit_vec[q] == 1 and prefs.data[i, q] == 0]
-                added = [q for q in ids if kit_vec[q] == 0 and prefs.data[i, q] == 1]
+                dropped = [q for q in ids if kit_vec[q] == 1 and dense(prefs)[i, q] == 0]
+                added = [q for q in ids if kit_vec[q] == 0 and dense(prefs)[i, q] == 1]
                 assert len(dropped) == 1 and len(added) == 1
         hamming = np.abs(
-            prefs.data - np.stack([kits[g].indicator(catalog20.m) for g in planted])
+            dense(prefs) - np.stack([kits[g].indicator(catalog20.m) for g in planted])
         ).sum(axis=1)
         assert (hamming == 4).all()
 
