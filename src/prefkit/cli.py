@@ -198,7 +198,10 @@ ARTIFACTS: dict[str, Callable[[Stages], Callable[[Path], None]]] = {
         ([v.row_index, v.user_id, v.expensive_count, v.cheap_count] for v in s.violations),
     ),
     "preferences.csv": lambda s: partial(write_preferences, s.population[0]),
-    "ground_truth.csv": lambda s: _csv(["user_id", "planted_kit"], [s.population[0].user_ids, s.population[1]]),
+    "ground_truth.csv": lambda s: partial(
+        write_user_csv, header=["user_id", "planted_kit"], prefs=s.population[0],
+        columns=[np.arange(len(s.planted_kits))], keys=s.population[1],
+    ),
     "planted_kits.json": lambda s: partial(_write_kits_json, s.planted_kits),
     "sweep_table.csv": lambda s: _csv(
         ["k", *(f"trial_{t + 1}" for t in range(s.sweep_table.trials))],

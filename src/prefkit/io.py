@@ -12,8 +12,9 @@ the CSV reader cannot split into rows, raises ``TextFormatError`` naming
 A plain-form preference file is read as one byte buffer: its cells as one
 n x m block of two-byte cells, and its user ids as one zero-padded
 ``ByteBlock`` gathered from the window that ends at each id.  The ids stay
-bytes from the reader to the per-user writers; they are decoded to str only
-when ``PreferenceMatrix.user_ids`` is read.
+bytes from the reader (or the synthetic generator, which builds them as a
+block too) to the per-user writers; they are decoded to str only when
+``PreferenceMatrix.user_ids`` is read.
 
 Writers work a column at a time: ``write_csv`` turns each column into its
 fields once and writes the joined rows in blocks.  The per-user files are

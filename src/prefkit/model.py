@@ -130,11 +130,12 @@ class ByteBlock:
     String i is the last ``lengths[i]`` bytes of ``rows[i]``; the bytes
     before it are zero.  The plain-form reader gathers its user ids as one
     block, row i being the window of whole 8-byte words that ends where
-    line i's cells start.  Its uniqueness check keys the rows as they are,
-    and the per-user writers copy them in front of each line's cells, so
-    that every line is one contiguous run of its row.  The writers gather
-    str ids the same way from their encoded bytes, a block of lines at a
-    time.
+    line i's cells start; the synthetic generator writes its ids digit by
+    digit into rows as wide as the longest id.  The reader's uniqueness
+    check keys the rows as they are, and the per-user writers copy them in
+    front of each line's cells, so that every line is one contiguous run of
+    its row.  The writers gather str ids the same way from their encoded
+    bytes, a block of lines at a time.
     """
 
     rows: np.ndarray
@@ -170,8 +171,9 @@ class DistinctRows(NamedTuple):
 class PreferenceMatrix:
     """n users by m items, entries 0/1, kept as the distinct rows found at construction.
 
-    The user ids are given as str, or by the plain-form reader as the
-    ``ByteBlock`` it read them in, kept as ``id_block`` (None for str ids).
+    The user ids are given as str, or as a ``ByteBlock`` (the one the
+    plain-form reader read them in, or the one the synthetic generator
+    builds), kept as ``id_block`` (None for str ids).
     ``user_ids`` is always the tuple of str, decoded from the block on first
     read.  ``column_labels`` preserves the header the matrix was loaded with
     so a load/write round trip is byte-identical.

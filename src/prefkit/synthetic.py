@@ -19,6 +19,12 @@ the whole stream is drawn by one ``integers(0, bounds)`` call over the
 bounds listed in the order above, user after user, which yields the same
 values and leaves the generator in the same state as the draws one by one.
 
+The rows are then built for all users at once, held item by item (m x n).
+A swap finds each user's drawn selected and unselected item with one
+counting pass over its tier's rows (no per-user sort), and the user ids
+``u0000``, ``u0001``, ... are written as one byte block, so the writers
+copy them as bytes and no str is made per user.
+
 Every generated row satisfies the selection constraint by construction.
 """
 
@@ -30,7 +36,7 @@ from math import comb, prod
 import numpy as np
 
 from .kits import Kit, validate_kit
-from .model import ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import ByteBlock, ItemCatalog, PreferenceMatrix, SelectionConstraint
 from .seeding import generator
 
 
@@ -105,23 +111,68 @@ def generate_synthetic(
     draws = generator(spec.seed).integers(0, np.tile(bounds, spec.n_users)).reshape(spec.n_users, -1)
 
     planted = draws[:, 0].copy()
-    data = np.stack([kit.indicator(catalog.m) for kit in spec.planted_kits])[planted]
-    users = np.arange(spec.n_users)
+    # Held item by item (m x n), so that a tier's items are rows.
+    by_item = np.stack([kit.indicator(catalog.m) for kit in spec.planted_kits], axis=1).astype(bool)
+    by_item = np.take(by_item, planted, axis=1)
+    offsets = np.arange(spec.n_users)
     col = 1
     for _, ids, quota in tiers:
-        pool = len(ids) - quota
+        if len(ids) == quota:  # no alternative item: each swap draws its drop and changes nothing
+            col += spec.noise_swaps
+            continue
+        block = by_item[ids]
+        cells = block.reshape(-1)  # the block as one flat view: user i's item j is cell j * n + i
         for _ in range(spec.noise_swaps):
-            if pool:
-                block = data[:, ids]
-                # Unselected ids first, then selected ones, each in ascending
-                # order.  On int8 a stable sort is a radix sort, which is slow
-                # for rows this short, so the rows are sorted as int32.
-                order = np.argsort(block.astype(np.int32), axis=1, kind="stable")
-                block[users, order[users, pool + draws[:, col]]] = 0
-                block[users, order[users, draws[:, col + 1]]] = 1
-                data[:, ids] = block
-            col += 2 if pool else 1
+            drop, add = _nth_items(block, draws[:, col], draws[:, col + 1])
+            cells[drop * spec.n_users + offsets] = False
+            cells[add * spec.n_users + offsets] = True
+            col += 2
+        by_item[ids] = block
+    del draws  # freed before the matrix finds its distinct rows
 
-    user_ids = tuple(f"u{i:04d}" for i in range(spec.n_users))
-    prefs = PreferenceMatrix(user_ids, data, catalog.names)
+    prefs = PreferenceMatrix(_user_ids(spec.n_users), by_item.T, catalog.names)
     return prefs, planted
+
+
+def _nth_items(block: np.ndarray, selected: np.ndarray, unselected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per user (column of the w x n bool ``block``), the row of its ``selected[i]``-th
+    True entry and of its ``unselected[i]``-th False entry, each counted from 0.
+
+    One pass over the rows keeps ``left``, the True entries still to pass
+    before the wanted one.  Row j lies before the wanted True entry exactly
+    when ``left >= 0`` after it, and before the wanted False entry exactly
+    when ``left < selected + unselected - j`` (rows 0..j hold
+    ``j + 1 - selected + left`` False entries).  So the number of rows that
+    pass each test is the wanted row.  The counters are n-sized, whatever
+    the width.
+    """
+    small = np.min_scalar_type(-len(block) - 1)  # holds every counter, from -w - 1 to w
+    left = selected.astype(small)
+    limit = left + unselected.astype(small)
+    drop, add = np.zeros(len(left), dtype=small), np.zeros(len(left), dtype=small)
+    for row in block:
+        left -= row
+        drop += left >= 0
+        add += left < limit
+        limit -= 1
+    return drop.astype(np.intp), add.astype(np.intp)
+
+
+def _user_ids(n: int) -> ByteBlock:
+    """The ids ``u0000``, ``u0001``, ... of n users as one right-aligned ``ByteBlock``.
+
+    An id is ``u`` and the user's number in at least four digits.  The users
+    whose numbers take d digits are one range of the block, written a digit
+    column at a time.
+    """
+    width = max(4, len(str(n - 1)))
+    rows = np.zeros((n, width + 1), dtype=np.uint8)
+    lengths = np.empty(n, dtype=np.int64)
+    numbers = np.arange(n)
+    for digits in range(4, width + 1):
+        span = slice(10 ** (digits - 1) if digits > 4 else 0, 10**digits)
+        lengths[span] = digits + 1
+        rows[span, width - digits] = ord("u")
+        for power in range(digits):
+            rows[span, width - power] = numbers[span] // 10**power % 10 + ord("0")
+    return ByteBlock(rows, lengths)

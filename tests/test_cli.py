@@ -36,15 +36,23 @@ def run_synth(tmp_path, name="synth", **overrides):
 
 
 class TestSynth:
-    @pytest.mark.parametrize("seed, digest", [
-        (0, "fca81f815e621efa3dc1d91cb578a51981c4c49446cd9237f03e4b1acd93658f"),
-        (3, "5aeedbe478af323efd6b4a0927e05e5c2ede2b6a5120f7e3aa9b4daeac5efdfc"),
+    @pytest.mark.parametrize("seed, digests", [
+        (0, {
+            "preferences.csv": "fca81f815e621efa3dc1d91cb578a51981c4c49446cd9237f03e4b1acd93658f",
+            "ground_truth.csv": "682758afefe685698c5b53ad6bf5ac2d5e6862bc82a7af8ea0b825ddae1eccc7",
+        }),
+        (3, {
+            "preferences.csv": "5aeedbe478af323efd6b4a0927e05e5c2ede2b6a5120f7e3aa9b4daeac5efdfc",
+            "ground_truth.csv": "2001bbe375779db6b5c2912940110c3d5cc061510e7663139c3345652f607c87",
+        }),
     ], ids=["seed0", "seed3"])
-    def test_100k_survey_bytes_are_pinned(self, tmp_path, seed, digest):
-        # The writer formats each distinct row once; the bytes must be those
-        # the per-user writer gave before it.
+    def test_100k_survey_bytes_are_pinned(self, tmp_path, seed, digests):
+        # The writers format each distinct row (or planted kit) once and copy
+        # the generated id block in front; the bytes must be those the
+        # per-user writer gave before it.  Only here do ids of five digits
+        # reach ground_truth.csv.
         out = run_synth(tmp_path, **{"--n-users": 100_000, "--n-kits": 8, "--seed": seed})
-        assert hashlib.sha256((out / "preferences.csv").read_bytes()).hexdigest() == digest
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests} == digests
 
     def test_100k_pipeline_per_user_files_are_pinned(self, tmp_path):
         # The per-user writers build each block of lines as one byte block
@@ -509,12 +517,12 @@ class TestCliContract:
         old = run_synth(tmp_path)
         before = {p.name: p.read_bytes() for p in old.iterdir()}
 
-        def full_disk(path, header, columns):  # ground_truth.csv, the second of synth's three files
+        def full_disk(path, header, prefs, columns, keys):  # ground_truth.csv, the second of synth's three files
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("user_id,planted_kit\n")
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("prefkit.cli.write_csv", full_disk)
+        monkeypatch.setattr("prefkit.cli.write_user_csv", full_disk)
         fresh = tmp_path / "new" / "synth"
         for out, extra in ((old, ["--force", "--seed", "8"]), (fresh, [])):
             assert main(["synth", "--catalog", str(CATALOG_PATH), "--out", str(out), *extra]) == 3

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,8 +99,10 @@ class TestDrawStream:
 
 class TestGenerateSynthetic:
     @pytest.mark.parametrize("noise", range(5))
-    def test_matches_per_user_loop(self, catalog20, catalog20_interleaved, constraint, noise):
-        for catalog in (catalog20, catalog20_interleaved):
+    def test_matches_per_user_loop(self, catalog20, catalog20_interleaved, catalog_factory, constraint, noise):
+        # Tiers of 20 and 17 items let a selection cross items 8 and 16 of
+        # its tier, the boundaries of any scheme that works a byte at a time.
+        for catalog in (catalog20, catalog20_interleaved, catalog_factory(20, 17)):
             kits = pk.random_kits(catalog, constraint, 8, seed=noise)
             spec = pk.SyntheticSpec(n_users=300, planted_kits=kits, noise_swaps=noise, seed=noise + 20)
             assert_same_population(
@@ -118,6 +121,30 @@ class TestGenerateSynthetic:
             assert_same_population((prefs, planted), generate_synthetic_loop(spec, catalog))
             expensive = list(catalog.ids_in(pk.Category.EXPENSIVE))
             assert (dense(prefs)[:, expensive] == 1).all()
+
+    @pytest.mark.parametrize("n_users", [10_001, 100_001])
+    def test_user_ids_are_one_block(self, catalog20, constraint, n_users):
+        # The ids pass from four to five (and six) digits inside the block.
+        kits = pk.random_kits(catalog20, constraint, 8, seed=0)
+        spec = pk.SyntheticSpec(n_users=n_users, planted_kits=kits, noise_swaps=1, seed=0)
+        prefs, _ = pk.generate_synthetic(spec, catalog20, constraint)
+        assert prefs.id_block is not None
+        assert prefs.user_ids == tuple(f"u{i:04d}" for i in range(n_users))
+
+    def test_peak_memory_per_user_stays_small(self, catalog20, constraint):
+        # About 150 bytes a user: the draws (freed before the dedup), the
+        # m x n bool population, the id block and the dedup's tables.  A
+        # per-row sort of each tier (an n x w int64 order and its int32 copy)
+        # and a str per user take it past 200.
+        kits = pk.random_kits(catalog20, constraint, 8, seed=1)
+        spec = pk.SyntheticSpec(n_users=50_000, planted_kits=kits, noise_swaps=1, seed=2)
+        tracemalloc.start()
+        try:
+            pk.generate_synthetic(spec, catalog20, constraint)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * spec.n_users, peak / spec.n_users
 
     def test_no_noise_rows_equal_planted_kits(self, catalog20, constraint):
         prefs, planted, kits = planted_fixture(catalog20, constraint, noise=0)
