@@ -25,7 +25,7 @@ Assignment keeps, per row, a lower bound on its distance to every centroid
 other than its own (Hamerly 2010): after each update the bound drops by the
 largest shift among those centroids, the second largest for rows whose own
 centroid moved most.  Every iteration measures each row's own-centroid
-distance exactly, into one preallocated buffer, and only a row whose
+distance exactly, and only a row whose
 ``sqrt(own) * (1 + eps) < lower * (1 - eps)`` fails goes through the full
 pass.  A row that skips has no other centroid within its bound, so no tie is
 possible and its label is what the full pass would give.  The shifts are
@@ -42,19 +42,35 @@ bounds the row's distance to the others.
 Silhouette scores 0/1 survey rows on their d distinct rows.  A sweep takes
 one d x d Hamming matrix from ``model._hamming``, in bytes while m <= 255
 (0.4 MB at d = 642), and each cell totals a distinct row's distances to
-every cluster as ``sqrt(hamming) @ members``, where ``members[j, c]`` counts
-the users of row j in cluster c.  Between 0/1 rows sqrt(hamming) is exactly the Euclidean
-distance, so a cell is within 1e-12 of the dense n x n sums; only the order
-of the additions differs.  Labels may split identical rows, so each
-(distinct row, label) pair is scored and weighed by its users.  The sweep
-then scores its (k, trial) cells in up to one process per usable CPU, forked
-after the matrix is built: each worker holds only its own k-means and
-silhouette temporaries and shares the matrix copy-on-write.  The cells wait
-in one queue, largest k first since a run's cost grows with k, and each
-worker pulls the next one when it is free, so a faster CPU scores more of
-them.  Every cell runs the same code on the same inputs, so the table is
-byte-identical to a one-process sweep.  Where ``os.fork`` or the CPU affinity
-is missing, the sweep runs in-process.
+every cluster as ``sqrt(hamming) @ members``, where ``members[j, c]``
+counts the users of row j in cluster c.  Between 0/1 rows sqrt(hamming) is
+exactly the Euclidean distance, so a cell is within 1e-12 of the dense
+n x n sums; only the order of the additions differs.  Labels may split
+identical rows, so each (distinct row, label) pair is scored and weighed
+by its users.  Cells are scored in groups whose member counts and sums fit
+in one block or in as many bytes as the matrix: each block of rows takes
+its square roots once per group, and each cell multiplies them by its own
+member counts in the same block shape, so its sums do not depend on the
+cells beside it.
+
+The sweep deals its (k, trial) cells round-robin, largest k first since a
+run's cost grows with k, into one batch per usable CPU, or more where a
+batch would hold over one block of (cell, distinct row) pairs.  The caller
+and one child per other CPU, forked after the matrix is built and sharing
+it copy-on-write, pull the batches from one queue; where ``os.fork`` or the
+CPU affinity is missing, the caller scores them all.  A batch advances
+the k-means runs of all its cells together: every (cell, distinct row)
+pair keeps its own label, Hamerly bound and own-centroid distance, the
+centroids are padded to the batch's largest k with a screened value of
++inf, and a cell that settles or reaches its ``max_iters`` takes its
+final assignment with the others' next pass and drops out.  The cluster
+sums are exact integers, so they move in any order, but each WCSS entry is
+its own cell's sum over the users in user order.  Every temporary is cut
+into blocks of ``_BLOCK_FLOATS`` floats, or of one cell's rows where those
+are more, so a batch holds O(cells * d) state plus a block, and at large d
+works one cell at a time.  A cell is thus computed exactly as ``run_kmeans`` and
+``silhouette`` compute it alone, and the table is byte-identical whatever
+the number of workers.
 """
 
 from __future__ import annotations
@@ -64,12 +80,12 @@ import pickle
 import signal
 import struct
 from dataclasses import dataclass, replace
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
 from .errors import PrefkitError
-from .model import PreferenceMatrix, _block_rows, _hamming
+from .model import _BLOCK_FLOATS, PreferenceMatrix, _block_rows, _hamming
 from .seeding import derive_seed, generator
 
 _EPS = 1e-9  # relative slack of the assignment bounds
@@ -132,51 +148,186 @@ def init_centroids(prefs: PreferenceMatrix, k: int, seed: int) -> np.ndarray:
     return rows[inverse[order[:k]]].astype(np.float64)
 
 
-def _nearest(rows: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centroid, lowest index on ties, and a lower bound on its distance to the others.
+def _nearest(
+    rows: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, ks: np.ndarray, cells: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each (cell, row) pair's nearest centroid, lowest index on ties, and a lower bound on its distance to the others.
 
-    ``sq_norms`` holds each row's ``|x|^2``, which only the bound needs.  The
-    screen's rounding is far below ``slack``, so where the exact distances
-    pick another centroid than the screen does, the two screened values lie
+    Pair p is row ``at[p]`` against the first ``ks[cells[p]]`` centroids of
+    ``centroids[cells[p]]``; the pairs come sorted by cell.  ``sq_norms``
+    holds each row's ``|x|^2``, which only the bound needs.  The pairs are
+    screened into one (centroid, pair) array of ``|c|^2 - 2 x.c``, one GEMM
+    per cell with its own k centroids and +inf past them.  The screen's
+    rounding is far below ``slack``, so where the exact distances pick
+    another centroid than the screen does, the two screened values lie
     within rounding of each other, and the screened second value, less the
     slack, still bounds the distance to every centroid but the label.
     """
-    slack = _EPS * (rows.shape[1] + 1)
-    approx = centroids @ rows.T
-    approx *= -2.0
-    approx += np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    slack, width, x = _EPS * (rows.shape[1] + 1), centroids.shape[1], rows[at]
+    scaled, norms = -2.0 * centroids, np.einsum("cij,cij->ci", centroids, centroids)
+    approx = np.empty((width, len(at)))
+    edges = [0, *(np.flatnonzero(cells[1:] != cells[:-1]) + 1), len(at)]
+    for a, b in zip(edges, edges[1:]):  # each cell's pairs against its own k centroids
+        c = cells[a]
+        k = ks[c]
+        np.matmul(scaled[c, :k], x[a:b].T, out=approx[:k, a:b])
+        approx[:k, a:b] += norms[c, :k, None]
+        approx[k:, a:b] = np.inf
     labels = approx.argmin(axis=0)
-    cols = np.arange(len(rows))
+    cols = np.arange(len(at))
     best = approx[labels, cols]
     approx[labels, cols] = np.inf
     second = approx.min(axis=0)  # inf where k = 1
     tied = np.flatnonzero(second <= best + 2 * slack)
     if tied.size:  # the exact distances of the centroids within 2 slack of the minimum decide
         approx[labels[tied], tied] = best[tied]
-        c, r = np.nonzero(approx[:, tied] <= best[tied] + 2 * slack)
-        diff = rows[tied[r]] - centroids[c]
-        exact = np.full((len(centroids), tied.size), np.inf)
-        exact[c, r] = np.einsum("ij,ij->i", diff, diff)
+        j, r = np.nonzero(approx[:, tied] <= best[tied] + 2 * slack)
+        diff = x[tied[r]] - centroids[cells[tied[r]], j]
+        exact = np.full((width, tied.size), np.inf)
+        exact[j, r] = np.einsum("ij,ij->i", diff, diff)
         labels[tied] = exact.argmin(axis=0)
-    return labels, np.sqrt(np.maximum(second + sq_norms - slack, 0.0))
+    return labels, np.sqrt(np.maximum(second + sq_norms[at] - slack, 0.0))
 
 
 def _update(
-    centroids: np.ndarray, sums: np.ndarray, damping: float, rows: np.ndarray, labels: np.ndarray, inverse: np.ndarray
+    centroids: np.ndarray,
+    sums: np.ndarray,
+    damping: np.ndarray,
+    valid: np.ndarray,
+    rows: np.ndarray,
+    slots: np.ndarray,
+    inverse: np.ndarray,
 ) -> np.ndarray:
-    """The damped step from each cluster's row sums, weighted by users, whose last column counts its users."""
-    counts = sums[:, -1:]
+    """Each cell's damped step from its clusters' row sums, weighted by users, whose last column counts the users.
+
+    ``damping`` holds one value per cell, and only the clusters marked
+    ``valid`` are a cell's own: the others stay zero.  Row j of cell c is in
+    the cluster at ``slots[c, j]`` of the cells' concatenated clusters.
+    """
+    counts = sums[:, :, -1:]
     # The sums are exact integers, so a filled cluster's mean is bit for bit its mean user row.
-    new = (1.0 - damping) * centroids + damping * (sums[:, :-1] / np.maximum(counts, 1.0))
-    empties = np.flatnonzero(counts == 0)
-    if empties.size:
-        dist_own = np.linalg.norm(rows - new[labels], axis=1)[inverse]
+    new = (1.0 - damping) * centroids + damping * (sums[:, :, :-1] / np.maximum(counts, 1.0))
+    empty = (counts[:, :, 0] == 0) & valid
+    for c in np.flatnonzero(empty.any(axis=1)):
+        dist_own = np.linalg.norm(rows - new.reshape(-1, rows.shape[1])[slots[c]], axis=1)[inverse]
         donated = np.zeros(len(inverse), dtype=bool)
-        for j in empties:
+        for j in np.flatnonzero(empty[c]):
             donor = int(np.argmax(np.where(donated, -np.inf, dist_own)))
-            new[j] = rows[inverse[donor]]
+            new[c, j] = rows[inverse[donor]]
             donated[donor] = True
     return new
+
+
+def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tuple]:
+    """``run_kmeans`` for every config, advancing all the runs together one iteration at a time.
+
+    Each run comes back as its centroids, one label per distinct row, its
+    iteration count, whether it converged, and its WCSS trace.
+
+    Each live (run, distinct row) pair keeps its own label, Hamerly bound
+    and own-centroid distance; the centroids of every run are padded to the
+    largest k, and a pair's label is kept as its slot in the runs'
+    concatenated centroids.  A run that settles or reaches its
+    ``max_iters`` takes its final assignment with the next pass of the
+    others and drops out.
+    """
+    distinct = prefs.distinct
+    rows, inverse = distinct.rows.astype(np.float64), distinct.inverse
+    (d, m), cells = rows.shape, len(configs)
+    ids, ks = np.arange(cells), np.array([config.k for config in configs])
+    damping = np.array([config.damping for config in configs])[:, None, None]
+    max_iters = np.array([config.max_iters for config in configs])
+    centroids = np.zeros((cells, ks.max(), m))
+    for c, config in enumerate(configs):
+        centroids[c, : config.k] = init_centroids(prefs, config.k, config.seed)
+    slots = np.repeat(np.arange(cells) * ks.max(), d).reshape(cells, d)  # every row starts in cluster 0
+    lower = np.zeros((cells, d))  # a zero bound sends every row through the first full pass
+    own = np.empty((cells, d))
+    sq_norms = rows.sum(axis=1)  # |x|^2 of a 0/1 row
+    weighted = np.column_stack([rows, np.ones(d)]) * distinct.weights[:, None]
+    sums = np.zeros((cells, ks.max(), m + 1))
+    sums[:, 0] = weighted.sum(axis=0)
+    per_block = _block_rows(d * m)
+    stopped = converged = np.zeros(cells, dtype=bool)  # the runs whose next assignment is their last
+    valid = np.arange(ks.max()) < ks[:, None]  # each run's own clusters
+    cluster_slots = np.arange(cells * ks.max()).reshape(cells, -1, 1)
+    traces: list[list[float]] = [[] for _ in configs]
+    runs: list[tuple] = [()] * cells
+    iteration = 0
+
+    def assign() -> None:
+        """Relabel the pairs failing the bound test, refresh their ``lower`` and ``own``, and move their users' sums."""
+        flat, flat_sums = centroids.reshape(-1, m), sums.reshape(-1)
+        flat_slots, flat_lower, flat_own = slots.reshape(-1), lower.reshape(-1), own.reshape(-1)
+        for lo in range(0, len(ids), per_block):
+            diff = np.take(flat, slots[lo : lo + per_block], axis=0, mode="clip")
+            np.subtract(rows, diff, out=diff)
+            np.einsum("cij,cij->ci", diff, diff, out=own[lo : lo + per_block])
+            del diff
+        test = np.sqrt(own)
+        test *= 1 + _EPS
+        full = np.flatnonzero(test >= lower * (1 - _EPS))
+        del test
+        width = centroids.shape[1]
+        chunk = max(d, _block_rows(max(2 * width + 2 * m, 5 * m + 5)))  # a chunk's screen and rows, or its sum keys
+        for lo in range(0, len(full), chunk):
+            pairs = full[lo : lo + chunk]
+            cell, at = np.divmod(pairs, d)
+            near, flat_lower[pairs] = _nearest(rows, sq_norms, centroids, ks, cell, at)
+            near += cell * width
+            changed = np.flatnonzero(near != flat_slots[pairs])
+            if not changed.size:
+                continue
+            pairs, cell, at, near = pairs[changed], cell[changed], at[changed], near[changed]
+            old, flat_slots[pairs] = flat_slots[pairs], near
+            diff = rows[at] - flat[near]
+            flat_own[pairs] = np.einsum("ij,ij->i", diff, diff)
+            moved = weighted[at]  # in at its new cluster, out at its old: exact integers, in any order
+            if cell[0] == cell[-1]:  # one cell's pairs: one GEMM of their one-hot differences
+                local = cluster_slots[cell[0]]
+                sums[cell[0]] += ((near == local).astype(np.float64) - (old == local)) @ moved
+            else:  # every cell at once, by flat (cluster, column) keys
+                keys = (np.concatenate([near, old]) * (m + 1))[:, None] + np.arange(m + 1)
+                signed = np.concatenate([moved, -moved])
+                flat_sums += np.bincount(keys.ravel(), signed.ravel(), minlength=flat_sums.size)
+
+    while len(ids):
+        assign()
+        if stopped.any():
+            width = centroids.shape[1]
+            for c in np.flatnonzero(stopped):
+                final = centroids[c, : ks[c]].copy(), slots[c] - c * width  # copies, so the batch's state can be freed
+                runs[ids[c]] = (*final, iteration, bool(converged[c]), traces[ids[c]])
+            keep = ~stopped
+            ids, ks, damping, max_iters, slots, lower, own = (
+                a[keep] for a in (ids, ks, damping, max_iters, slots, lower, own)
+            )
+            if not len(ids):
+                break
+            centroids, sums = centroids[keep, : ks.max()], sums[keep, : ks.max()]
+            slots += (np.arange(len(ids)) * ks.max() - np.flatnonzero(keep) * width)[:, None]
+            valid = np.arange(ks.max()) < ks[:, None]
+            cluster_slots = np.arange(len(ids) * ks.max()).reshape(len(ids), -1, 1)
+        iteration += 1
+        per = _block_rows(len(inverse))
+        for lo in range(0, len(ids), per):  # each WCSS sums its users' distances in user order
+            totals = np.take(own[lo : lo + per], inverse, axis=1).sum(axis=1) if per > 1 else [own[lo][inverse].sum()]
+            for c, total in zip(ids[lo : lo + per].tolist(), totals):
+                traces[c].append(float(total))
+        new = _update(centroids, sums, damping, valid, rows, slots, inverse)
+        step = new - centroids
+        shifts = np.sqrt((step * step).sum(axis=2))  # bit for bit np.linalg.norm(step, axis=1) of each run
+        centroids = new
+        top, largest = shifts.argmax(axis=1), shifts.max(axis=1)
+        decay = np.repeat(largest, shifts.shape[1])  # each row's bound falls by its run's largest shift,
+        if shifts.shape[1] > 1:  # or by the runner-up where its own centroid moved most
+            decay[cluster_slots[:, 0, 0] + top] = np.partition(shifts, -2, axis=1)[:, -2]
+        decay = decay[slots]
+        decay *= 1 + _EPS
+        lower -= decay
+        converged = largest < _TOL
+        stopped = converged | (max_iters == iteration)
+    return runs
 
 
 def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
@@ -188,66 +339,10 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     iteration, the within-cluster sum of squared distances measured right
     after the assignment step.
     """
-    distinct = prefs.distinct
-    rows = distinct.rows.astype(np.float64)
-    d, k = len(rows), config.k
-    centroids = init_centroids(prefs, k, config.seed)
-    labels = np.zeros(d, dtype=np.intp)
-    lower = np.zeros(d)  # a zero bound sends every row through the first full pass
-    own, diff = np.empty(d), np.empty_like(rows)
-    sq_norms = rows.sum(axis=1)  # |x|^2 of a 0/1 row
-    weighted = np.column_stack([rows, np.ones(d)]) * distinct.weights[:, None]
-    sums = np.zeros((k, weighted.shape[1]))
-    sums[0] = weighted.sum(axis=0)  # every row starts in cluster 0
-    clusters = np.arange(k)[:, None]
-
-    def assign() -> tuple[np.ndarray, np.ndarray]:
-        """Relabel the rows failing the bound test, refresh ``lower`` and ``own``; return the moved rows, old labels."""
-        np.take(centroids, labels, axis=0, out=diff, mode="clip")
-        np.subtract(rows, diff, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=own)
-        full = np.flatnonzero(np.sqrt(own) * (1 + _EPS) >= lower * (1 - _EPS))
-        if not full.size:
-            return full, full
-        near, lower[full] = _nearest(rows[full], sq_norms[full], centroids)
-        changed = near != labels[full]
-        moved, old = full[changed], labels[full[changed]]
-        labels[moved] = near[changed]
-        moved_diff = rows[moved] - centroids[near[changed]]
-        own[moved] = np.einsum("ij,ij->i", moved_diff, moved_diff)
-        return moved, old
-
-    trace: list[float] = []
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
-        moved, old = assign()
-        trace.append(float(own[distinct.inverse].sum()))
-        if moved.size:
-            sums += ((labels[moved] == clusters).astype(np.float64) - (old == clusters)) @ weighted[moved]
-        new_centroids = _update(centroids, sums, config.damping, rows, labels, distinct.inverse)
-        step = new_centroids - centroids
-        shifts = np.sqrt((step * step).sum(axis=1))  # bit for bit np.linalg.norm(step, axis=1)
-        centroids = new_centroids
-        top = int(np.argmax(shifts))
-        runner_up = np.partition(shifts, -2)[-2] if k > 1 else 0.0
-        lower -= np.where(labels == top, runner_up, shifts[top]) * (1 + _EPS)
-        if shifts[top] < _TOL:
-            converged = True
-            break
-    assign()
-    idx = labels[distinct.inverse]
-    centroids.flags.writeable = False
-    idx.flags.writeable = False
-    return KMeansRun(
-        centroids=centroids,
-        idx=idx,
-        iterations_used=iterations,
-        converged=converged,
-        wcss_trace=tuple(trace),
-        config=config,
-    )
+    centroids, labels, iterations, converged, trace = _run_batch(prefs, [config])[0]
+    idx = labels[prefs.distinct.inverse]
+    centroids.flags.writeable = idx.flags.writeable = False
+    return KMeansRun(centroids, idx, iterations, converged, tuple(trace), config)
 
 
 def _widths(
@@ -269,33 +364,55 @@ def _widths(
     return width, per_cluster
 
 
-def _distinct_silhouette(prefs: PreferenceMatrix, ham: np.ndarray, labels: np.ndarray, k: int) -> SilhouetteReport:
-    """Silhouette of the users scored on their d distinct rows, given the rows' d x d Hamming matrix.
+def _silhouettes(
+    prefs: PreferenceMatrix, ham: np.ndarray, cells: list[tuple[np.ndarray, np.ndarray | None, int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Silhouette widths of clusterings scored on the d distinct rows, given their d x d Hamming matrix.
 
-    Labels may split identical rows, so each (distinct row, label) pair is
-    scored once and weighs as many users as it holds.  The distance between
-    rows h items apart is sqrt(h), exactly what the dense sums read.
+    Cell ``(keys, weights, k)`` puts ``weights[i]`` users (one where
+    ``weights`` is None) of distinct row ``keys[i] // k`` in cluster
+    ``keys[i] % k``.  Labels may split identical rows, so each (distinct row,
+    label) pair is scored once and weighs as many users as it holds.  The
+    distance between rows h items apart is sqrt(h), exactly what the dense
+    sums read.  Per cell this yields every pair's width by key (0 where the
+    pair holds no user), each cluster's mean width and their macro average.
+
+    The cells are scored in groups whose member counts and sums fit in one
+    block or in as many bytes as the matrix.  Each block of rows takes its
+    distances once per group, and each cell multiplies them by its own
+    member counts in the same block shape, so a cell's sums do not depend on
+    the cells scored beside it.
     """
-    d, sizes = len(ham), np.bincount(labels, minlength=k)
-    if int((sizes > 0).sum()) < 2:
-        raise ValueError("silhouette needs at least 2 non-empty clusters")
-    keys = prefs.distinct.inverse * k + labels
-    counts = np.bincount(keys, minlength=d * k)
-    members = counts.reshape(d, k).astype(np.float64)  # members[j, c]: users of row j in cluster c
-    roots = np.sqrt(np.arange(prefs.m + 1))
-    sums = np.empty((d, k))
-    step = _block_rows(d)
-    for lo in range(0, d, step):
-        sums[lo : lo + step] = roots[ham[lo : lo + step]] @ members
-    pairs = np.flatnonzero(counts)
-    row, label = np.divmod(pairs, k)
-    width, per_cluster = _widths(sums[row], label, counts[pairs], sizes)
-    by_key = np.zeros(d * k)
-    by_key[pairs] = width
-    per_user = by_key[keys]
-    for arr in (per_user, per_cluster):
-        arr.flags.writeable = False
-    return SilhouetteReport(per_user, per_cluster, float(per_cluster[sizes > 0].mean()))
+    d, step = len(ham), _block_rows(len(ham))
+    budget = max(_BLOCK_FLOATS, ham.nbytes // 8) // 2  # a group's counts, which its sums double: a block or the matrix
+    start = 0
+    while start < len(cells):
+        end, held = start + 1, d * cells[start][2]
+        while end < len(cells) and held + d * cells[end][2] <= budget:
+            held, end = held + d * cells[end][2], end + 1
+        members = []  # members[j, c]: users of row j in cluster c
+        for keys, weights, k in cells[start:end]:
+            counts = np.bincount(keys, weights, minlength=d * k).reshape(d, k).astype(np.float64, copy=False)
+            if int((counts.sum(axis=0) > 0).sum()) < 2:
+                raise ValueError("silhouette needs at least 2 non-empty clusters")
+            members.append(counts)
+        sums = [np.empty_like(counts) for counts in members]
+        for lo in range(0, d, step):
+            block = np.sqrt(ham[lo : lo + step], dtype=np.float64)  # correctly rounded: sqrt(h) of a float h
+            for counts, total in zip(members, sums):
+                total[lo : lo + step] = block @ counts
+            del block  # else the next block is made while this one is alive
+        while members:  # each group's arrays are freed before the next group's are made
+            counts, total = members.pop(0), sums.pop(0)
+            k, sizes = counts.shape[1], counts.sum(axis=0)  # exact: every count is an integer
+            pairs = np.flatnonzero(counts)
+            row, label = np.divmod(pairs, k)
+            width, per_cluster = _widths(total[row], label, counts.ravel()[pairs], sizes)
+            by_key = np.zeros(d * k)
+            by_key[pairs] = width
+            del counts, total
+            yield by_key, per_cluster, float(per_cluster[sizes > 0].mean())
+        start = end
 
 
 def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
@@ -314,8 +431,12 @@ def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
     if labels.size and not 0 <= labels.min() <= labels.max() < k:
         raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
     labels = labels.astype(np.intp, copy=False)  # uint64 plus int64 would be float64
-    rows = prefs.distinct.rows
-    return _distinct_silhouette(prefs, _hamming(rows, rows, np.min_scalar_type(prefs.m)), labels, k)
+    rows, keys = prefs.distinct.rows, prefs.distinct.inverse * k + labels
+    ham = _hamming(rows, rows, np.min_scalar_type(prefs.m))
+    by_key, per_cluster, macro = next(_silhouettes(prefs, ham, [(keys, None, k)]))
+    per_user = by_key[keys]
+    per_user.flags.writeable = per_cluster.flags.writeable = False
+    return SilhouetteReport(per_user, per_cluster, macro)
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,6 +506,12 @@ def _received(data: bytes, status: int) -> list:
     return payload
 
 
+def _cpus() -> int:
+    """The usable CPUs, or 1 where the platform cannot fork a worker."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if can_fork else 1
+
+
 def _in_workers(score: Callable, cells: list) -> list:
     """``[score(cell) for cell in cells]`` in w workers, one per usable CPU and at most one per cell.
 
@@ -396,8 +523,7 @@ def _in_workers(score: Callable, cells: list) -> list:
     child is reaped on every path: on any failure the ones still running
     are killed and waited for before the failure is raised.
     """
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    w = min(len(os.sched_getaffinity(0)), len(cells)) if can_fork else 1
+    w = min(_cpus(), len(cells))
     parent, running = os.getpid(), {}  # child pid -> the read end of its pipe
     queue, write = os.pipe()
     try:
@@ -448,10 +574,11 @@ def sweep(
     """Run independent seeded trials for every k from ``config.k`` to ``k_max``.
 
     Cell (k, t) uses the seed ``derive_seed(config.seed, "sweep", k, t)`` so
-    the whole table is a pure function of the config seed.  One worker per
-    usable CPU pulls the cells from a shared queue, largest k first, since a
-    run's cost grows with k: the slowest cells start first and the fast ones
-    fill in around them.
+    the whole table is a pure function of the config seed.  The cells are
+    dealt round-robin, largest k first, into one batch per usable CPU, since
+    a run's cost grows with k.  A batch holds at most one block of (cell,
+    distinct row) pairs, so a large sweep is dealt into more batches, which
+    the workers pull as they are free.
     """
     if not 2 <= config.k <= k_max <= prefs.n:
         raise ValueError(f"need 2 <= config.k <= k_max <= n, got {config.k}..{k_max} with n={prefs.n}")
@@ -460,14 +587,19 @@ def sweep(
     k_values = tuple(range(config.k, k_max + 1))
     ham = _hamming(prefs.distinct.rows, prefs.distinct.rows, np.min_scalar_type(prefs.m))
 
-    def score(cell: tuple[int, int]) -> tuple[float, int, bool, float]:
-        k, seed = cell
-        run = run_kmeans(prefs, replace(config, k=k, seed=seed))
-        macro = _distinct_silhouette(prefs, ham, run.idx, k).macro_average
-        return macro, run.iterations_used, run.converged, run.wcss_trace[-1]
+    def score(batch: list[tuple[int, int]]) -> list[tuple[float, int, bool, float]]:
+        runs = _run_batch(prefs, [replace(config, k=k, seed=seed) for k, seed in batch])
+        rows = np.arange(len(ham))
+        cells = [(rows * k + labels, prefs.distinct.weights, k) for (k, _), (_, labels, *_) in zip(batch, runs)]
+        scores = _silhouettes(prefs, ham, cells)
+        return [(macro, iters, done, trace[-1]) for (*_, macro), (_, _, iters, done, trace) in zip(scores, runs)]
 
-    cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)]
-    results = _in_workers(score, cells[::-1])[::-1]  # queued largest k first
+    cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)][::-1]
+    # As many batches for each worker, and as few, as keep each within a block of (cell, distinct row) pairs.
+    workers = min(_cpus(), len(cells))
+    count = min(len(cells), workers * -(-len(cells) // (workers * _block_rows(len(ham)))))
+    batches = _in_workers(score, [cells[b::count] for b in range(count)])
+    results = [batches[i % count][i // count] for i in range(len(cells))][::-1]  # back from largest k first
     columns = [np.array(column).reshape(len(k_values), trials) for column in zip(*results)]
     for arr in columns:
         arr.flags.writeable = False

@@ -240,10 +240,13 @@ def _hamming(rows: np.ndarray, others: np.ndarray, dtype: np.dtype | type) -> np
     """The len(rows) x len(others) Hamming distances between two sets of 0/1 rows, as ``dtype``.
 
     Each block of ``_block_rows(len(others))`` rows is one float64 product
-    ``|x| + |y| - 2 x.y``, exact for 0/1 rows, cast into the result.
+    ``|x| + |y| - 2 x.y``, exact for 0/1 rows, cast into the result.  The
+    distances of a set to itself share one float64 copy.
     """
-    x, y = rows.astype(np.float64), others.astype(np.float64)
-    x_ones, y_ones = x.sum(axis=1), y.sum(axis=1)
+    x = rows.astype(np.float64)
+    y = x if others is rows else others.astype(np.float64)
+    x_ones = x.sum(axis=1)
+    y_ones = x_ones if y is x else y.sum(axis=1)
     ham = np.empty((len(x), len(y)), dtype=dtype)
     step = _block_rows(len(y))
     for lo in range(0, len(x), step):

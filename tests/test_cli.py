@@ -574,8 +574,8 @@ class TestCliContract:
         assert not (tmp_path / "o").exists()
 
     # where: "sweep" fails the whole sweep call, "fork" the forking of a worker;
-    # "worker" and "parent" fail the first cell of a forked worker's share or of
-    # the parent's own share.  A signal kills that worker and an int is the code
+    # "worker" and "parent" fail the k-means batch of a forked worker or of the
+    # parent.  A signal kills that worker and an int is the code
     # it exits with, sending nothing.
     @pytest.mark.parametrize("error, line, where", [
         (MemoryError(), "error: MemoryError", "sweep"),
@@ -590,12 +590,12 @@ class TestCliContract:
         if where != "sweep" and not hasattr(os, "fork"):
             pytest.skip("no os.fork: the sweep runs in-process")
         out = run_synth(tmp_path)
-        parent, run_kmeans = os.getpid(), pk.kmeans.run_kmeans
+        parent, run_batch = os.getpid(), pk.kmeans._run_batch
 
         def fail(*args, **kwargs):
             in_parent = os.getpid() == parent
             if (where == "worker" and in_parent) or (where == "parent" and not in_parent):
-                return run_kmeans(*args, **kwargs)
+                return run_batch(*args, **kwargs)
             if isinstance(error, signal.Signals):
                 os.kill(os.getpid(), error)
             if isinstance(error, int):
@@ -606,7 +606,7 @@ class TestCliContract:
             monkeypatch.setattr("prefkit.cli.sweep", fail)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            monkeypatch.setattr("os.fork" if where == "fork" else "prefkit.kmeans.run_kmeans", fail)
+            monkeypatch.setattr("os.fork" if where == "fork" else "prefkit.kmeans._run_batch", fail)
         def open_fds():
             return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
 

@@ -80,22 +80,30 @@ class TestInitCentroids:
             pk.init_centroids(prefs, 3, seed=0)
 
 
+def nearest(rows, centroids):
+    """``_nearest`` of a one-cell batch: every row against all the centroids."""
+    rows, centroids = np.asarray(rows, dtype=float), np.asarray(centroids, dtype=float)
+    cells, at = np.zeros(len(rows), dtype=np.intp), np.arange(len(rows))
+    return pk.kmeans._nearest(rows, rows.sum(axis=1), centroids[None], np.array([len(centroids)]), cells, at)
+
+
 def closest(prefs, centroids):
-    """Nearest centroid per row from ``_nearest``, the screened full pass of ``_assign``."""
-    rows = dense(prefs).astype(float)
-    return pk.kmeans._nearest(rows, rows.sum(axis=1), np.asarray(centroids, dtype=float))[0]
+    """Nearest centroid per row from ``_nearest``, the screened full pass of the batch's assignment."""
+    return nearest(dense(prefs), centroids)[0]
 
 
 def update(rows, idx, prev, damping):
-    """``_update`` with each user row its own distinct row of weight 1, and sums from ``idx``."""
-    rows = np.asarray(rows, dtype=float)
+    """``_update`` of a one-cell batch with each user row its own distinct row of weight 1, and sums from ``idx``."""
+    rows, prev = np.asarray(rows, dtype=float), np.asarray(prev, dtype=float)
     sums = np.zeros((len(prev), rows.shape[1] + 1))
     np.add.at(sums, idx, np.column_stack([rows, np.ones(len(rows))]))
-    return pk.kmeans._update(np.asarray(prev, dtype=float), sums, damping, rows, idx, np.arange(len(rows)))
+    damping, valid = np.array([damping])[:, None, None], np.ones((1, len(prev)), dtype=bool)
+    slots = np.asarray(idx)[None]  # one run, so a cluster's slot is its index
+    return pk.kmeans._update(prev[None], sums[None], damping, valid, rows, slots, np.arange(len(rows)))[0]
 
 
 class TestFindClosestCentroids:
-    """Nearest-centroid assignment, as ``run_kmeans`` does it in ``_nearest``."""
+    """Nearest-centroid assignment, as the k-means batch does it in ``_nearest``."""
 
     def test_exact_match_wins(self):
         prefs = prefs_from([[1, 1, 0]])
@@ -128,10 +136,15 @@ class TestFindClosestCentroids:
                 centroids[2 * s + 1, [2 * s, 2 * s + 1]] = base[[2 * s + 1, 2 * s]]
             centroids = centroids[rng.permutation(10)]
             d2 = _sq_distances_loop(rows, centroids)
-            labels, lower = pk.kmeans._nearest(rows, rows.sum(axis=1), centroids)
+            labels, lower = nearest(rows, centroids)
             assert labels.tolist() == np.argmin(d2, axis=1).tolist()
             others = np.arange(10) != labels[:, None]
             assert (lower[:, None] <= np.sqrt(d2))[others].all()  # a bound on every other centroid
+            # The same pairs as the second cell of a batch padded to 13 centroids: the padding is never nearest.
+            padded = np.stack([rng.random((13, 20)), np.vstack([centroids, np.zeros((3, 20))])])
+            cells, at = np.repeat([0, 1], len(rows)), np.tile(np.arange(len(rows)), 2)
+            got = pk.kmeans._nearest(rows, rows.sum(axis=1), padded, np.array([13, 10]), cells, at)
+            assert np.array_equal(got[0][len(rows):], labels) and np.array_equal(got[1][len(rows):], lower)
             screen = np.einsum("ij,ij->i", centroids, centroids)[:, None] - 2.0 * (centroids @ rows.T)
             screen_wrong += int((screen.argmin(axis=0) != labels).sum())
         assert screen_wrong  # the screen alone would have mislabelled some rows
@@ -288,15 +301,13 @@ class TestBoundedAssignment:
         full_rows = []
         nearest = pk.kmeans._nearest
 
-        def counted(rows, sq_norms, centroids):
-            full_rows.append(len(rows))
-            return nearest(rows, sq_norms, centroids)
+        def counted(rows, sq_norms, centroids, ks, cells, at):
+            full_rows.append(len(at))
+            return nearest(rows, sq_norms, centroids, ks, cells, at)
 
         monkeypatch.setattr(pk.kmeans, "_nearest", counted)
-        row_iterations = 0
-        for k in (4, 8, 15):
-            run = pk.run_kmeans(prefs, pk.KMeansConfig(k=k, seed=k))
-            row_iterations += len(prefs.distinct.rows) * (run.iterations_used + 1)  # + the final assignment
+        runs = pk.kmeans._run_batch(prefs, [pk.KMeansConfig(k=k, seed=k) for k in (4, 8, 15)])
+        row_iterations = sum(len(prefs.distinct.rows) * (iters + 1) for _, _, iters, _, _ in runs)  # + the final pass
         assert sum(full_rows) < 0.4 * row_iterations
 
 
@@ -337,6 +348,116 @@ class TestDistinctRowRun:
         for k in (4, 9, 15):
             cell = pk.KMeansConfig(k=k, seed=pk.derive_seed(config.seed, "sweep", k, 0))
             assert_same_run(pk.run_kmeans(prefs, cell), run_kmeans_rows(prefs, cell))
+
+
+def run_of(prefs, config, result):
+    """The ``KMeansRun`` that ``run_kmeans`` builds from one ``_run_batch`` result."""
+    centroids, labels, iterations, converged, trace = result
+    return pk.KMeansRun(centroids, labels[prefs.distinct.inverse], iterations, converged, tuple(trace), config)
+
+
+def sweep_configs(config, k_values, trials=3):
+    """The (k, trial) cells of a sweep, largest k first, as ``sweep`` queues them."""
+    cells = [(k, pk.derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)][::-1]
+    return [replace(config, k=k, seed=seed) for k, seed in cells]
+
+
+class TestBatch:
+    """``_run_batch`` advances several runs together and ``_silhouettes`` scores them together; each cell must
+    come out as it would alone."""
+
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_mixed_batch_matches_the_user_row_run_on_every_field(self, m):
+        rng = np.random.default_rng(71 + m)
+        base = rng.integers(0, 2, size=(9, m))
+        while len(np.unique(base, axis=0)) < 9:
+            base = rng.integers(0, 2, size=(9, m))
+        prefs = prefs_from(base[rng.permutation(np.repeat(np.arange(9), rng.integers(1, 40, size=9)))])
+        # k = 12 exceeds the 9 distinct rows, so its empty clusters are reseeded every iteration.
+        grid = [(k, damping, max_iters) for k in (1, 2, 5, 12) for damping in (0.3, 1.0) for max_iters in (1, 40)]
+        configs = [pk.KMeansConfig(k=k, damping=damping, max_iters=max_iters, seed=seed)
+                   for seed, (k, damping, max_iters) in enumerate(grid)]
+        results = pk.kmeans._run_batch(prefs, configs)
+        for config, result in zip(configs, results):
+            assert_same_run(run_of(prefs, config, result), run_kmeans_rows(prefs, config))
+        iterations = [result[2] for result in results]
+        assert len(set(iterations)) >= 4  # the runs left the batch at different iterations
+        assert any(result[3] for result in results) and not all(result[3] for result in results)
+
+    def test_runs_past_a_block_of_users_sum_their_wcss_alone(self):
+        # Past 32,768 users one run's gathered distances fill a block, and each run's WCSS is summed alone.
+        rng = np.random.default_rng(83)
+        base = rng.integers(0, 2, size=(12, 10))
+        while len(np.unique(base, axis=0)) < 12:
+            base = rng.integers(0, 2, size=(12, 10))
+        prefs = prefs_from(base[rng.integers(0, 12, size=40000)])
+        assert pk.kmeans._block_rows(prefs.n) == 1
+        configs = [pk.KMeansConfig(k=k, max_iters=6, seed=k) for k in (2, 3, 5)]
+        for config, result in zip(configs, pk.kmeans._run_batch(prefs, configs)):
+            assert_same_run(run_of(prefs, config, result), run_kmeans_rows(prefs, config))
+
+    def test_update_leaves_the_padding_past_a_runs_k_alone(self):
+        # Run 0 has k = 1, so its clusters 1 and 2 are padding: empty, but never reseeded.
+        rows = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        labels = [np.array([0, 0, 0]), np.array([0, 0, 2])]
+        prev = np.array([[[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [9.0, 9.0], [8.0, 8.0]]])
+        sums = np.zeros((2, 3, 3))
+        for c in range(2):
+            np.add.at(sums[c], labels[c], np.column_stack([rows, np.ones(3)]))
+        slots = np.stack(labels) + np.array([[0], [3]])
+        valid = np.array([[True, False, False], [True, True, True]])
+        new = pk.kmeans._update(prev, sums, np.full((2, 1, 1), 0.3), valid, rows, slots, np.arange(3))
+        assert (new[0, 1:] == 0).all()
+        assert np.array_equal(new[0, :1], update(rows, labels[0], prev[0, :1], 0.3))
+        assert np.array_equal(new[1], update(rows, labels[1], prev[1], 0.3))
+
+    def test_a_cell_gives_the_same_run_in_any_batch(self, survey700):
+        prefs, config = survey700
+        configs = sweep_configs(config, range(4, 16))
+        cell = configs[len(configs) // 2]
+        alone = pk.kmeans._run_batch(prefs, [cell])[0]
+        # Before larger-k cells (padded to k = 15) and after smaller-k ones, in two batch sizes.
+        for batch in (configs[: len(configs) // 2 + 1], [cell, *configs[-5:]]):
+            got = pk.kmeans._run_batch(prefs, batch)[batch.index(cell)]
+            assert_same_run(run_of(prefs, cell, got), run_of(prefs, cell, alone))
+        assert_same_run(run_of(prefs, cell, alone), pk.run_kmeans(prefs, cell))
+
+    def test_batched_silhouettes_equal_each_run_scored_alone(self, survey700):
+        prefs, config = survey700
+        configs = sweep_configs(config, range(4, 16))[::3]
+        runs = [pk.run_kmeans(prefs, cell) for cell in configs]
+        rng = np.random.default_rng(5)
+        split = rng.integers(0, 6, size=prefs.n)  # labels that split identical rows, scored as user keys
+        distinct, d = prefs.distinct, len(prefs.distinct.rows)
+        cells = [(np.arange(d) * run.k + run.idx[distinct.first], distinct.weights, run.k) for run in runs]
+        cells.append((distinct.inverse * 6 + split, None, 6))
+        ham = pk.kmeans._hamming(distinct.rows, distinct.rows, np.uint8)
+        macros = [macro for _, _, macro in pk.kmeans._silhouettes(prefs, ham, cells)]
+        split_run = pk.KMeansRun(np.zeros((6, prefs.m)), split, 1, True, (0.0,), pk.KMeansConfig(k=6))
+        assert macros == [pk.silhouette(prefs, run).macro_average for run in [*runs, split_run]]
+
+    def test_one_batch_holds_its_state_and_blocks(self, survey700):
+        # One worker's 18 cells of the default sweep on two CPUs.  Their state is a few arrays of one
+        # float per (cell, distinct row); every temporary beyond it is cut into blocks of _BLOCK_FLOATS.
+        prefs, config = survey700
+        configs = sweep_configs(config, range(4, 16))[::2]
+        distinct, d = prefs.distinct, len(prefs.distinct.rows)
+        ham = pk.kmeans._hamming(distinct.rows, distinct.rows, np.uint8)
+        pk.kmeans._run_batch(prefs, configs[:2])  # numpy's lazily imported modules load outside the trace
+        bound = 10 * len(configs) * d * 8 + 2 * 512 * 1024  # ten (cell, row) arrays and two blocks of 2**16 floats
+        tracemalloc.start()
+        try:
+            runs = pk.kmeans._run_batch(prefs, configs)
+            batch_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cells = [(np.arange(d) * cell.k + labels, distinct.weights, cell.k) for cell, (_, labels, *_) in
+                     zip(configs, runs)]
+            for _ in pk.kmeans._silhouettes(prefs, ham, cells):
+                pass
+            silhouette_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch_peak < bound and silhouette_peak < bound, (batch_peak, silhouette_peak, bound)
 
 
 class TestKmeansPartition:
@@ -566,7 +687,7 @@ class TestSweep:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         want = pk.sweep(prefs, config, k_max=6)
         cells = want.scores.size
-        fork, run_kmeans, forks, runs = os.fork, pk.kmeans.run_kmeans, [], []
+        fork, run_batch, forks, batches = os.fork, pk.kmeans._run_batch, [], []
         gate, opener = os.pipe()
 
         def gated_fork():
@@ -577,21 +698,21 @@ class TestSweep:
             forks.append(pid)
             return pid
 
-        def counted_run(*args, **kwargs):
-            runs.append(1)
-            if len(runs) == cells:  # the parent pulled the last record before this call
+        def counted_batch(prefs, configs):
+            batches.append(len(configs))
+            if len(batches) == 3:  # the parent pulled the last record before this call
                 os.write(opener, b"xx")
-            return run_kmeans(*args, **kwargs)
+            return run_batch(prefs, configs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "fork", gated_fork)
-        monkeypatch.setattr(pk.kmeans, "run_kmeans", counted_run)
+        monkeypatch.setattr(pk.kmeans, "_run_batch", counted_batch)
         try:
             table = pk.sweep(prefs, config, k_max=6)
         finally:
             os.close(gate)
             os.close(opener)
-        assert len(forks) == 2 and len(runs) == cells  # every cell scored in the parent
+        assert len(forks) == 2 and sum(batches) == cells  # every batch scored in the parent
         for name in ("scores", "iterations", "converged", "wcss"):
             assert np.array_equal(getattr(table, name), getattr(want, name))
 
