@@ -48,7 +48,7 @@ exactly the Euclidean distance, so a cell is within 1e-12 of the dense
 n x n sums; only the order of the additions differs.  Labels may split
 identical rows, so each (distinct row, label) pair is scored and weighed
 by its users.  Cells are scored in groups whose member counts and sums fit
-in one block or in as many bytes as the matrix: each block of rows takes
+in half a block or in half the matrix's bytes: each block of rows takes
 its square roots once per group, and each cell multiplies them by its own
 member counts in the same block shape, so its sums do not depend on the
 cells beside it.
@@ -64,13 +64,13 @@ pair keeps its own label, Hamerly bound and own-centroid distance, the
 centroids are padded to the batch's largest k with a screened value of
 +inf, and a cell that settles or reaches its ``max_iters`` takes its
 final assignment with the others' next pass and drops out.  The cluster
-sums are exact integers, so they move in any order, but each WCSS entry is
-its own cell's sum over the users in user order.  Every temporary is cut
-into blocks of ``_BLOCK_FLOATS`` floats, or of one cell's rows where those
-are more, so a batch holds O(cells * d) state plus a block, and at large d
-works one cell at a time.  A cell is thus computed exactly as ``run_kmeans`` and
-``silhouette`` compute it alone, and the table is byte-identical whatever
-the number of workers.
+sums are exact integers, so one ``bincount`` over flat (cluster, column)
+keys moves them in any order, but each WCSS entry is its own cell's sum
+over the users in user order.  The own distances are taken one cell at a
+time and the failing pairs relabelled in chunks of one cell's rows or of
+about a block, so a batch holds O(cells * d) state plus about a block.  A
+cell is thus computed exactly as ``run_kmeans`` and ``silhouette`` compute
+it alone, and the table is byte-identical whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -182,7 +182,8 @@ def _nearest(
     if tied.size:  # the exact distances of the centroids within 2 slack of the minimum decide
         approx[labels[tied], tied] = best[tied]
         j, r = np.nonzero(approx[:, tied] <= best[tied] + 2 * slack)
-        diff = x[tied[r]] - centroids[cells[tied[r]], j]
+        diff = x[tied[r]]
+        diff -= centroids[cells[tied[r]], j]
         exact = np.full((width, tied.size), np.inf)
         exact[j, r] = np.einsum("ij,ij->i", diff, diff)
         labels[tied] = exact.argmin(axis=0)
@@ -247,49 +248,45 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
     weighted = np.column_stack([rows, np.ones(d)]) * distinct.weights[:, None]
     sums = np.zeros((cells, ks.max(), m + 1))
     sums[:, 0] = weighted.sum(axis=0)
-    per_block = _block_rows(d * m)
     stopped = converged = np.zeros(cells, dtype=bool)  # the runs whose next assignment is their last
     valid = np.arange(ks.max()) < ks[:, None]  # each run's own clusters
-    cluster_slots = np.arange(cells * ks.max()).reshape(cells, -1, 1)
     traces: list[list[float]] = [[] for _ in configs]
     runs: list[tuple] = [()] * cells
     iteration = 0
 
     def assign() -> None:
-        """Relabel the pairs failing the bound test, refresh their ``lower`` and ``own``, and move their users' sums."""
-        flat, flat_sums = centroids.reshape(-1, m), sums.reshape(-1)
-        flat_slots, flat_lower, flat_own = slots.reshape(-1), lower.reshape(-1), own.reshape(-1)
-        for lo in range(0, len(ids), per_block):
-            diff = np.take(flat, slots[lo : lo + per_block], axis=0, mode="clip")
+        """Measure every pair's own distance and relabel, in chunks, the pairs failing the bound test."""
+        flat = centroids.reshape(-1, m)
+        for c in range(len(ids)):  # one cell's differences at a time
+            diff = np.take(flat, slots[c], axis=0, mode="clip")
             np.subtract(rows, diff, out=diff)
-            np.einsum("cij,cij->ci", diff, diff, out=own[lo : lo + per_block])
+            np.einsum("ij,ij->i", diff, diff, out=own[c])
             del diff
         test = np.sqrt(own)
         test *= 1 + _EPS
         full = np.flatnonzero(test >= lower * (1 - _EPS))
         del test
-        width = centroids.shape[1]
-        chunk = max(d, _block_rows(max(2 * width + 2 * m, 5 * m + 5)))  # a chunk's screen and rows, or its sum keys
+        chunk = max(d, _block_rows(2 * centroids.shape[1] + 4 * m))  # a chunk's screens, rows, tie and sum terms
         for lo in range(0, len(full), chunk):
-            pairs = full[lo : lo + chunk]
-            cell, at = np.divmod(pairs, d)
-            near, flat_lower[pairs] = _nearest(rows, sq_norms, centroids, ks, cell, at)
-            near += cell * width
-            changed = np.flatnonzero(near != flat_slots[pairs])
-            if not changed.size:
-                continue
-            pairs, cell, at, near = pairs[changed], cell[changed], at[changed], near[changed]
-            old, flat_slots[pairs] = flat_slots[pairs], near
-            diff = rows[at] - flat[near]
-            flat_own[pairs] = np.einsum("ij,ij->i", diff, diff)
-            moved = weighted[at]  # in at its new cluster, out at its old: exact integers, in any order
-            if cell[0] == cell[-1]:  # one cell's pairs: one GEMM of their one-hot differences
-                local = cluster_slots[cell[0]]
-                sums[cell[0]] += ((near == local).astype(np.float64) - (old == local)) @ moved
-            else:  # every cell at once, by flat (cluster, column) keys
-                keys = (np.concatenate([near, old]) * (m + 1))[:, None] + np.arange(m + 1)
-                signed = np.concatenate([moved, -moved])
-                flat_sums += np.bincount(keys.ravel(), signed.ravel(), minlength=flat_sums.size)
+            relabel(full[lo : lo + chunk])
+
+    def relabel(pairs: np.ndarray) -> None:
+        """Relabel the pairs, refresh their ``lower`` and ``own``, and move their users' sums."""
+        flat, width = centroids.reshape(-1, m), centroids.shape[1]
+        cell, at = np.divmod(pairs, d)
+        near, lower.reshape(-1)[pairs] = _nearest(rows, sq_norms, centroids, ks, cell, at)
+        near += cell * width
+        changed = np.flatnonzero(near != slots.reshape(-1)[pairs])
+        if not changed.size:
+            return
+        pairs, at, near = pairs[changed], at[changed], near[changed]
+        old, slots.reshape(-1)[pairs] = slots.reshape(-1)[pairs], near
+        diff = rows[at] - flat[near]
+        own.reshape(-1)[pairs] = np.einsum("ij,ij->i", diff, diff)
+        moved, flat_sums = weighted[at].ravel(), sums.reshape(-1)
+        for slot, sign in ((near, 1.0), (old, -1.0)):  # in at its new cluster, out at its old: exact integers
+            keys = (slot * (m + 1))[:, None] + np.arange(m + 1)  # flat (cluster, column) keys
+            flat_sums += sign * np.bincount(keys.ravel(), moved, minlength=flat_sums.size)
 
     while len(ids):
         assign()
@@ -307,13 +304,9 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
             centroids, sums = centroids[keep, : ks.max()], sums[keep, : ks.max()]
             slots += (np.arange(len(ids)) * ks.max() - np.flatnonzero(keep) * width)[:, None]
             valid = np.arange(ks.max()) < ks[:, None]
-            cluster_slots = np.arange(len(ids) * ks.max()).reshape(len(ids), -1, 1)
         iteration += 1
-        per = _block_rows(len(inverse))
-        for lo in range(0, len(ids), per):  # each WCSS sums its users' distances in user order
-            totals = np.take(own[lo : lo + per], inverse, axis=1).sum(axis=1) if per > 1 else [own[lo][inverse].sum()]
-            for c, total in zip(ids[lo : lo + per].tolist(), totals):
-                traces[c].append(float(total))
+        for c, distances in zip(ids.tolist(), own):  # each WCSS sums its users' distances in user order
+            traces[c].append(float(distances[inverse].sum()))
         new = _update(centroids, sums, damping, valid, rows, slots, inverse)
         step = new - centroids
         shifts = np.sqrt((step * step).sum(axis=2))  # bit for bit np.linalg.norm(step, axis=1) of each run
@@ -321,10 +314,9 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
         top, largest = shifts.argmax(axis=1), shifts.max(axis=1)
         decay = np.repeat(largest, shifts.shape[1])  # each row's bound falls by its run's largest shift,
         if shifts.shape[1] > 1:  # or by the runner-up where its own centroid moved most
-            decay[cluster_slots[:, 0, 0] + top] = np.partition(shifts, -2, axis=1)[:, -2]
-        decay = decay[slots]
+            decay[np.arange(len(ids)) * shifts.shape[1] + top] = np.partition(shifts, -2, axis=1)[:, -2]
         decay *= 1 + _EPS
-        lower -= decay
+        lower -= decay[slots]
         converged = largest < _TOL
         stopped = converged | (max_iters == iteration)
     return runs
@@ -377,14 +369,14 @@ def _silhouettes(
     sums read.  Per cell this yields every pair's width by key (0 where the
     pair holds no user), each cluster's mean width and their macro average.
 
-    The cells are scored in groups whose member counts and sums fit in one
-    block or in as many bytes as the matrix.  Each block of rows takes its
+    The cells are scored in groups whose member counts and sums fit in half
+    a block or in half the matrix's bytes.  Each block of rows takes its
     distances once per group, and each cell multiplies them by its own
     member counts in the same block shape, so a cell's sums do not depend on
     the cells scored beside it.
     """
     d, step = len(ham), _block_rows(len(ham))
-    budget = max(_BLOCK_FLOATS, ham.nbytes // 8) // 2  # a group's counts, which its sums double: a block or the matrix
+    budget = max(_BLOCK_FLOATS // 2, ham.nbytes // 16) // 2  # a group's counts, which its sums double
     start = 0
     while start < len(cells):
         end, held = start + 1, d * cells[start][2]

@@ -384,14 +384,13 @@ class TestBatch:
         assert len(set(iterations)) >= 4  # the runs left the batch at different iterations
         assert any(result[3] for result in results) and not all(result[3] for result in results)
 
-    def test_runs_past_a_block_of_users_sum_their_wcss_alone(self):
-        # Past 32,768 users one run's gathered distances fill a block, and each run's WCSS is summed alone.
+    def test_runs_of_many_users_sum_their_wcss_alone(self):
+        # Each run's WCSS sums its own users' distances in user order, also where n is far above d.
         rng = np.random.default_rng(83)
         base = rng.integers(0, 2, size=(12, 10))
         while len(np.unique(base, axis=0)) < 12:
             base = rng.integers(0, 2, size=(12, 10))
         prefs = prefs_from(base[rng.integers(0, 12, size=40000)])
-        assert pk.kmeans._block_rows(prefs.n) == 1
         configs = [pk.KMeansConfig(k=k, max_iters=6, seed=k) for k in (2, 3, 5)]
         for config, result in zip(configs, pk.kmeans._run_batch(prefs, configs)):
             assert_same_run(run_of(prefs, config, result), run_kmeans_rows(prefs, config))
