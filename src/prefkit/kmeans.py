@@ -64,11 +64,11 @@ pair keeps its own label, Hamerly bound and own-centroid distance, the
 centroids are padded to the batch's largest k with a screened value of
 +inf, and a cell that settles or reaches its ``max_iters`` takes its
 final assignment with the others' next pass and drops out.  The cluster
-sums are exact integers, so one ``bincount`` over flat (cluster, column)
-keys moves them in any order, but each WCSS entry is its own cell's sum
-over the users in user order.  The own distances are taken one cell at a
-time and the failing pairs relabelled in chunks of one cell's rows or of
-about a block, so a batch holds O(cells * d) state plus about a block.  A
+sums are exact integers, so each cell moves them by one GEMM of its moved
+rows in any order, but each WCSS entry is its own cell's sum over the
+users in user order.  The own distances are taken one cell at a time and
+the failing pairs relabelled in chunks of one cell's rows or of about a
+block, so a batch holds O(cells * d) state plus about a block.  A
 cell is thus computed exactly as ``run_kmeans`` and ``silhouette`` compute
 it alone, and the table is byte-identical whatever the number of workers.
 """
@@ -166,7 +166,7 @@ def _nearest(
     slack, width, x = _EPS * (rows.shape[1] + 1), centroids.shape[1], rows[at]
     scaled, norms = -2.0 * centroids, np.einsum("cij,cij->ci", centroids, centroids)
     approx = np.empty((width, len(at)))
-    edges = [0, *(np.flatnonzero(cells[1:] != cells[:-1]) + 1), len(at)]
+    edges = [0, *((cells[1:] != cells[:-1]).nonzero()[0] + 1).tolist(), len(at)]
     for a, b in zip(edges, edges[1:]):  # each cell's pairs against its own k centroids
         c = cells[a]
         k = ks[c]
@@ -178,7 +178,7 @@ def _nearest(
     best = approx[labels, cols]
     approx[labels, cols] = np.inf
     second = approx.min(axis=0)  # inf where k = 1
-    tied = np.flatnonzero(second <= best + 2 * slack)
+    tied = (second <= best + 2 * slack).nonzero()[0]
     if tied.size:  # the exact distances of the centroids within 2 slack of the minimum decide
         approx[labels[tied], tied] = best[tied]
         j, r = np.nonzero(approx[:, tied] <= best[tied] + 2 * slack)
@@ -209,10 +209,10 @@ def _update(
     # The sums are exact integers, so a filled cluster's mean is bit for bit its mean user row.
     new = (1.0 - damping) * centroids + damping * (sums[:, :, :-1] / np.maximum(counts, 1.0))
     empty = (counts[:, :, 0] == 0) & valid
-    for c in np.flatnonzero(empty.any(axis=1)):
+    for c in empty.any(axis=1).nonzero()[0]:
         dist_own = np.linalg.norm(rows - new.reshape(-1, rows.shape[1])[slots[c]], axis=1)[inverse]
         donated = np.zeros(len(inverse), dtype=bool)
-        for j in np.flatnonzero(empty[c]):
+        for j in empty[c].nonzero()[0]:
             donor = int(np.argmax(np.where(donated, -np.inf, dist_own)))
             new[c, j] = rows[inverse[donor]]
             donated[donor] = True
@@ -264,7 +264,7 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
             del diff
         test = np.sqrt(own)
         test *= 1 + _EPS
-        full = np.flatnonzero(test >= lower * (1 - _EPS))
+        full = (test >= lower * (1 - _EPS)).reshape(-1).nonzero()[0]
         del test
         chunk = max(d, _block_rows(2 * centroids.shape[1] + 4 * m))  # a chunk's screens, rows, tie and sum terms
         for lo in range(0, len(full), chunk):
@@ -274,19 +274,23 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
         """Relabel the pairs, refresh their ``lower`` and ``own``, and move their users' sums."""
         flat, width = centroids.reshape(-1, m), centroids.shape[1]
         cell, at = np.divmod(pairs, d)
-        near, lower.reshape(-1)[pairs] = _nearest(rows, sq_norms, centroids, ks, cell, at)
-        near += cell * width
-        changed = np.flatnonzero(near != slots.reshape(-1)[pairs])
+        label, lower.reshape(-1)[pairs] = _nearest(rows, sq_norms, centroids, ks, cell, at)
+        base = cell * width
+        changed = (label + base != slots.reshape(-1)[pairs]).nonzero()[0]
         if not changed.size:
             return
-        pairs, at, near = pairs[changed], at[changed], near[changed]
-        old, slots.reshape(-1)[pairs] = slots.reshape(-1)[pairs], near
-        diff = rows[at] - flat[near]
+        pairs, at, label, base, cell = pairs[changed], at[changed], label[changed], base[changed], cell[changed]
+        old, slots.reshape(-1)[pairs] = slots.reshape(-1)[pairs] - base, label + base
+        diff = rows[at] - flat[label + base]
         own.reshape(-1)[pairs] = np.einsum("ij,ij->i", diff, diff)
-        moved, flat_sums = weighted[at].ravel(), sums.reshape(-1)
-        for slot, sign in ((near, 1.0), (old, -1.0)):  # in at its new cluster, out at its old: exact integers
-            keys = (slot * (m + 1))[:, None] + np.arange(m + 1)  # flat (cluster, column) keys
-            flat_sums += sign * np.bincount(keys.ravel(), moved, minlength=flat_sums.size)
+        # In at its new cluster, out at its old, by one GEMM per cell: the sums are exact integers.
+        clusters = np.arange(width)[:, None]
+        step = (label == clusters).astype(np.float64)
+        step -= old == clusters
+        moved = weighted[at]
+        edges = [0, *((cell[1:] != cell[:-1]).nonzero()[0] + 1).tolist(), len(at)]
+        for a, b in zip(edges, edges[1:]):
+            sums[cell[a]] += step[:, a:b] @ moved[a:b]
 
     while len(ids):
         assign()
