@@ -53,11 +53,11 @@ class LossReport:
 
 
 def _mismatches(prefs: PreferenceMatrix, kits: Sequence[Kit]) -> np.ndarray:
-    """d x K losses of every distinct row against every kit, as |x| + |k| - 2 x.k.
+    """d x K losses of every distinct row against every kit: the items where the row and the kit differ.
 
     Users with equal rows have equal losses, so only the d distinct rows of
     ``prefs.distinct`` are scored, by ``model._hamming`` against the kit
-    indicators, in float64 row blocks written into the int64 result.
+    indicators, in row blocks written into the int64 result.
     """
     if not kits:
         raise ValueError("at least one kit is required")

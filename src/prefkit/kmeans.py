@@ -47,23 +47,14 @@ counts the users of row j in cluster c.  Between 0/1 rows sqrt(hamming) is
 exactly the Euclidean distance, so a cell is within 1e-12 of the dense
 n x n sums; only the order of the additions differs.  Labels may split
 identical rows, so each (distinct row, label) pair is scored and weighed
-by its users.  Cells are scored in groups whose member counts and sums fit
-in half a block or in half the matrix's bytes: each block of rows takes
-its square roots once per group, and each cell multiplies them by its own
-member counts in the same block shape, so its sums do not depend on the
-cells beside it.
+by its users.  ``_silhouettes`` scores cells together, in the block shape
+of one cell scored alone.
 
-The sweep deals its (k, trial) cells round-robin, largest k first since a
-run's cost grows with k, into one batch per usable CPU, or more where a
-batch would hold over one block of (cell, distinct row) pairs.  The caller
+The sweep deals its (k, trial) cells into batches (``sweep``).  The caller
 and one child per other CPU, forked after the matrix is built and sharing
 it copy-on-write, pull the batches from one queue; where ``os.fork`` or the
 CPU affinity is missing, the caller scores them all.  A batch advances
-the k-means runs of all its cells together: every (cell, distinct row)
-pair keeps its own label, Hamerly bound and own-centroid distance, the
-centroids are padded to the batch's largest k with a screened value of
-+inf, and a cell that settles or reaches its ``max_iters`` takes its
-final assignment with the others' next pass and drops out.  The cluster
+the k-means runs of all its cells together (``_run_batch``).  The cluster
 sums are exact integers, so each cell moves them by one GEMM of its moved
 rows in any order, but each WCSS entry is its own cell's sum over the
 users in user order.  The own distances are taken one cell at a time and
@@ -361,7 +352,7 @@ def _widths(
 
 
 def _silhouettes(
-    prefs: PreferenceMatrix, ham: np.ndarray, cells: list[tuple[np.ndarray, np.ndarray | None, int]]
+    ham: np.ndarray, cells: list[tuple[np.ndarray, np.ndarray | None, int]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """Silhouette widths of clusterings scored on the d distinct rows, given their d x d Hamming matrix.
 
@@ -429,7 +420,7 @@ def silhouette(prefs: PreferenceMatrix, run: KMeansRun) -> SilhouetteReport:
     labels = labels.astype(np.intp, copy=False)  # uint64 plus int64 would be float64
     rows, keys = prefs.distinct.rows, prefs.distinct.inverse * k + labels
     ham = _hamming(rows, rows, np.min_scalar_type(prefs.m))
-    by_key, per_cluster, macro = next(_silhouettes(prefs, ham, [(keys, None, k)]))
+    by_key, per_cluster, macro = next(_silhouettes(ham, [(keys, None, k)]))
     per_user = by_key[keys]
     per_user.flags.writeable = per_cluster.flags.writeable = False
     return SilhouetteReport(per_user, per_cluster, macro)
@@ -587,7 +578,7 @@ def sweep(
         runs = _run_batch(prefs, [replace(config, k=k, seed=seed) for k, seed in batch])
         rows = np.arange(len(ham))
         cells = [(rows * k + labels, prefs.distinct.weights, k) for (k, _), (_, labels, *_) in zip(batch, runs)]
-        scores = _silhouettes(prefs, ham, cells)
+        scores = _silhouettes(ham, cells)
         return [(macro, iters, done, trace[-1]) for (*_, macro), (_, _, iters, done, trace) in zip(scores, runs)]
 
     cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)][::-1]

@@ -109,18 +109,22 @@ def _unique_by_first(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return first[by_first], inverse, counts[by_first]
 
 
+def _words(block: np.ndarray) -> np.ndarray:
+    """The rows of an n x w uint8 block, zero-padded to n x ceil(w / 8) uint64 words (one at least)."""
+    n, width = block.shape
+    words = np.zeros((n, max(1, -(-width // 8))), dtype=np.uint64)
+    words.view(np.uint8)[:, :width] = block
+    return words
+
+
 def _byte_keys(block: np.ndarray) -> np.ndarray:
     """One sortable key per row of an n x w uint8 block; keys are equal exactly when rows are.
 
-    A row of at most 8 bytes is zero-padded to 8 and read as one uint64,
-    which sorts several times faster than the ``void`` key of a wider row.
+    A row of one word (``_words``) is keyed by that uint64, which sorts
+    several times faster than the ``void`` key of a wider row.
     """
-    n, width = block.shape
-    if width <= 8:
-        padded = np.zeros((n, 8), dtype=np.uint8)
-        padded[:, :width] = block
-        return padded.view(np.uint64).ravel()
-    return np.ascontiguousarray(block).view(np.dtype((np.void, width))).ravel()
+    words = _words(block)
+    return words.ravel() if words.shape[1] == 1 else words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +204,7 @@ class PreferenceMatrix:
             raise ValueError("column_labels length must match column count")
         # Each row is padded to whole bytes, packed to bits (as one flat array,
         # several times faster than along the rows) and keyed by
-        # ``_byte_keys``: a uint64 while m <= 64, a ``void`` byte string
+        # ``_byte_keys``: a uint64 while m <= 64, a ``void`` string of words
         # beyond.  The keys are numbered by first occurrence.
         bits = np.zeros((raw.shape[0], -(-raw.shape[1] // 8) * 8), dtype=bool)
         bits[:, : raw.shape[1]] = raw
@@ -228,34 +232,27 @@ class PreferenceMatrix:
         return self.distinct.rows.shape[1]
 
 
-_BLOCK_FLOATS = 2**16  # float64 entries per block (512 KB) of a Hamming product
+_BLOCK_FLOATS = 2**16  # 8-byte entries per block (512 KB) of a Hamming or silhouette product
 
 
 def _block_rows(row_floats: int) -> int:
-    """Rows per block, so that a block of rows ``row_floats`` float64 wide stays within ``_BLOCK_FLOATS``."""
+    """Rows per block, so that a block of rows ``row_floats`` entries wide stays within ``_BLOCK_FLOATS``."""
     return max(1, _BLOCK_FLOATS // max(1, row_floats))
 
 
 def _hamming(rows: np.ndarray, others: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
     """The len(rows) x len(others) Hamming distances between two sets of 0/1 rows, as ``dtype``.
 
-    Each block of ``_block_rows(len(others))`` rows is one float64 product
-    ``|x| + |y| - 2 x.y``, exact for 0/1 rows, cast into the result.  The
-    distances of a set to itself share one float64 copy.
+    Both sides are packed to bits in 64-bit words (``_words``), and each
+    distance is the popcount of the XOR of two rows' words, summed over the
+    words in ``dtype``, a block of ``_block_rows(len(others) * words)`` rows
+    at a time.
     """
-    x = rows.astype(np.float64)
-    y = x if others is rows else others.astype(np.float64)
-    x_ones = x.sum(axis=1)
-    y_ones = x_ones if y is x else y.sum(axis=1)
+    x, y = (_words(np.packbits(side, axis=1)) for side in (rows, others))
     ham = np.empty((len(x), len(y)), dtype=dtype)
-    step = _block_rows(len(y))
+    step = _block_rows(y.size)
     for lo in range(0, len(x), step):
-        block = x[lo : lo + step] @ y.T
-        block *= -2.0
-        block += y_ones
-        block += x_ones[lo : lo + step, None]
-        ham[lo : lo + step] = block
-        del block  # else the next product is made while this block is alive
+        np.bitwise_count(x[lo : lo + step, None] ^ y).sum(axis=2, dtype=ham.dtype, out=ham[lo : lo + step])
     return ham
 
 

@@ -15,9 +15,10 @@ PCG64 (see :mod:`prefkit.seeding`) and the stepping rule is fixed:
 
 Every bound is known before any row is built: ``len(selected)`` is the
 category's quota and ``len(pool)`` the category's size minus its quota.  So
-the whole stream is drawn by one ``integers(0, bounds)`` call over the
-bounds listed in the order above, user after user, which yields the same
-values and leaves the generator in the same state as the draws one by one.
+the stream is drawn by one ``integers(0, bounds)`` call per block of users
+over the bounds listed in the order above, user after user, which yields
+the same values and leaves the generator in the same state as the draws
+one by one.  The draws are kept in the smallest type that holds them.
 
 The rows are then built for all users at once, held item by item (m x n).
 A swap finds each user's drawn selected and unselected item with one
@@ -36,7 +37,7 @@ from math import comb, prod
 import numpy as np
 
 from .kits import Kit, validate_kit
-from .model import ByteBlock, ItemCatalog, PreferenceMatrix, SelectionConstraint
+from .model import ByteBlock, ItemCatalog, PreferenceMatrix, SelectionConstraint, _block_rows
 from .seeding import generator
 
 
@@ -108,9 +109,9 @@ def generate_synthetic(
     for _, ids, quota in tiers:
         pool = len(ids) - quota
         bounds += ([quota, pool] if pool else [quota]) * spec.noise_swaps
-    draws = generator(spec.seed).integers(0, np.tile(bounds, spec.n_users)).reshape(spec.n_users, -1)
+    draws = _draws(generator(spec.seed), bounds, spec.n_users)
 
-    planted = draws[:, 0].copy()
+    planted = draws[:, 0].astype(np.int64)
     # Held item by item (m x n), so that a tier's items are rows.
     by_item = np.stack([kit.indicator(catalog.m) for kit in spec.planted_kits], axis=1).astype(bool)
     by_item = np.take(by_item, planted, axis=1)
@@ -132,6 +133,16 @@ def generate_synthetic(
 
     prefs = PreferenceMatrix(_user_ids(spec.n_users), by_item.T, catalog.names)
     return prefs, planted
+
+
+def _draws(rng: np.random.Generator, bounds: list[int], n: int) -> np.ndarray:
+    """n users' draws ``integers(0, bounds)`` as an n x len(bounds) array, one call per block of users."""
+    draws = np.empty((n, len(bounds)), dtype=np.min_scalar_type(max(bounds)))
+    step = _block_rows(len(bounds))
+    for lo in range(0, n, step):
+        block = draws[lo : lo + step]
+        block[...] = rng.integers(0, bounds, size=block.shape)
+    return draws
 
 
 def _nth_items(block: np.ndarray, selected: np.ndarray, unselected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -431,7 +431,7 @@ class TestBatch:
         cells = [(np.arange(d) * run.k + run.idx[distinct.first], distinct.weights, run.k) for run in runs]
         cells.append((distinct.inverse * 6 + split, None, 6))
         ham = pk.kmeans._hamming(distinct.rows, distinct.rows, np.uint8)
-        macros = [macro for _, _, macro in pk.kmeans._silhouettes(prefs, ham, cells)]
+        macros = [macro for _, _, macro in pk.kmeans._silhouettes(ham, cells)]
         split_run = pk.KMeansRun(np.zeros((6, prefs.m)), split, 1, True, (0.0,), pk.KMeansConfig(k=6))
         assert macros == [pk.silhouette(prefs, run).macro_average for run in [*runs, split_run]]
 
@@ -451,7 +451,7 @@ class TestBatch:
             tracemalloc.reset_peak()
             cells = [(np.arange(d) * cell.k + labels, distinct.weights, cell.k) for cell, (_, labels, *_) in
                      zip(configs, runs)]
-            for _ in pk.kmeans._silhouettes(prefs, ham, cells):
+            for _ in pk.kmeans._silhouettes(ham, cells):
                 pass
             silhouette_peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -415,17 +415,20 @@ def binary_rows(count, m):
 
 
 class TestHamming:
-    """The blocked float64 product against a direct comparison of every pair of rows."""
+    """The blocked popcount of packed rows against a direct comparison of every pair of rows."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_pairwise_comparison(self, data):
-        m = data.draw(st.integers(0, 12) | st.integers(250, 300), label="m")
+        # Rows of one word, rows that end at a 64-bit word boundary or just past one, and rows of several words.
+        widths = st.integers(0, 12) | st.integers(60, 70) | st.integers(120, 135) | st.integers(250, 300)
+        m = data.draw(widths, label="m")
         rows = data.draw(binary_rows(st.integers(0, 9), m), label="rows")
         others = data.draw(binary_rows(st.integers(1, 7), m), label="others")
         dtype = data.draw(st.sampled_from([np.dtype(np.int64), np.min_scalar_type(m)]), label="dtype")
         # From one row per block up to three, so that blocks split the rows unevenly.
-        block_floats = data.draw(st.integers(1, 3 * len(others)), label="block_floats")
+        words = max(1, -(-m // 64))
+        block_floats = data.draw(st.integers(1, 3 * len(others) * words), label="block_floats")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_BLOCK_FLOATS", block_floats)
             got = model._hamming(rows, others, dtype)

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefkit as pk
+from prefkit import model, synthetic
 from oracles import dense, generate_synthetic_loop, random_kits_scan
 
 
@@ -74,16 +77,28 @@ class TestRandomKits:
         assert len({kit.items for kit in kits}) == 16000
 
 
+def peak_per_user(catalog, constraint, noise):
+    kits = pk.random_kits(catalog, constraint, 8, seed=1)
+    spec = pk.SyntheticSpec(n_users=50_000, planted_kits=kits, noise_swaps=noise, seed=2)
+    tracemalloc.start()
+    try:
+        pk.generate_synthetic(spec, catalog, constraint)
+        return tracemalloc.get_traced_memory()[1] / spec.n_users
+    finally:
+        tracemalloc.stop()
+
+
 def scalar_draws(rng, bounds):
     return np.array([rng.integers(bound) for bound in bounds], dtype=np.int64)
 
 
 class TestDrawStream:
-    """``generate_synthetic`` draws its stream in one call over per-draw bounds.
+    """``generate_synthetic`` draws its stream in one call over per-draw bounds for each block of users.
 
-    That this reproduces the documented one-at-a-time draws is a numpy
-    implementation detail, pinned here so that a numpy release that breaks
-    it fails loudly instead of changing every synthetic survey.
+    That this reproduces the documented one-at-a-time draws, whatever the
+    block, is a numpy implementation detail, pinned here so that a numpy
+    release that breaks it fails loudly instead of changing every synthetic
+    survey.
     """
 
     @pytest.mark.parametrize("seed", range(5))
@@ -95,6 +110,35 @@ class TestDrawStream:
             one_by_one, at_once = pk.generator(seed), pk.generator(seed)
             assert np.array_equal(scalar_draws(one_by_one, bounds), at_once.integers(0, bounds))
             assert one_by_one.bit_generator.state == at_once.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 1000),
+        users_per_block=st.integers(1, 1000),
+        n_kits=st.sampled_from([1, 8, 44100]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_blocked_draws_match_one_call(self, n, users_per_block, n_kits, seed):
+        # The bounds of four swaps on data/catalog.csv, drawn a block of users at a time.
+        bounds = [n_kits] + [6, 4] * 4 + [4, 6] * 4
+        blocked_rng, one_call_rng = pk.generator(seed), pk.generator(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_BLOCK_FLOATS", users_per_block * len(bounds))
+            blocked = synthetic._draws(blocked_rng, bounds, n)
+        assert np.array_equal(blocked, one_call_rng.integers(0, np.tile(bounds, n)).reshape(n, -1))
+        assert blocked_rng.bit_generator.state == one_call_rng.bit_generator.state
+
+    def test_draws_hold_one_byte_a_draw_and_one_block(self):
+        bounds, n = [8] + [6, 4] * 4 + [4, 6] * 4, 50_000
+        synthetic._draws(pk.generator(0), bounds, 10)  # numpy's lazily imported modules load outside the trace
+        tracemalloc.start()
+        try:
+            synthetic._draws(pk.generator(0), bounds, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The n x 17 uint8 draws, one block of int64 draws and 64 KiB to spare; one call for all users takes 8 MB.
+        assert peak < n * len(bounds) + 8 * model._BLOCK_FLOATS + 2**16, peak
 
 
 class TestGenerateSynthetic:
@@ -136,15 +180,12 @@ class TestGenerateSynthetic:
         # m x n bool population, the id block and the dedup's tables.  A
         # per-row sort of each tier (an n x w int64 order and its int32 copy)
         # and a str per user take it past 200.
-        kits = pk.random_kits(catalog20, constraint, 8, seed=1)
-        spec = pk.SyntheticSpec(n_users=50_000, planted_kits=kits, noise_swaps=1, seed=2)
-        tracemalloc.start()
-        try:
-            pk.generate_synthetic(spec, catalog20, constraint)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 200 * spec.n_users, peak / spec.n_users
+        assert peak_per_user(catalog20, constraint, noise=1) < 200
+
+    def test_peak_memory_per_user_stays_small_at_four_swaps(self, catalog20, constraint):
+        # The draws are one byte each, 17 a user.  Drawing every user's
+        # bounds and draws as int64 at once takes 272 bytes a user.
+        assert peak_per_user(catalog20, constraint, noise=4) < 200
 
     def test_no_noise_rows_equal_planted_kits(self, catalog20, constraint):
         prefs, planted, kits = planted_fixture(catalog20, constraint, noise=0)
