@@ -19,7 +19,8 @@ integers, changed only for rows whose label moved, so the mean is bit for
 bit the mean of the cluster's user rows.  Each WCSS entry gathers the rows'
 distances to the users and sums them in user order, and reseeding picks its
 donor users the same way, so both read exactly what a run over all n user
-rows would.
+rows would.  A sweep reads only each run's final WCSS, so its runs sum their
+users once, in the iteration where they stop.
 
 Assignment keeps, per row, a lower bound on its distance to every centroid
 other than its own (Hamerly 2010): after each update the bound drops by the
@@ -31,13 +32,14 @@ pass.  A row that skips has no other centroid within its bound, so no tie is
 possible and its label is what the full pass would give.  The shifts are
 widened by the same eps, so rounding in the decay never leaves a positive
 bound where the exact one is zero.  The full pass screens all k centroids
-with one GEMM of ``|c|^2 - 2 x.c``; with rows and centroids in the unit cube
+with one GEMM of ``|c|^2 - 2 x.c``, the row with a 1 appended against
+``-2 c`` with ``|c|^2`` appended; with rows and centroids in the unit cube
 its rounding is far below a slack of ``eps * (m + 1)``, so every centroid
 more than 2 slack above a row's screened minimum is farther than its
 nearest.  A row with one centroid left takes it; a near-tie takes the
 lowest-index minimum of the exact distances of the centroids left.  So labels
-are the exact argmin, and the screened second distance, less the slack,
-bounds the row's distance to the others.
+are the exact argmin, and the smallest screened distance of the other
+centroids, less the slack, bounds the row's distance to them.
 
 Silhouette scores 0/1 survey rows on their d distinct rows.  A sweep takes
 one d x d Hamming matrix from ``model._hamming``, in bytes while m <= 255
@@ -56,12 +58,14 @@ it copy-on-write, pull the batches from one queue; where ``os.fork`` or the
 CPU affinity is missing, the caller scores them all.  A batch advances
 the k-means runs of all its cells together (``_run_batch``).  The cluster
 sums are exact integers, so each cell moves them by one GEMM of its moved
-rows in any order, but each WCSS entry is its own cell's sum over the
-users in user order.  The own distances are taken one cell at a time and
-the failing pairs relabelled in chunks of one cell's rows or of about a
-block, so a batch holds O(cells * d) state plus about a block.  A
-cell is thus computed exactly as ``run_kmeans`` and ``silhouette`` compute
-it alone, and the table is byte-identical whatever the number of workers.
+rows in any order, but each WCSS is its own cell's sum over the users in
+user order.  Each pass builds the screen terms of every cell once, takes
+the own distances of as many cells together as fit one block, and
+relabels the failing pairs in chunks of one cell's rows or of about two
+blocks, each cell's pairs by one GEMM, so a batch holds O(cells * d) state
+plus about two blocks.  A cell is thus computed exactly as ``run_kmeans``
+and ``silhouette`` compute it alone, and the table is byte-identical
+whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -139,43 +143,52 @@ def init_centroids(prefs: PreferenceMatrix, k: int, seed: int) -> np.ndarray:
     return rows[inverse[order[:k]]].astype(np.float64)
 
 
+def _spans(cells: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The start and end of each cell's pairs, given the cell of every pair sorted by cell."""
+    starts = [] if cells[0] == cells[-1] else (np.flatnonzero(cells[1:] != cells[:-1]) + 1).tolist()
+    edges = [0, *starts, len(cells)]
+    return zip(edges, edges[1:])
+
+
 def _nearest(
-    rows: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, ks: np.ndarray, cells: np.ndarray, at: np.ndarray
+    lifted: np.ndarray,
+    sq_norms: np.ndarray,
+    centroids: np.ndarray,
+    screen: np.ndarray,
+    cells: np.ndarray,
+    at: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each (cell, row) pair's nearest centroid, lowest index on ties, and a lower bound on its distance to the others.
 
-    Pair p is row ``at[p]`` against the first ``ks[cells[p]]`` centroids of
-    ``centroids[cells[p]]``; the pairs come sorted by cell.  ``sq_norms``
-    holds each row's ``|x|^2``, which only the bound needs.  The pairs are
-    screened into one (centroid, pair) array of ``|c|^2 - 2 x.c``, one GEMM
-    per cell with its own k centroids and +inf past them.  The screen's
-    rounding is far below ``slack``, so where the exact distances pick
-    another centroid than the screen does, the two screened values lie
-    within rounding of each other, and the screened second value, less the
-    slack, still bounds the distance to every centroid but the label.
+    Pair p is row ``at[p]`` of ``lifted``, each 0/1 row with a 1 appended,
+    against ``centroids[cells[p]]``; the pairs come sorted by cell.
+    ``sq_norms`` holds each row's ``|x|^2``, which only the bound needs, and
+    ``screen`` each cell's terms from ``_screen``, built once per pass.  The
+    pairs are screened into one (centroid, pair) array of ``|c|^2 - 2 x.c``,
+    one GEMM per cell against its own terms, so the centroids past its k
+    screen as +inf.  The screen's rounding is far below ``slack``, so only
+    the centroids within 2 slack of a pair's screened minimum can be
+    nearest; a pair with one takes it, and exact distances decide among
+    several.  The bound is the smallest screened value of the centroids
+    other than the lowest of those, less the slack.  Where the exact
+    distances pick another one, that value is at most the lowest one's, or
+    within rounding of it, so it bounds the lowest one too.
     """
-    slack, width, x = _EPS * (rows.shape[1] + 1), centroids.shape[1], rows[at]
-    scaled, norms = -2.0 * centroids, np.einsum("cij,cij->ci", centroids, centroids)
-    approx = np.empty((width, len(at)))
-    edges = [0, *((cells[1:] != cells[:-1]).nonzero()[0] + 1).tolist(), len(at)]
-    for a, b in zip(edges, edges[1:]):  # each cell's pairs against its own k centroids
-        c = cells[a]
-        k = ks[c]
-        np.matmul(scaled[c, :k], x[a:b].T, out=approx[:k, a:b])
-        approx[:k, a:b] += norms[c, :k, None]
-        approx[k:, a:b] = np.inf
-    labels = approx.argmin(axis=0)
-    cols = np.arange(len(at))
-    best = approx[labels, cols]
-    approx[labels, cols] = np.inf
+    slack, x = _EPS * lifted.shape[1], lifted.take(at, axis=0)
+    approx = np.empty((screen.shape[1], len(at)))
+    for a, b in _spans(cells):  # each cell's pairs against its own centroids
+        np.matmul(screen[cells[a]], x[a:b].T, out=approx[:, a:b])
+    limit = approx.min(axis=0) + 2 * slack
+    near = approx <= limit  # the only centroids that can be nearest
+    labels = near.argmax(axis=0)  # the lowest of them
+    approx[labels, np.arange(len(at))] = np.inf
     second = approx.min(axis=0)  # inf where k = 1
-    tied = (second <= best + 2 * slack).nonzero()[0]
+    tied = (second <= limit).nonzero()[0]
     if tied.size:  # the exact distances of the centroids within 2 slack of the minimum decide
-        approx[labels[tied], tied] = best[tied]
-        j, r = np.nonzero(approx[:, tied] <= best[tied] + 2 * slack)
-        diff = x[tied[r]]
+        j, r = np.nonzero(near[:, tied])
+        diff = x[tied[r], :-1]
         diff -= centroids[cells[tied[r]], j]
-        exact = np.full((width, tied.size), np.inf)
+        exact = np.full((len(approx), tied.size), np.inf)
         exact[j, r] = np.einsum("ij,ij->i", diff, diff)
         labels[tied] = exact.argmin(axis=0)
     return labels, np.sqrt(np.maximum(second + sq_norms[at] - slack, 0.0))
@@ -210,21 +223,33 @@ def _update(
     return new
 
 
-def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tuple]:
+def _screen(centroids: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Each cell's ``_nearest`` screen terms: centroid j as ``-2 c_j``, then ``|c_j|^2``, or +inf if not ``valid``."""
+    screen = np.empty((*centroids.shape[:2], centroids.shape[2] + 1))
+    np.multiply(centroids, -2.0, out=screen[:, :, :-1])
+    screen[:, :, -1] = np.einsum("cij,cij->ci", centroids, centroids)
+    screen[:, :, -1][~valid] = np.inf
+    return screen
+
+
+def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig], full_trace: bool = True) -> list[tuple]:
     """``run_kmeans`` for every config, advancing all the runs together one iteration at a time.
 
     Each run comes back as its centroids, one label per distinct row, its
-    iteration count, whether it converged, and its WCSS trace.
+    iteration count, whether it converged, and its WCSS trace, or without
+    ``full_trace`` its final WCSS alone.
 
     Each live (run, distinct row) pair keeps its own label, Hamerly bound
     and own-centroid distance; the centroids of every run are padded to the
     largest k, and a pair's label is kept as its slot in the runs'
     concatenated centroids.  A run that settles or reaches its
     ``max_iters`` takes its final assignment with the next pass of the
-    others and drops out.
+    others and drops out.  Its WCSS entries sum its own distances over the
+    users after each assignment, or, without ``full_trace``, after the last
+    one only.
     """
     distinct = prefs.distinct
-    rows, inverse = distinct.rows.astype(np.float64), distinct.inverse
+    rows, inverse, weights = distinct.rows.astype(np.float64), distinct.inverse, distinct.weights
     (d, m), cells = rows.shape, len(configs)
     ids, ks = np.arange(cells), np.array([config.k for config in configs])
     damping = np.array([config.damping for config in configs])[:, None, None]
@@ -236,9 +261,9 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
     lower = np.zeros((cells, d))  # a zero bound sends every row through the first full pass
     own = np.empty((cells, d))
     sq_norms = rows.sum(axis=1)  # |x|^2 of a 0/1 row
-    weighted = np.column_stack([rows, np.ones(d)]) * distinct.weights[:, None]
+    lifted = np.column_stack([rows, np.ones(d)])  # a 1 after each row meets the |c|^2 of the screen
     sums = np.zeros((cells, ks.max(), m + 1))
-    sums[:, 0] = weighted.sum(axis=0)
+    sums[:, 0] = (lifted * weights[:, None]).sum(axis=0)
     stopped = converged = np.zeros(cells, dtype=bool)  # the runs whose next assignment is their last
     valid = np.arange(ks.max()) < ks[:, None]  # each run's own clusters
     traces: list[list[float]] = [[] for _ in configs]
@@ -247,25 +272,26 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
 
     def assign() -> None:
         """Measure every pair's own distance and relabel, in chunks, the pairs failing the bound test."""
-        flat = centroids.reshape(-1, m)
-        for c in range(len(ids)):  # one cell's differences at a time
-            diff = np.take(flat, slots[c], axis=0, mode="clip")
+        flat, group = centroids.reshape(-1, m), _block_rows(d * m)
+        for lo in range(0, len(ids), group):  # the differences of as many cells as fit one block
+            diff = np.take(flat, slots[lo : lo + group], axis=0, mode="clip")
             np.subtract(rows, diff, out=diff)
-            np.einsum("ij,ij->i", diff, diff, out=own[c])
+            np.einsum("cij,cij->ci", diff, diff, out=own[lo : lo + group])
             del diff
         test = np.sqrt(own)
         test *= 1 + _EPS
         full = (test >= lower * (1 - _EPS)).reshape(-1).nonzero()[0]
         del test
-        chunk = max(d, _block_rows(2 * centroids.shape[1] + 4 * m))  # a chunk's screens, rows, tie and sum terms
+        screen = _screen(centroids, valid)
+        chunk = max(d, 2 * _block_rows(2 * centroids.shape[1] + 4 * m))  # two blocks of screens, rows, ties and sums
         for lo in range(0, len(full), chunk):
-            relabel(full[lo : lo + chunk])
+            relabel(full[lo : lo + chunk], screen)
 
-    def relabel(pairs: np.ndarray) -> None:
+    def relabel(pairs: np.ndarray, screen: np.ndarray) -> None:
         """Relabel the pairs, refresh their ``lower`` and ``own``, and move their users' sums."""
         flat, width = centroids.reshape(-1, m), centroids.shape[1]
-        cell, at = np.divmod(pairs, d)
-        label, lower.reshape(-1)[pairs] = _nearest(rows, sq_norms, centroids, ks, cell, at)
+        cell, at = np.divmod(pairs, d) if len(ids) > 1 else (np.zeros_like(pairs), pairs)
+        label, lower.reshape(-1)[pairs] = _nearest(lifted, sq_norms, centroids, screen, cell, at)
         base = cell * width
         changed = (label + base != slots.reshape(-1)[pairs]).nonzero()[0]
         if not changed.size:
@@ -278,9 +304,8 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
         clusters = np.arange(width)[:, None]
         step = (label == clusters).astype(np.float64)
         step -= old == clusters
-        moved = weighted[at]
-        edges = [0, *((cell[1:] != cell[:-1]).nonzero()[0] + 1).tolist(), len(at)]
-        for a, b in zip(edges, edges[1:]):
+        moved = lifted[at] * weights[at, None]
+        for a, b in _spans(cell):
             sums[cell[a]] += step[:, a:b] @ moved[a:b]
 
     while len(ids):
@@ -300,8 +325,6 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
             slots += (np.arange(len(ids)) * ks.max() - np.flatnonzero(keep) * width)[:, None]
             valid = np.arange(ks.max()) < ks[:, None]
         iteration += 1
-        for c, distances in zip(ids.tolist(), own):  # each WCSS sums its users' distances in user order
-            traces[c].append(float(distances[inverse].sum()))
         new = _update(centroids, sums, damping, valid, rows, slots, inverse)
         step = new - centroids
         shifts = np.sqrt((step * step).sum(axis=2))  # bit for bit np.linalg.norm(step, axis=1) of each run
@@ -314,6 +337,8 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tup
         lower -= decay[slots]
         converged = largest < _TOL
         stopped = converged | (max_iters == iteration)
+        for c in range(len(ids)) if full_trace else stopped.nonzero()[0]:  # users' distances summed in user order
+            traces[ids[c]].append(float(own[c][inverse].sum()))
     return runs
 
 
@@ -575,7 +600,7 @@ def sweep(
     ham = _hamming(prefs.distinct.rows, prefs.distinct.rows, np.min_scalar_type(prefs.m))
 
     def score(batch: list[tuple[int, int]]) -> list[tuple[float, int, bool, float]]:
-        runs = _run_batch(prefs, [replace(config, k=k, seed=seed) for k, seed in batch])
+        runs = _run_batch(prefs, [replace(config, k=k, seed=seed) for k, seed in batch], full_trace=False)
         rows = np.arange(len(ham))
         cells = [(rows * k + labels, prefs.distinct.weights, k) for (k, _), (_, labels, *_) in zip(batch, runs)]
         scores = _silhouettes(ham, cells)

@@ -244,15 +244,18 @@ def _hamming(rows: np.ndarray, others: np.ndarray, dtype: np.dtype | type) -> np
     """The len(rows) x len(others) Hamming distances between two sets of 0/1 rows, as ``dtype``.
 
     Both sides are packed to bits in 64-bit words (``_words``), and each
-    distance is the popcount of the XOR of two rows' words, summed over the
-    words in ``dtype``, a block of ``_block_rows(len(others) * words)`` rows
-    at a time.
+    distance is the popcount of the XOR of two rows' words, added into the
+    ``dtype`` result one word at a time (integers, so in any order), a block
+    of ``_block_rows(len(others) * words)`` rows at a time.
     """
     x, y = (_words(np.packbits(side, axis=1)) for side in (rows, others))
     ham = np.empty((len(x), len(y)), dtype=dtype)
     step = _block_rows(y.size)
     for lo in range(0, len(x), step):
-        np.bitwise_count(x[lo : lo + step, None] ^ y).sum(axis=2, dtype=ham.dtype, out=ham[lo : lo + step])
+        block = ham[lo : lo + step]
+        np.bitwise_count(x[lo : lo + step, 0, None] ^ y[:, 0], out=block)
+        for word in range(1, y.shape[1]):
+            block += np.bitwise_count(x[lo : lo + step, word, None] ^ y[:, word])
     return ham
 
 

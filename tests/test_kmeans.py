@@ -84,7 +84,14 @@ def nearest(rows, centroids):
     """``_nearest`` of a one-cell batch: every row against all the centroids."""
     rows, centroids = np.asarray(rows, dtype=float), np.asarray(centroids, dtype=float)
     cells, at = np.zeros(len(rows), dtype=np.intp), np.arange(len(rows))
-    return pk.kmeans._nearest(rows, rows.sum(axis=1), centroids[None], np.array([len(centroids)]), cells, at)
+    return nearest_in_batch(rows, centroids[None], np.array([len(centroids)]), cells, at)
+
+
+def nearest_in_batch(rows, centroids, ks, cells, at):
+    """``_nearest`` of the pairs ``(cells[p], at[p])`` of a batch whose cell c has the first ``ks[c]`` centroids."""
+    screen = pk.kmeans._screen(centroids, np.arange(centroids.shape[1]) < ks[:, None])
+    lifted = np.column_stack([rows, np.ones(len(rows))])
+    return pk.kmeans._nearest(lifted, rows.sum(axis=1), centroids, screen, cells, at)
 
 
 def closest(prefs, centroids):
@@ -140,10 +147,14 @@ class TestFindClosestCentroids:
             assert labels.tolist() == np.argmin(d2, axis=1).tolist()
             others = np.arange(10) != labels[:, None]
             assert (lower[:, None] <= np.sqrt(d2))[others].all()  # a bound on every other centroid
-            # The same pairs as the second cell of a batch padded to 13 centroids: the padding is never nearest.
+            # The same pairs as the second cell of a batch padded to 13 centroids, screened in one call with
+            # the first cell's pairs against the batch's prebuilt terms: the padding screens as +inf, never nearest.
             padded = np.stack([rng.random((13, 20)), np.vstack([centroids, np.zeros((3, 20))])])
+            terms = pk.kmeans._screen(padded, np.arange(13) < np.array([[13], [10]]))
+            assert np.isinf(terms[1, 10:, -1]).all() and np.isfinite(terms[0]).all()
+            assert np.isfinite(terms[1, :10]).all()
             cells, at = np.repeat([0, 1], len(rows)), np.tile(np.arange(len(rows)), 2)
-            got = pk.kmeans._nearest(rows, rows.sum(axis=1), padded, np.array([13, 10]), cells, at)
+            got = nearest_in_batch(rows, padded, np.array([13, 10]), cells, at)
             assert np.array_equal(got[0][len(rows):], labels) and np.array_equal(got[1][len(rows):], lower)
             screen = np.einsum("ij,ij->i", centroids, centroids)[:, None] - 2.0 * (centroids @ rows.T)
             screen_wrong += int((screen.argmin(axis=0) != labels).sum())
@@ -301,9 +312,9 @@ class TestBoundedAssignment:
         full_rows = []
         nearest = pk.kmeans._nearest
 
-        def counted(rows, sq_norms, centroids, ks, cells, at):
+        def counted(lifted, sq_norms, centroids, screen, cells, at):
             full_rows.append(len(at))
-            return nearest(rows, sq_norms, centroids, ks, cells, at)
+            return nearest(lifted, sq_norms, centroids, screen, cells, at)
 
         monkeypatch.setattr(pk.kmeans, "_nearest", counted)
         runs = pk.kmeans._run_batch(prefs, [pk.KMeansConfig(k=k, seed=k) for k in (4, 8, 15)])
@@ -366,8 +377,9 @@ class TestBatch:
     """``_run_batch`` advances several runs together and ``_silhouettes`` scores them together; each cell must
     come out as it would alone."""
 
-    @pytest.mark.parametrize("m", [10, 100])
-    def test_mixed_batch_matches_the_user_row_run_on_every_field(self, m):
+    @staticmethod
+    def mixed_batch(m):
+        """A survey of 9 distinct rows of m items, and 16 configs: k 1 to 12, both dampings, max_iters 1 or 40."""
         rng = np.random.default_rng(71 + m)
         base = rng.integers(0, 2, size=(9, m))
         while len(np.unique(base, axis=0)) < 9:
@@ -377,12 +389,31 @@ class TestBatch:
         grid = [(k, damping, max_iters) for k in (1, 2, 5, 12) for damping in (0.3, 1.0) for max_iters in (1, 40)]
         configs = [pk.KMeansConfig(k=k, damping=damping, max_iters=max_iters, seed=seed)
                    for seed, (k, damping, max_iters) in enumerate(grid)]
+        return prefs, configs
+
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_mixed_batch_matches_the_user_row_run_on_every_field(self, m):
+        prefs, configs = self.mixed_batch(m)
         results = pk.kmeans._run_batch(prefs, configs)
         for config, result in zip(configs, results):
             assert_same_run(run_of(prefs, config, result), run_kmeans_rows(prefs, config))
         iterations = [result[2] for result in results]
         assert len(set(iterations)) >= 4  # the runs left the batch at different iterations
         assert any(result[3] for result in results) and not all(result[3] for result in results)
+
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_final_wcss_alone_is_the_last_entry_of_the_full_trace(self, m):
+        # The sweep reads only each run's final WCSS, so its batch sums each run's users once, when it stops.
+        prefs, configs = self.mixed_batch(m)
+        full = pk.kmeans._run_batch(prefs, configs)
+        final = pk.kmeans._run_batch(prefs, configs, full_trace=False)
+        for config, whole, last in zip(configs, full, final):
+            assert last[4] == [whole[4][-1]] == [run_kmeans_rows(prefs, config).wcss_trace[-1]]
+            assert_same_run(run_of(prefs, config, last), run_of(prefs, config, (*whole[:4], whole[4][-1:])))
+        iterations = [result[2] for result in full]
+        assert len(set(iterations)) >= 4  # the runs left the batch at different iterations,
+        assert max(iterations.count(i) for i in set(iterations)) >= 3  # and some of them together
+        assert {1, 40} <= {config.max_iters for config in configs} and min(config.k for config in configs) == 1
 
     def test_runs_of_many_users_sum_their_wcss_alone(self):
         # Each run's WCSS sums its own users' distances in user order, also where n is far above d.
@@ -697,11 +728,11 @@ class TestSweep:
             forks.append(pid)
             return pid
 
-        def counted_batch(prefs, configs):
+        def counted_batch(prefs, configs, full_trace=True):
             batches.append(len(configs))
             if len(batches) == 3:  # the parent pulled the last record before this call
                 os.write(opener, b"xx")
-            return run_batch(prefs, configs)
+            return run_batch(prefs, configs, full_trace)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(os, "fork", gated_fork)
