@@ -52,15 +52,13 @@ identical rows, so each (distinct row, label) pair is scored and weighed
 by its users.  ``_silhouettes`` scores cells together, in the block shape
 of one cell scored alone.
 
-The sweep deals its (k, trial) cells into batches (``sweep``).  The caller
-and one child per other CPU, forked after the matrix is built and sharing
-it copy-on-write, pull the batches from one queue; where ``os.fork`` or the
-CPU affinity is missing, the caller scores them all.  A batch advances
-the k-means runs of all its cells together (``_run_batch``).  The cluster
-sums are exact integers, so each cell moves them by one GEMM of its moved
-rows in any order, but each WCSS is its own cell's sum over the users in
-user order.  Each pass builds the screen terms of every cell once, takes
-the own distances of as many cells together as fit one block, and
+The sweep deals its (k, trial) cells into batches (``sweep``), which
+``pool.map_cells`` scores across the CPUs once the matrix is built.  A
+batch advances the k-means runs of all its cells together (``_run_batch``).
+The cluster sums are exact integers, so each cell moves them by one GEMM of
+its moved rows in any order, but each WCSS is its own cell's sum over the
+users in user order.  Each pass builds the screen terms of every cell once,
+takes the own distances of as many cells together as fit one block, and
 relabels the failing pairs in chunks of one cell's rows or of about two
 blocks, each cell's pairs by one GEMM, so a batch holds O(cells * d) state
 plus about two blocks.  A cell is thus computed exactly as ``run_kmeans``
@@ -70,23 +68,17 @@ whatever the number of workers.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import struct
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NoReturn
+from typing import Iterator
 
 import numpy as np
 
-from .errors import PrefkitError
+from . import pool
 from .model import _BLOCK_FLOATS, PreferenceMatrix, _block_rows, _hamming
 from .seeding import derive_seed, generator
 
 _EPS = 1e-9  # relative slack of the assignment bounds
 _TOL = 1e-6  # convergence: the largest centroid shift falls below this
-_RECORD = struct.Struct("=I")  # one record of the sweep's cell queue
-_QUEUE_RECORDS = 1024  # records in the queue at most: 4 KiB, within the capacity of any pipe
 
 
 @dataclass(frozen=True)
@@ -466,117 +458,6 @@ class SweepTable:
         return self.scores.shape[1]
 
 
-def _pulled(queue: int, score: Callable, cells: list, parent: int | None = None) -> list:
-    """``(i, score(cells[i]))`` for every cell i named by the records this process reads from the queue.
-
-    Of a queue of s records, record j names cells j, j + s, j + 2s, ...  A
-    forked worker, given its ``parent``, exits before a record once that
-    parent is gone.
-    """
-    stride, results = min(len(cells), _QUEUE_RECORDS), []
-    while record := os.read(queue, _RECORD.size):
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        (first,) = _RECORD.unpack(record)
-        results += [(i, score(cells[i])) for i in range(first, len(cells), stride)]
-    return results
-
-
-def _worker(parent: int, queue: int, read: int, write: int, score: Callable, cells: list) -> NoReturn:
-    """A forked worker: pickle the results of the cells it pulls, or its exception, into its pipe and exit.
-
-    It never returns into its caller, so no atexit handler, inherited output
-    buffer or caller's code runs twice.
-    """
-    code = 1
-    try:
-        os.close(read)  # so a write fails, not blocks, once the parent is gone
-        try:
-            message = (True, _pulled(queue, score, cells, parent))
-        except BaseException as exc:
-            try:  # the parent must be able to rebuild the exception it raises
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = PrefkitError(f"{type(exc).__name__}: {exc}")
-            message = (False, exc)
-        with os.fdopen(write, "wb") as fh:
-            pickle.dump(message, fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _received(data: bytes, status: int) -> list:
-    """A reaped worker's results, or its failure raised."""
-    if os.WIFSIGNALED(status):
-        raise PrefkitError(f"a sweep worker was killed by {signal.Signals(os.WTERMSIG(status)).name}")
-    if not data:
-        raise PrefkitError(f"a sweep worker exited with code {os.waitstatus_to_exitcode(status)} and sent no result")
-    ok, payload = pickle.loads(data)
-    if not ok:
-        raise payload
-    return payload
-
-
-def _cpus() -> int:
-    """The usable CPUs, or 1 where the platform cannot fork a worker."""
-    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if can_fork else 1
-
-
-def _in_workers(score: Callable, cells: list) -> list:
-    """``[score(cell) for cell in cells]`` in w workers, one per usable CPU and at most one per cell.
-
-    The cells are queued in list order, as fixed-size records in one pipe
-    whose write end is closed before any fork, and every worker pulls the
-    next record until the queue is empty, so a fast worker scores more
-    cells than a slow one.  The caller is one worker and the other w - 1
-    are forked children, so where the platform cannot fork, w is 1.  Every
-    child is reaped on every path: on any failure the ones still running
-    are killed and waited for before the failure is raised.
-    """
-    w = min(_cpus(), len(cells))
-    parent, running = os.getpid(), {}  # child pid -> the read end of its pipe
-    queue, write = os.pipe()
-    try:
-        try:  # at most 4 KiB, which an empty pipe takes without blocking
-            os.write(write, b"".join(map(_RECORD.pack, range(min(len(cells), _QUEUE_RECORDS)))))
-        finally:
-            os.close(write)  # so a read meets the end of the queue once it is empty
-        for _ in range(1, w):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _worker(parent, queue, read, write, score, cells)
-            os.close(write)
-            running[pid] = os.fdopen(read, "rb")
-        pairs = _pulled(queue, score, cells)
-        for pid, pipe in list(running.items()):
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del running[pid]
-            pairs += _received(data, status)
-    except BaseException:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(queue)
-        for pid, pipe in running.items():
-            pipe.close()
-            os.waitpid(pid, 0)
-    results = [None] * len(cells)
-    for i, result in pairs:
-        results[i] = result
-    return results
-
-
 def sweep(
     prefs: PreferenceMatrix,
     config: KMeansConfig,
@@ -589,8 +470,8 @@ def sweep(
     the whole table is a pure function of the config seed.  The cells are
     dealt round-robin, largest k first, into one batch per usable CPU, since
     a run's cost grows with k.  A batch holds at most one block of (cell,
-    distinct row) pairs, so a large sweep is dealt into more batches, which
-    the workers pull as they are free.
+    distinct row) pairs, so a large sweep is dealt into more batches, as
+    many for each worker.
     """
     if not 2 <= config.k <= k_max <= prefs.n:
         raise ValueError(f"need 2 <= config.k <= k_max <= n, got {config.k}..{k_max} with n={prefs.n}")
@@ -608,9 +489,9 @@ def sweep(
 
     cells = [(k, derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)][::-1]
     # As many batches for each worker, and as few, as keep each within a block of (cell, distinct row) pairs.
-    workers = min(_cpus(), len(cells))
+    workers = pool.workers(len(cells))
     count = min(len(cells), workers * -(-len(cells) // (workers * _block_rows(len(ham)))))
-    batches = _in_workers(score, [cells[b::count] for b in range(count)])
+    batches = pool.map_cells(score, [cells[b::count] for b in range(count)])
     results = [batches[i % count][i // count] for i in range(len(cells))][::-1]  # back from largest k first
     columns = [np.array(column).reshape(len(k_values), trials) for column in zip(*results)]
     for arr in columns:

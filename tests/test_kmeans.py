@@ -1,5 +1,4 @@
 import os
-import select
 import tracemalloc
 from dataclasses import replace
 
@@ -368,7 +367,7 @@ def run_of(prefs, config, result):
 
 
 def sweep_configs(config, k_values, trials=3):
-    """The (k, trial) cells of a sweep, largest k first, as ``sweep`` queues them."""
+    """The (k, trial) cells of a sweep, largest k first, as ``sweep`` deals them."""
     cells = [(k, pk.derive_seed(config.seed, "sweep", k, t)) for k in k_values for t in range(trials)][::-1]
     return [replace(config, k=k, seed=seed) for k, seed in cells]
 
@@ -710,49 +709,6 @@ class TestSweep:
         for table in tables[1:]:
             for name in ("scores", "iterations", "converged", "wcss"):
                 assert np.array_equal(getattr(table, name), getattr(tables[0], name))
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: the sweep runs in-process")
-    def test_a_worker_that_pulls_no_cell_leaves_the_table_complete(self, survey700, monkeypatch):
-        prefs, config = survey700
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        want = pk.sweep(prefs, config, k_max=6)
-        cells = want.scores.size
-        fork, run_batch, forks, batches = os.fork, pk.kmeans._run_batch, [], []
-        gate, opener = os.pipe()
-
-        def gated_fork():
-            pid = fork()
-            if pid == 0:  # a worker waits until the parent has pulled every cell
-                os.close(opener)
-                select.select([gate], [], [], 30)  # a sweep that never opens the gate fails, not hangs
-            forks.append(pid)
-            return pid
-
-        def counted_batch(prefs, configs, full_trace=True):
-            batches.append(len(configs))
-            if len(batches) == 3:  # the parent pulled the last record before this call
-                os.write(opener, b"xx")
-            return run_batch(prefs, configs, full_trace)
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "fork", gated_fork)
-        monkeypatch.setattr(pk.kmeans, "_run_batch", counted_batch)
-        try:
-            table = pk.sweep(prefs, config, k_max=6)
-        finally:
-            os.close(gate)
-            os.close(opener)
-        assert len(forks) == 2 and sum(batches) == cells  # every batch scored in the parent
-        for name in ("scores", "iterations", "converged", "wcss"):
-            assert np.array_equal(getattr(table, name), getattr(want, name))
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_more_cells_than_queue_records(self, monkeypatch, cpus):
-        # Past 1,024 cells a queue record names every 1,024th cell from its first.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        cells = list(range(2500))
-        results = pk.kmeans._in_workers(lambda cell: cell * cell, cells)
-        assert results == [cell * cell for cell in cells]
 
     def test_fewer_cells_than_cpus_forks_nothing(self, survey700, monkeypatch):
         prefs, config = survey700
