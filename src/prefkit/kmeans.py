@@ -16,11 +16,9 @@ A run works on the survey's d distinct rows, since users with one row share
 every distance.  Each row carries one label for all its users, and each
 cluster keeps the weighted sums of its rows and its user count as exact
 integers, changed only for rows whose label moved, so the mean is bit for
-bit the mean of the cluster's user rows.  Each WCSS entry gathers the rows'
-distances to the users and sums them in user order, and reseeding picks its
-donor users the same way, so both read exactly what a run over all n user
-rows would.  A sweep reads only each run's final WCSS, so its runs sum their
-users once, in the iteration where they stop.
+bit the mean of the cluster's user rows.  Reseeding donates the users a
+run over all n user rows would, reading user order only on ties, and each
+WCSS entry weighs the rows' distances by their users.
 
 Assignment keeps, per row, a lower bound on its distance to every centroid
 other than its own (Hamerly 2010): after each update the bound drops by the
@@ -56,8 +54,8 @@ The sweep deals its (k, trial) cells into batches (``sweep``), which
 ``pool.map_cells`` scores across the CPUs once the matrix is built.  A
 batch advances the k-means runs of all its cells together (``_run_batch``).
 The cluster sums are exact integers, so each cell moves them by one GEMM of
-its moved rows in any order, but each WCSS is its own cell's sum over the
-users in user order.  Each pass builds the screen terms of every cell once,
+its moved rows in any order, and each WCSS is summed over its own cell's
+distances alone.  Each pass builds the screen terms of every cell once,
 takes the own distances of as many cells together as fit one block, and
 relabels the failing pairs in chunks of one cell's rows or of about two
 blocks, each cell's pairs by one GEMM, so a batch holds O(cells * d) state
@@ -69,7 +67,7 @@ whatever the number of workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -131,8 +129,7 @@ def init_centroids(prefs: PreferenceMatrix, k: int, seed: int) -> np.ndarray:
     if k > prefs.n:
         raise ValueError(f"k={k} exceeds number of users {prefs.n}")
     order = generator(seed).permutation(prefs.n)
-    rows, _, inverse, _ = prefs.distinct
-    return rows[inverse[order[:k]]].astype(np.float64)
+    return prefs.distinct.rows[prefs.distinct.inverse[order[:k]]].astype(np.float64)
 
 
 def _spans(cells: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -187,31 +184,33 @@ def _nearest(
 
 
 def _update(
-    centroids: np.ndarray,
-    sums: np.ndarray,
-    damping: np.ndarray,
-    valid: np.ndarray,
-    rows: np.ndarray,
-    slots: np.ndarray,
-    inverse: np.ndarray,
+    centroids: np.ndarray, sums: np.ndarray, damping: np.ndarray, valid: np.ndarray, rows: np.ndarray,
+    slots: np.ndarray, weights: np.ndarray, users: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Each cell's damped step from its clusters' row sums, weighted by users, whose last column counts the users.
 
     ``damping`` holds one value per cell, and only the clusters marked
-    ``valid`` are a cell's own: the others stay zero.  Row j of cell c is in
-    the cluster at ``slots[c, j]`` of the cells' concatenated clusters.
+    ``valid`` are a cell's own: the others stay zero.  Row j of cell c holds
+    ``weights[j]`` users and is in the cluster at ``slots[c, j]`` of the
+    cells' concatenated clusters.  Reseeding reads ``users(tied)``, the row
+    of each user of the tied rows in user order, only to break a tie.
     """
     counts = sums[:, :, -1:]
     # The sums are exact integers, so a filled cluster's mean is bit for bit its mean user row.
     new = (1.0 - damping) * centroids + damping * (sums[:, :, :-1] / np.maximum(counts, 1.0))
     empty = (counts[:, :, 0] == 0) & valid
     for c in empty.any(axis=1).nonzero()[0]:
-        dist_own = np.linalg.norm(rows - new.reshape(-1, rows.shape[1])[slots[c]], axis=1)[inverse]
-        donated = np.zeros(len(inverse), dtype=bool)
+        dist_own = np.linalg.norm(rows - new.reshape(-1, rows.shape[1])[slots[c]], axis=1)
+        donated = np.zeros(len(rows), dtype=np.int64)  # each row donates its users lowest first
         for j in empty[c].nonzero()[0]:
-            donor = int(np.argmax(np.where(donated, -np.inf, dist_own)))
-            new[c, j] = rows[inverse[donor]]
-            donated[donor] = True
+            far = np.where(donated < weights, dist_own, -np.inf)  # the rows with a user left to donate
+            tied = np.flatnonzero(far == far.max())
+            donor = tied[0]  # row 0, user 0's, once every user has donated, as only k > n leaves
+            if len(tied) > 1 and far[donor] > -np.inf:  # the tied row whose lowest undonated user comes first
+                order = users(tied)
+                donor = min(tied, key=lambda r: np.flatnonzero(order == r)[donated[r]])
+            new[c, j] = rows[donor]
+            donated[donor] += 1
     return new
 
 
@@ -224,24 +223,21 @@ def _screen(centroids: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return screen
 
 
-def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig], full_trace: bool = True) -> list[tuple]:
+def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig]) -> list[tuple]:
     """``run_kmeans`` for every config, advancing all the runs together one iteration at a time.
 
     Each run comes back as its centroids, one label per distinct row, its
-    iteration count, whether it converged, and its WCSS trace, or without
-    ``full_trace`` its final WCSS alone.
+    iteration count, whether it converged, and its WCSS trace, whose entries
+    weigh its own distances alone by the users, whatever runs are beside it.
 
     Each live (run, distinct row) pair keeps its own label, Hamerly bound
     and own-centroid distance; the centroids of every run are padded to the
     largest k, and a pair's label is kept as its slot in the runs'
     concatenated centroids.  A run that settles or reaches its
     ``max_iters`` takes its final assignment with the next pass of the
-    others and drops out.  Its WCSS entries sum its own distances over the
-    users after each assignment, or, without ``full_trace``, after the last
-    one only.
+    others and drops out.
     """
-    distinct = prefs.distinct
-    rows, inverse, weights = distinct.rows.astype(np.float64), distinct.inverse, distinct.weights
+    rows, weights = prefs.distinct.rows.astype(np.float64), prefs.distinct.weights.astype(np.float64)
     (d, m), cells = rows.shape, len(configs)
     ids, ks = np.arange(cells), np.array([config.k for config in configs])
     damping = np.array([config.damping for config in configs])[:, None, None]
@@ -309,15 +305,14 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig], full_trace:
                 runs[ids[c]] = (*final, iteration, bool(converged[c]), traces[ids[c]])
             keep = ~stopped
             ids, ks, damping, max_iters, slots, lower, own = (
-                a[keep] for a in (ids, ks, damping, max_iters, slots, lower, own)
-            )
+                a[keep] for a in (ids, ks, damping, max_iters, slots, lower, own))
             if not len(ids):
                 break
             centroids, sums = centroids[keep, : ks.max()], sums[keep, : ks.max()]
             slots += (np.arange(len(ids)) * ks.max() - np.flatnonzero(keep) * width)[:, None]
             valid = np.arange(ks.max()) < ks[:, None]
         iteration += 1
-        new = _update(centroids, sums, damping, valid, rows, slots, inverse)
+        new = _update(centroids, sums, damping, valid, rows, slots, weights, prefs.distinct.user_rows)
         step = new - centroids
         shifts = np.sqrt((step * step).sum(axis=2))  # bit for bit np.linalg.norm(step, axis=1) of each run
         centroids = new
@@ -329,8 +324,8 @@ def _run_batch(prefs: PreferenceMatrix, configs: list[KMeansConfig], full_trace:
         lower -= decay[slots]
         converged = largest < _TOL
         stopped = converged | (max_iters == iteration)
-        for c in range(len(ids)) if full_trace else stopped.nonzero()[0]:  # users' distances summed in user order
-            traces[ids[c]].append(float(own[c][inverse].sum()))
+        for c in range(len(ids)):  # not BLAS's dot, which splits a long row across its threads
+            traces[ids[c]].append(float(np.einsum("i,i->", own[c], weights)))
     return runs
 
 
@@ -341,7 +336,7 @@ def run_kmeans(prefs: PreferenceMatrix, config: KMeansConfig) -> KMeansRun:
     after ``config.max_iters`` iterations; a final assignment pass keeps idx
     consistent with the returned centroids.  ``wcss_trace`` records, per
     iteration, the within-cluster sum of squared distances measured right
-    after the assignment step.
+    after the assignment step, against the centroids it assigned to.
     """
     centroids, labels, iterations, converged, trace = _run_batch(prefs, [config])[0]
     idx = labels[prefs.distinct.inverse]
@@ -481,7 +476,7 @@ def sweep(
     ham = _hamming(prefs.distinct.rows, prefs.distinct.rows, np.min_scalar_type(prefs.m))
 
     def score(batch: list[tuple[int, int]]) -> list[tuple[float, int, bool, float]]:
-        runs = _run_batch(prefs, [replace(config, k=k, seed=seed) for k, seed in batch], full_trace=False)
+        runs = _run_batch(prefs, [replace(config, k=k, seed=seed) for k, seed in batch])
         rows = np.arange(len(ham))
         cells = [(rows * k + labels, prefs.distinct.weights, k) for (k, _), (_, labels, *_) in zip(batch, runs)]
         scores = _silhouettes(ham, cells)

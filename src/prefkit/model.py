@@ -170,6 +170,10 @@ class DistinctRows(NamedTuple):
     inverse: np.ndarray
     first: np.ndarray
 
+    def user_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The row of each user whose row is among ``rows``, in user order."""
+        return self.inverse[np.isin(self.inverse, rows)]
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class PreferenceMatrix:

@@ -12,7 +12,9 @@ scanning kit sampler, the broadcast mismatch count, the row-at-a-time CSV
 writer, the cluster-by-cluster kit design, the stable-sort distinct values,
 and the per-user SVD, kit counts, mismatch count and per-kit loss loop that
 the distinct-row route replaced are kept here too, so the replacements are
-checked against what they replaced.
+checked against what they replaced.  Their WCSS traces are ``math.fsum``
+sums over the users, correctly rounded, so a library trace summed in another
+order is checked within a relative tolerance.
 """
 
 from __future__ import annotations
@@ -129,6 +131,11 @@ def compute_centroids_loop(prefs, idx, centroids_prev, damping):
     return centroids
 
 
+def wcss_fsum(sq_distances):
+    """A WCSS as the correctly rounded sum of the users' squared distances to their centroids."""
+    return math.fsum(sq_distances.tolist())
+
+
 def _sq_distances_loop(rows, centroids):
     diff = rows[:, None, :] - centroids[None, :, :]
     return np.einsum("ikj,ikj->ik", diff, diff)
@@ -142,7 +149,7 @@ def run_kmeans_loop(prefs, config):
     for _ in range(config.max_iters):
         d2 = _sq_distances_loop(rows, centroids)
         idx = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(prefs.n), idx].sum()))
+        trace.append(wcss_fsum(d2[np.arange(prefs.n), idx]))
         new_centroids = compute_centroids_loop(prefs, idx, centroids, config.damping)
         shift = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
@@ -190,7 +197,7 @@ def run_kmeans_rows(prefs, config):
     trace = []
     converged = False
     for _ in range(config.max_iters):
-        trace.append(float(_assign_rows(rows, centroids, idx, lower).sum()))
+        trace.append(wcss_fsum(_assign_rows(rows, centroids, idx, lower)))
         new_centroids = _update_rows(rows, idx, centroids, config.damping)
         shifts = np.linalg.norm(new_centroids - centroids, axis=1)
         centroids = new_centroids
